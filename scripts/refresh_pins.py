@@ -13,6 +13,7 @@ acceptance tests import this module for them.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -127,7 +128,10 @@ def measure() -> dict:
     return pins
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    # no options; parsing gives --help and rejects unknown flags (exit 2)
+    # before anything is measured or written
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     pins = measure()
     PINS_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n",
                          encoding="utf-8")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -50,10 +51,10 @@ from .sunflower import SunflowerCert, find_vectorial_sunflower
 
 __all__ = ["run", "main"]
 
+# the library's own exception types only: anything else is a bug and propagates
 _DOMAIN_ERRORS = (RangeError, NotPrime, NotGenerator, PrimeNotFound,
                   NotOddPrime, EngineUnavailable, NoRepresentation,
-                  UnsupportedKind, NonConvergent, ValueError,
-                  ArithmeticError)
+                  UnsupportedKind, NonConvergent)
 
 _PLUMBING = frozenset({"out", "format", "threads", "src", "cert_src"})
 
@@ -240,13 +241,20 @@ def _cmd_construct_ruzsa(args) -> int:
                _rows_csv(("element",), [(x,) for x in made.elements]))
 
 
-def _cmd_verify_sidon(args) -> int:
+def _read_set(args, cyclic_only: bool = True):
+    """--in elements and the modulus, from --modulus or else the file."""
     elements, file_modulus = _read_elements(args)
     modulus = args.modulus if args.modulus is not None else file_modulus
-    if args.mode == "cyclic" and modulus is None:
-        raise _UsageError("--modulus is required in cyclic mode "
-                          "(or supply a file that carries one)")
+    if modulus is None and (args.mode == "cyclic" or not cyclic_only):
+        raise _UsageError("--modulus is required"
+                          + (" in cyclic mode" if cyclic_only else "")
+                          + " (or supply a file that carries one)")
     _resolved(args, elements=elements, modulus=modulus)
+    return elements, modulus
+
+
+def _cmd_verify_sidon(args) -> int:
+    elements, modulus = _read_set(args)
     witness = is_sidon(elements, mode=args.mode, modulus=modulus)
     payload = {"sidon": witness.is_sidon,
                "witness": list(witness.collision) if witness.collision else None}
@@ -254,23 +262,13 @@ def _cmd_verify_sidon(args) -> int:
 
 
 def _cmd_verify_b2g(args) -> int:
-    elements, file_modulus = _read_elements(args)
-    modulus = args.modulus if args.modulus is not None else file_modulus
-    if args.mode == "cyclic" and modulus is None:
-        raise _UsageError("--modulus is required in cyclic mode "
-                          "(or supply a file that carries one)")
-    _resolved(args, elements=elements, modulus=modulus)
+    elements, modulus = _read_set(args)
     bound = b2g_bound(elements, mode=args.mode, modulus=modulus)
     return _ok(args, {"b2g": bound})
 
 
 def _cmd_verify_basis(args) -> int:
-    elements, file_modulus = _read_elements(args)
-    modulus = args.modulus if args.modulus is not None else file_modulus
-    if modulus is None:
-        raise _UsageError("--modulus is required "
-                          "(or supply a file that carries one)")
-    _resolved(args, elements=elements, modulus=modulus)
+    elements, modulus = _read_set(args, cyclic_only=False)
     covered, missing = basis_order_check(ModSet(modulus, tuple(elements)),
                                          args.order,
                                          repetition=args.repetition)
@@ -389,14 +387,18 @@ def _cmd_family_enumerate(args) -> int:
     return _ok(args, payload, _rows_csv(header, fam.members))
 
 
-def _cmd_sunflower_find(args) -> int:
+def _read_members(args):
     data = _load_json(args.src)
     if not isinstance(data, list):
         raise _UsageError("--in: expected a JSON list of coordinate tuples")
     try:
-        members = [tuple(int(x) for x in row) for row in data]
+        return [tuple(int(x) for x in row) for row in data]
     except (TypeError, ValueError):
         raise _UsageError("--in: rows must be integer tuples")
+
+
+def _cmd_sunflower_find(args) -> int:
+    members = _read_members(args)
     _resolved(args, members=members)
     cert = find_vectorial_sunflower(members, args.k)
     payload = {"k": args.k, "found": cert is not None,
@@ -405,13 +407,7 @@ def _cmd_sunflower_find(args) -> int:
 
 
 def _cmd_sunflower_check(args) -> int:
-    data = _load_json(args.src)
-    if not isinstance(data, list):
-        raise _UsageError("--in: expected a JSON list of coordinate tuples")
-    try:
-        members = [tuple(int(x) for x in row) for row in data]
-    except (TypeError, ValueError):
-        raise _UsageError("--in: rows must be integer tuples")
+    members = _read_members(args)
     raw = _load_json(args.cert_src, "--cert")
     if isinstance(raw, dict) and "payload" in raw:
         raw = raw["payload"]
@@ -509,7 +505,9 @@ def _cmd_audit_destruction(args) -> int:
 
 # -------------------------------------------------------------- parser tree
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree, built once per process: run() only parses."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
@@ -768,3 +766,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

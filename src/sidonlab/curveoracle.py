@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
 
 from .numbertheory import NotGenerator, NotPrime, RangeError, is_prime, is_primitive_root
 
@@ -34,6 +33,7 @@ __all__ = [
     "QuadricSolutions",
     "TorusCloud",
     "curve_point_count",
+    "triple_reps",
     "triple_rep_count",
     "triple_rep_table",
     "repeated_coordinate_count",
@@ -100,21 +100,22 @@ class QuadricSolutions(list):
         self.reducible = params.splits_into_lines
 
 
-def _qr_set(p: int) -> frozenset:
-    return frozenset((x * x) % p for x in range((p // 2) + 1))
+def _sqrt_table(p: int) -> list[int]:
+    """root[v] = the square root of v mod p in [0, p/2]; -1 for non-residues."""
+    root = [-1] * p
+    for s in range(p // 2 + 1):
+        root[s * s % p] = s
+    return root
 
 
 def curve_point_count(params: CurveParams) -> int:
     """Number of (U, V) with V != 0 and U^2 = 4V^3 + (bV + lam)^2 mod p."""
     p, b, lam = params.p, params.b, params.lam
-    qr = _qr_set(p)
+    root = _sqrt_table(p)
     count = 0
     for v in range(1, p):
-        rhs = (4 * v * v * v + (b * v + lam) ** 2) % p
-        if rhs == 0:
-            count += 1
-        elif rhs in qr:
-            count += 2
+        s = root[(4 * v * v * v + (b * v + lam) ** 2) % p]
+        count += (s >= 0) + (s > 0)  # U = s and U = -s
     return count
 
 
@@ -127,24 +128,44 @@ def _power_table(p: int, g: int) -> list[int]:
     return table
 
 
+def triple_reps(p: int, g: int, a: int, b: int):
+    """Iterator over the ordered triples (x1, x2, x3) in [0, p-1)^3 with
+    exponent sum a mod p-1 and power sum b mod p, in lexicographic order.
+
+    Fixing x1 leaves X = g^x2, Y = g^x3 with X + Y = d = b - g^x1 and
+    XY = c = g^(a-x1): X is a root of X^2 - dX + c, found with a square-root
+    table, and x2 = log X, smaller log first. O(p); checks run at the call.
+    """
+    if not (0 <= a < p - 1 and 0 <= b < p):
+        raise RangeError("target (a, b) out of range")
+    if p == 2:
+        raise NotPrime("2 is not an odd prime")
+    pw = _power_table(p, g)
+    log = dict(zip(pw, range(p - 1)))
+    root = _sqrt_table(p)
+    n, half = p - 1, (p + 1) // 2
+
+    def solutions():
+        for x1 in range(n):
+            d = (b - pw[x1]) % p
+            s = root[(d * d - 4 * pw[(a - x1) % n]) % p]
+            if s < 0:
+                continue
+            lo, hi = sorted((log[(d - s) * half % p], log[(d + s) * half % p]))
+            yield x1, lo, (a - x1 - lo) % n
+            if hi != lo:
+                yield x1, hi, (a - x1 - hi) % n
+
+    return solutions()
+
+
 def triple_rep_count(p: int, g: int, a: int, b: int,
                      distinct: str = "none") -> int:
     """Ordered triples (x1, x2, x3) in [0, p-1)^3 with exponent sum a mod p-1
     and power sum b mod p. distinct="pairwise" requires x1, x2, x3 pairwise
     different."""
-    if not (0 <= a < p - 1 and 0 <= b < p):
-        raise RangeError("target (a, b) out of range")
-    pw = _power_table(p, g)
-    count = 0
-    for x1 in range(p - 1):
-        for x2 in range(p - 1):
-            x3 = (a - x1 - x2) % (p - 1)
-            if (pw[x1] + pw[x2] + pw[x3]) % p != b:
-                continue
-            if distinct == "pairwise" and (x1 == x2 or x1 == x3 or x2 == x3):
-                continue
-            count += 1
-    return count
+    return sum(distinct != "pairwise" or len(set(t)) == 3
+               for t in triple_reps(p, g, a, b))
 
 
 def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
@@ -165,16 +186,7 @@ def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
 
 def repeated_coordinate_count(p: int, g: int, a: int, b: int) -> int:
     """Ordered solutions with x_i = x_j for some i != j; at most 9 per target."""
-    pw = _power_table(p, g)
-    count = 0
-    for x1 in range(p - 1):
-        for x2 in range(p - 1):
-            x3 = (a - x1 - x2) % (p - 1)
-            if (pw[x1] + pw[x2] + pw[x3]) % p != b:
-                continue
-            if x1 == x2 or x1 == x3 or x2 == x3:
-                count += 1
-    return count
+    return sum(len(set(t)) < 3 for t in triple_reps(p, g, a, b))
 
 
 def special_rep4_count(p: int, g: int, a: int, b: int) -> int:
@@ -182,19 +194,8 @@ def special_rep4_count(p: int, g: int, a: int, b: int) -> int:
     the exponent 0; these are the only 4-term decompositions through the
     fixed fourth part (0, 1) that break full distinctness. At most 6 per
     target: fixing x3 = 0 forces X + Y = b - 1, XY = g^a, a quadratic."""
-    pw = _power_table(p, g)
-    bb = (b - 1) % p
-    count = 0
-    for x1 in range(p - 1):
-        for x2 in range(p - 1):
-            x3 = (a - x1 - x2) % (p - 1)
-            if (pw[x1] + pw[x2] + pw[x3]) % p != bb:
-                continue
-            if x1 == x2 or x1 == x3 or x2 == x3:
-                continue
-            if x1 == 0 or x2 == 0 or x3 == 0:
-                count += 1
-    return count
+    return sum(len(set(t)) == 3 and 0 in t
+               for t in triple_reps(p, g, a, (b - 1) % p))
 
 
 def hasse_gap(params: CurveParams) -> int:
@@ -214,17 +215,20 @@ def enumerate_quadric(params: QuadricParams) -> QuadricSolutions:
     """All (x1, x2) in [0,p)^2 with x1^2 + x2^2 + (x1+x2-r1)^2 = r2 mod p.
 
     Solutions come out in lexicographic order; the set is symmetric under
-    swapping x1 and x2.
+    swapping x1 and x2. For fixed x1 the equation is quadratic in x2, so
+    the search is O(p).
     """
     p, r1, r2 = params.p, params.r1, params.r2
+    root = _sqrt_table(p)
+    half = (p + 1) // 2
     points = []
-    sq = [(x * x) % p for x in range(p)]
     for x1 in range(p):
-        base = sq[x1]
-        for x2 in range(p):
-            t = (x1 + x2 - r1) % p
-            if (base + sq[x2] + sq[t]) % p == r2 % p:
-                points.append((x1, x2))
+        # with e = x1 - r1 the equation reads (2 x2 + e)^2 = 2 r2 - e^2 - 2 x1^2
+        e = x1 - r1
+        s = root[(2 * r2 - e * e - 2 * x1 * x1) % p]
+        if s >= 0:
+            x2s = {(-e - s) * half % p, (-e + s) * half % p}
+            points += [(x1, x2) for x2 in sorted(x2s)]
     return QuadricSolutions(points, params)
 
 

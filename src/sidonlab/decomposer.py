@@ -3,10 +3,10 @@
 Two pipelines:
 
 * In the Ruzsa group Z_{p-1} x Z_p, a target (a, b) is decomposed into three
-  set elements by enumerating exponents (x1, x2) and solving for x3; the
-  curve identity in `curveoracle` guarantees roughly p solutions per target,
-  at most 9 of which repeat a coordinate. A 4-term variant fixes the fourth
-  part at (0, 1) and decomposes the shifted target.
+  set elements by walking the exponent triples of `curveoracle.triple_reps`
+  (O(p) per target, one quadratic per x1); the curve identity guarantees
+  roughly p of them, at most 9 of which repeat a coordinate. A 4-term
+  variant fixes the fourth part at (0, 1) and decomposes the shifted target.
 
 * Over Z_N with 4p^2 < N < 5p^2, p = 1 (mod 3), a target n is lifted to an
   integer r1 + r2 * 2p with K <= r1, r2 <= (5p-1)/2 + K, K = ceil(p/4);
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .numbertheory import (
-    NotGenerator,
     NotPrime,
     RangeError,
     crt_flatten,
@@ -37,8 +36,7 @@ from .numbertheory import (
     is_primitive_root,
     primitive_root,
 )
-from .curveoracle import QuadricParams, enumerate_quadric
-from .sidoncore import erdos_turan_set, ruzsa_set
+from .curveoracle import QuadricParams, enumerate_quadric, triple_reps
 
 __all__ = [
     "NoRepresentation",
@@ -110,17 +108,21 @@ class Decomposition:
         if self.construction == "ruzsa":
             a, b = self.target
             g = self.certificate.get("g")
-            elems = set(ruzsa_set(p, g).elements)
-            if any(part not in elems for part in self.parts):
+            if g is None:
+                g = primitive_root(p)
+            m = (p - 1) * p
+            # z is a Ruzsa element iff it flattens a pair (x, g^x)
+            if not is_primitive_root(g, p) or any(
+                    not 0 <= z < m or pow(g, z % (p - 1), p) != z % p
+                    for z in self.parts):
                 return False
-            return sum(self.parts) % ((p - 1) * p) == crt_flatten(a, b, p)
+            return sum(self.parts) % m == crt_flatten(a, b, p)
         if self.construction == "erdos_turan":
             n, N = self.target, self.modulus
-            elems = set(erdos_turan_set(p).elements)
-            if any(part not in elems for part in self.parts):
-                return False
             r1, r2 = self.certificate["r1"], self.certificate["r2"]
             xs = self.certificate["xs"]
+            if any(not 0 <= x < p for x in xs):
+                return False
             if [x + (x * x % p) * 2 * p for x in xs] != self.parts:
                 return False
             if sum(xs) != r1 or sum((x * x) % p for x in xs) != r2:
@@ -129,44 +131,27 @@ class Decomposition:
         return False
 
 
-def _log_power_tables(p: int, g: int):
-    if not is_primitive_root(g, p):
-        raise NotGenerator(f"{g} does not generate Z_{p}^*")
-    pw = [1] * (p - 1)
-    for x in range(1, p - 1):
-        pw[x] = pw[x - 1] * g % p
-    return pw
-
-
 def decompose3_ruzsa(p: int, a: int, b: int, g: Optional[int] = None,
                      require_distinct: bool = False) -> Decomposition:
     """First (x1, x2) in lexicographic order with x3 = a - x1 - x2 mod p-1
-    and g^x1 + g^x2 + g^x3 = b mod p; parts are the flattened set elements."""
+    and g^x1 + g^x2 + g^x3 = b mod p; parts are the flattened set elements.
+    O(p) per target."""
     if p == 2 or not is_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
     if g is None:
         g = primitive_root(p)
-    if not (0 <= a < p - 1 and 0 <= b < p):
-        raise RangeError("target (a, b) out of range")
-    pw = _log_power_tables(p, g)
-    for x1 in range(p - 1):
-        for x2 in range(p - 1):
-            x3 = (a - x1 - x2) % (p - 1)
-            if (pw[x1] + pw[x2] + pw[x3]) % p != b:
-                continue
-            if require_distinct and (x1 == x2 or x1 == x3 or x2 == x3):
-                continue
-            logs = [x1, x2, x3]
-            parts = [crt_flatten(x, pw[x], p) for x in logs]
-            return Decomposition(
-                target=[a, b],
-                modulus=[p - 1, p],
-                parts=parts,
-                construction="ruzsa",
-                p=p,
-                certificate={"g": g, "logs": logs,
-                             "powers": [pw[x] for x in logs]},
-            )
+    for logs in triple_reps(p, g, a, b):
+        if require_distinct and len(set(logs)) < 3:
+            continue
+        powers = [pow(g, x, p) for x in logs]
+        return Decomposition(
+            target=[a, b],
+            modulus=[p - 1, p],
+            parts=[crt_flatten(x, v, p) for x, v in zip(logs, powers)],
+            construction="ruzsa",
+            p=p,
+            certificate={"g": g, "logs": list(logs), "powers": powers},
+        )
     raise NoRepresentation(f"no 3-term representation of ({a}, {b}) mod ({p - 1}, {p})")
 
 
@@ -180,28 +165,22 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
         g = primitive_root(p)
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
-    pw = _log_power_tables(p, g)
-    fixed = crt_flatten(0, 1, p)
     bb = (b - 1) % p
-    for x1 in range(1, p - 1):
-        for x2 in range(1, p - 1):
-            x3 = (a - x1 - x2) % (p - 1)
-            if x3 == 0 or (pw[x1] + pw[x2] + pw[x3]) % p != bb:
-                continue
-            if x1 == x2 or x1 == x3 or x2 == x3:
-                continue
-            logs = [x1, x2, x3]
-            parts = [crt_flatten(x, pw[x], p) for x in logs] + [fixed]
-            return Decomposition(
-                target=[a, b],
-                modulus=[p - 1, p],
-                parts=parts,
-                construction="ruzsa",
-                p=p,
-                certificate={"g": g, "logs": logs, "fixed_part": [0, 1],
-                             "shifted_target": [a, bb]},
-            )
+    for logs in triple_reps(p, g, a, bb):
+        if 0 in logs or len(set(logs)) < 3:
+            continue
+        parts = [crt_flatten(x, pow(g, x, p), p) for x in logs]
+        return Decomposition(
+            target=[a, b],
+            modulus=[p - 1, p],
+            parts=parts + [crt_flatten(0, 1, p)],
+            construction="ruzsa",
+            p=p,
+            certificate={"g": g, "logs": list(logs), "fixed_part": [0, 1],
+                         "shifted_target": [a, bb]},
+        )
     # exhaustive pairwise-distinct 4-tuple search
+    pw = [pow(g, x, p) for x in range(p - 1)]
     for x1 in range(p - 1):
         for x2 in range(x1 + 1, p - 1):
             for x3 in range(x2 + 1, p - 1):

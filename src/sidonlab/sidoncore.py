@@ -96,7 +96,7 @@ class ModSet:
     def from_text(cls, text: str) -> "ModSet":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("mod "):
-            raise ValueError("expected first line 'mod N'")
+            raise RangeError("expected first line 'mod N'")
         modulus = int(lines[0][4:])
         return cls(modulus=modulus, elements=tuple(int(ln) for ln in lines[1:]))
 
@@ -185,8 +185,8 @@ def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
         if len(set(elems)) != len(elems):
             raise RangeError("elements must be distinct")
     if mode == "cyclic":
-        if modulus is None:
-            raise RangeError("cyclic mode needs a modulus")
+        if modulus is None or modulus < 1:
+            raise RangeError("cyclic mode needs a modulus >= 1")
         elems = [e % modulus for e in elems]
         if len(set(elems)) != len(elems):
             raise RangeError("elements collide after reduction mod modulus")
@@ -198,17 +198,26 @@ def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
 def is_sidon(setlike, mode: str = "integer", modulus: Optional[int] = None) -> SidonWitness:
     """Check all pairwise sums a + a' (a <= a') are distinct.
 
-    mode "cyclic" sums in Z_modulus, mode "integer" sums in Z. Returns a
-    witness quadruple on the first collision found (deterministic scan order).
+    mode "cyclic" sums in Z_modulus, mode "integer" sums in Z. On failure the
+    witness (a, a2, a3, a4) has (a3, a4) the first pair in (i, j >= i) scan
+    order whose sum repeats, (a, a2) the first pair with that sum. A sort of
+    all pair sums finds the ties, and only those are scanned (exact ints).
     """
     elems, modulus = _coerce_elements(setlike, mode, modulus)
-    seen: dict[int, tuple[int, int]] = {}
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            s = (a + b) % modulus if mode == "cyclic" else a + b
-            if s in seen:
-                return SidonWitness(False, (seen[s][0], seen[s][1], a, b))
-            seen[s] = (a, b)
+    top = max([abs(e) for e in elems] + [modulus if mode == "cyclic" else 0])
+    vals = np.array(elems, dtype=np.int64 if top < 1 << 62 else object)
+    left, right = np.triu_indices(len(elems))
+    sums = vals[left] + vals[right]
+    if mode == "cyclic":
+        sums %= modulus
+    ranked = np.sort(sums)
+    tied = np.flatnonzero(np.isin(sums, ranked[1:][ranked[1:] == ranked[:-1]]))
+    seen = {}
+    for k in tied:
+        pair = (elems[left[k]], elems[right[k]])
+        if sums[k] in seen:
+            return SidonWitness(False, seen[sums[k]] + pair)
+        seen[sums[k]] = pair
     return SidonWitness(True)
 
 
@@ -255,13 +264,14 @@ def convolution_profile_array(setlike, h: int, modulus: Optional[int] = None) ->
     if n > 0 and n**h >= 1 << 62:
         raise RangeError("counts could overflow int64 for this |A| and h")
     N = modulus
-    ind = np.zeros(N, dtype=np.int64)
-    ind[np.array(elems, dtype=np.int64)] = 1 if elems else 0
-    if h == 1:
-        return ind.copy()
     a = np.array(elems, dtype=np.int64)
-    pair_sums = (a[:, None] + a[None, :]).ravel() % N
-    cur = np.bincount(pair_sums, minlength=N).astype(np.int64)
+    if h == 1:
+        ind = np.zeros(N, dtype=np.int64)
+        ind[a] = 1
+        return ind
+    pair_sums = a[:, None] + a
+    pair_sums %= N
+    cur = np.bincount(pair_sums.ravel(), minlength=N).astype(np.int64, copy=False)
     for _ in range(h - 2):
         nxt = np.zeros(N, dtype=np.int64)
         for e in elems:

@@ -1,0 +1,113 @@
+"""Brute-force reference scans that the fast kernels are pinned against.
+
+These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
+the library used before its O(p) curve solver and vectorised Sidon check.
+They live here, outside `src/`, as exact oracles only.
+"""
+
+import random
+from functools import lru_cache
+
+from sidonlab.numbertheory import (crt_flatten, is_prime, is_primitive_root,
+                                   primitive_root)
+
+
+def targets():
+    """(p, g, a, b): every target at every odd prime up to 31 with the
+    smallest primitive root, then eight seeded targets each at p = 211 and
+    p = 307 with a seeded primitive root."""
+    for p in range(3, 32):
+        if is_prime(p):
+            g = primitive_root(p)
+            for a in range(p - 1):
+                for b in range(p):
+                    yield p, g, a, b
+    for p in (211, 307):
+        rng = random.Random(p)
+        g = rng.choice([h for h in range(2, p) if is_primitive_root(h, p)])
+        for _ in range(8):
+            yield p, g, rng.randrange(p - 1), rng.randrange(p)
+
+
+def powers(p, g):
+    return [pow(g, x, p) for x in range(p - 1)]
+
+
+@lru_cache(maxsize=None)
+def triples(p, g, a, b):
+    """Every (x1, x2, x3) with exponent sum a mod p-1 and power sum b mod p,
+    in lexicographic (x1, x2) scan order. Cached: each sweep target is
+    scanned once for (a, b) and reused as the shifted target (a, b-1)."""
+    pw = powers(p, g)
+    found = []
+    for x1 in range(p - 1):
+        for x2 in range(p - 1):
+            x3 = (a - x1 - x2) % (p - 1)
+            if (pw[x1] + pw[x2] + pw[x3]) % p == b:
+                found.append((x1, x2, x3))
+    return tuple(found)
+
+
+def triple_rep_count(p, g, a, b, distinct="none"):
+    reps = triples(p, g, a, b)
+    if distinct == "pairwise":
+        reps = [t for t in reps if len(set(t)) == 3]
+    return len(reps)
+
+
+def repeated_coordinate_count(p, g, a, b):
+    return sum(1 for t in triples(p, g, a, b) if len(set(t)) < 3)
+
+
+def special_rep4_count(p, g, a, b):
+    return sum(1 for t in triples(p, g, a, (b - 1) % p)
+               if len(set(t)) == 3 and 0 in t)
+
+
+def decompose3_logs(p, g, a, b, require_distinct=False):
+    """Logs of the first hit of the scan, or None."""
+    for t in triples(p, g, a, b):
+        if not require_distinct or len(set(t)) == 3:
+            return list(t)
+    return None
+
+
+def decompose4(p, g, a, b):
+    """(logs, parts) of the 4-term decomposition: the first distinct triple
+    avoiding exponent 0 at (a, b-1) plus the fixed part (0, 1), else the
+    first pairwise-distinct 4-tuple x1 < x2 < x3 (x4 forced); None if none."""
+    pw = powers(p, g)
+    for t in triples(p, g, a, (b - 1) % p):
+        if 0 not in t and len(set(t)) == 3:
+            return (list(t), [crt_flatten(x, pw[x], p) for x in t]
+                    + [crt_flatten(0, 1, p)])
+    for x1 in range(p - 1):
+        for x2 in range(x1 + 1, p - 1):
+            for x3 in range(x2 + 1, p - 1):
+                x4 = (a - x1 - x2 - x3) % (p - 1)
+                if x4 in (x1, x2, x3):
+                    continue
+                if (pw[x1] + pw[x2] + pw[x3] + pw[x4]) % p == b:
+                    logs = [x1, x2, x3, x4]
+                    return logs, [crt_flatten(x, pw[x], p) for x in logs]
+    return None
+
+
+def enumerate_quadric(p, r1, r2):
+    sq = [(x * x) % p for x in range(p)]
+    return [(x1, x2) for x1 in range(p) for x2 in range(p)
+            if (sq[x1] + sq[x2] + sq[(x1 + x2 - r1) % p]) % p == r2 % p]
+
+
+def sidon_witness(elems, mode, modulus):
+    """Collision quadruple of the first repeated pair sum in (i, j >= i)
+    order with the first pair of that sum, or None for a Sidon set; elems
+    in the order the library scans them."""
+    seen = {}
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            s = (a + b) % modulus if mode == "cyclic" else a + b
+            if s in seen:
+                return (seen[s][0], seen[s][1], a, b)
+            seen[s] = (a, b)
+    return None

@@ -326,6 +326,15 @@ def test_criterion_13_cli_determinism(capsys):
                     "--trials", "5", "--master-seed", "11"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[4] == outputs[5]
+    # the parser is shared across calls in one process: a call in between
+    # must leave no trace in the next one
+    ruzsa3 = ["decompose", "ruzsa3", "-p", "211", "-a", "17", "-b", "40",
+              "--distinct"]
+    for argv in (ruzsa3, ["decompose", "zn", "-N", "200000", "-n", "777"],
+                 ruzsa3):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[6] == outputs[8]
     with capsys.disabled():
         _verdict(13, "byte-identical JSON across --threads and repeats "
-                     "for three seeded commands", started)
+                     "for four seeded commands", started)

@@ -4,10 +4,15 @@ under --threads."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sidonlab import cli
 from sidonlab.analysis import (check_lemma_ab, check_lemma_abab,
                                exact_delta_Q, exact_expectation_Q,
                                monte_carlo_family_mean, sigma, tau, SumSpec)
@@ -150,6 +155,14 @@ class TestVerify:
                            "--order", "3"])
         covered, missing = basis_order_check(ruzsa_set(5), 3)
         assert env["payload"] == {"basis": covered, "missing": missing}
+
+    def test_zero_modulus_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text("[1, 2, 3]")
+        for prop in ("sidon", "b2g"):
+            env = _err(capsys, ["verify", prop, "--in", str(path),
+                                "--mode", "cyclic", "--modulus", "0"])
+            assert env["payload"]["error"] == "RangeError"
 
     def test_cyclic_without_modulus_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
@@ -465,3 +478,33 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run(["construct", "ruzsa"]) == 2
         capsys.readouterr()
+
+
+class TestFailureIsExplicit:
+    def test_internal_error_propagates(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            return 1 // 0
+
+        monkeypatch.setattr(cli, "ruzsa_set", broken)
+        with pytest.raises(ZeroDivisionError):
+            run(["construct", "ruzsa", "-p", "13"])
+        assert capsys.readouterr().out == ""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("module", ["sidonlab", "sidonlab.cli"])
+    def test_module_entry_points(self, module):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["construct", "ruzsa", "-p", "13"]
+        done = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["payload"] == \
+            json.loads(ruzsa_set(13).to_json())
+        bad = subprocess.run([sys.executable, "-m", module, "frobnicate"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert bad.returncode == 2 and bad.stdout == ""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import brute_scans as brute
 from sidonlab.curveoracle import (
     CurveParams,
     QuadricParams,
@@ -15,6 +16,7 @@ from sidonlab.curveoracle import (
     torus_points,
     triple_rep_count,
     triple_rep_table,
+    triple_reps,
 )
 from sidonlab.numbertheory import NotGenerator, NotPrime, RangeError, is_prime, primitive_root
 
@@ -36,6 +38,28 @@ def test_triple_rep_count_example():
     # logs {0,2,4} for g=3 mod 7: powers {1,2,4} sum to 0 mod 7.
     assert triple_rep_count(7, 3, 0, 0) == 6
     assert repeated_coordinate_count(7, 3, 0, 0) == 0
+
+
+def test_solver_matches_brute_scans():
+    # lexicographic order included: the decompositions take first hits
+    for p, g, a, b in brute.targets():
+        assert tuple(triple_reps(p, g, a, b)) == brute.triples(p, g, a, b)
+        for distinct in ("none", "pairwise"):
+            assert triple_rep_count(p, g, a, b, distinct) == \
+                brute.triple_rep_count(p, g, a, b, distinct), (p, a, b)
+        assert repeated_coordinate_count(p, g, a, b) == \
+            brute.repeated_coordinate_count(p, g, a, b), (p, a, b)
+        assert special_rep4_count(p, g, a, b) == \
+            brute.special_rep4_count(p, g, a, b), (p, a, b)
+
+
+def test_solver_checks_arguments_before_iterating():
+    with pytest.raises(RangeError):
+        triple_reps(7, 3, 6, 0)
+    with pytest.raises(NotGenerator):
+        triple_reps(7, 2, 0, 0)
+    with pytest.raises(NotPrime):
+        triple_reps(2, 1, 0, 1)
 
 
 def test_triple_rep_requires_generator():
@@ -94,6 +118,19 @@ def test_enumerate_quadric_example():
     assert all(((x1 * x1 + x2 * x2 + (x1 + x2) ** 2) % 7 == 1) for x1, x2 in sols)
     # swap symmetry
     assert set(sols) == {(b, a) for a, b in sols}
+
+
+def test_enumerate_quadric_matches_brute_scan():
+    cases = [(p, r1, r2) for p in range(3, 32) if is_prime(p)
+             for r1 in range(p) for r2 in range(p)]
+    rng = random.Random(5)
+    for p in (211, 307):
+        cases += [(p, rng.randrange(p), rng.randrange(p)) for _ in range(8)]
+        r1 = rng.randrange(p)  # a reducible target: 6 r2 = 2 r1^2
+        cases.append((p, r1, r1 * r1 * pow(3, -1, p) % p))
+    for p, r1, r2 in cases:
+        got = enumerate_quadric(QuadricParams(p, r1, r2))
+        assert list(got) == brute.enumerate_quadric(p, r1, r2), (p, r1, r2)
 
 
 def test_quadric_swap_symmetry_random():

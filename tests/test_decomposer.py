@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import brute_scans as brute
 from sidonlab.decomposer import (
     Decomposition,
     LiftTarget,
@@ -105,6 +107,50 @@ class TestRuzsaDecompose:
                 assert len(d.parts) == 4 and len(set(d.parts)) == 4
                 assert d.replay()
         assert hits == 153  # 3 of 156 targets admit no distinct 4-tuple
+
+    def test_three_term_matches_brute_scan(self):
+        for p, g, a, b in brute.targets():
+            for distinct in (False, True):
+                want = brute.decompose3_logs(p, g, a, b, distinct)
+                got = _maybe(lambda: decompose3_ruzsa(
+                    p, a, b, g=g, require_distinct=distinct))
+                if want is None:
+                    assert got is None, (p, a, b, distinct)
+                    continue
+                powers = [pow(g, x, p) for x in want]
+                assert got.certificate == {"g": g, "logs": want,
+                                           "powers": powers}
+                assert got.parts == [crt_flatten(x, v, p)
+                                     for x, v in zip(want, powers)]
+
+    def test_four_term_matches_brute_scan(self):
+        fallbacks = 0
+        for p, g, a, b in brute.targets():
+            want = brute.decompose4(p, g, a, b)
+            got = _maybe(lambda: decompose4_ruzsa(p, a, b, g=g))
+            if want is None:
+                assert got is None, (p, a, b)
+                continue
+            logs, parts = want
+            assert (got.certificate["logs"], got.parts) == (logs, parts)
+            fallbacks += "fixed_part" not in got.certificate
+            assert got.replay()
+        assert fallbacks > 0  # some small-p targets need the 4-tuple search
+
+    def test_replay_rejects_tampering(self):
+        d = decompose3_ruzsa(13, 5, 7)
+        assert d.replay()
+        m = 12 * 13
+        for parts in ([d.parts[0] + 1] + d.parts[1:],     # not a Ruzsa element
+                      [d.parts[0] + m] + d.parts[1:],     # out of range
+                      [d.parts[1], d.parts[0], d.parts[0]]):
+            assert not replace(d, parts=parts).replay()
+        assert not replace(d, certificate={**d.certificate, "g": 3}).replay()
+        z = decompose3_zn(1, 700)
+        xs = z.certificate["xs"]
+        shifted = [xs[0] + 13] + xs[1:]  # same parts mod 2p^2, x out of range
+        assert not replace(z, certificate={**z.certificate, "xs": shifted},
+                           parts=[x + (x * x % 13) * 26 for x in shifted]).replay()
 
     def test_bad_inputs(self):
         from sidonlab.numbertheory import NotGenerator, NotPrime

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import brute_scans as brute
 from sidonlab.numbertheory import NotGenerator, RangeError
 from sidonlab.sidoncore import (
     EngineUnavailable,
@@ -35,6 +36,8 @@ def test_modset_json_and_text_roundtrip():
     assert ModSet.from_json(s.to_json()) == s
     assert ModSet.from_text(s.to_text()) == s
     assert s.to_text().splitlines()[0] == "mod 156"
+    with pytest.raises(RangeError):
+        ModSet.from_text("156\n3\n")
 
 
 def test_erdos_turan_examples():
@@ -80,6 +83,36 @@ def test_is_sidon_examples():
     assert a + a2 == a3 + a4
     assert {a, a2} != {a3, a4}
     assert {a, a2, a3, a4} <= {1, 2, 3, 4}
+
+
+def test_is_sidon_witness_matches_dict_scan():
+    # the first repeated pair sum in (i, j >= i) order and the first pair of
+    # that sum, as the dictionary scan finds them; the scan order is the
+    # sorted input, reduced mod N in cyclic mode
+    rng = random.Random(17)
+    big = 1 << 70  # beyond int64: exact object arithmetic
+    cases = [([], "integer", None), ([], "cyclic", 5)]
+    for _ in range(400):
+        shift = rng.choice([0, 10 ** 6, big, -big])
+        elems = {shift + rng.randrange(-60, 60) for _ in range(rng.randrange(1, 25))}
+        cases.append((list(elems), "integer", None))
+        modulus = rng.choice([rng.randrange(1, 200), big + rng.randrange(200)])
+        cyclic = {rng.randrange(60) + modulus * rng.randrange(3)
+                  for _ in range(rng.randrange(1, 20))}
+        if len({e % modulus for e in cyclic}) == len(cyclic):
+            cases.append((list(cyclic), "cyclic", modulus))
+    witnessed = wide = 0
+    for elems, mode, modulus in cases:
+        order = sorted(elems)
+        if mode == "cyclic":
+            order = [e % modulus for e in order]
+        want = brute.sidon_witness(order, mode, modulus)
+        got = is_sidon(elems, mode=mode, modulus=modulus)
+        assert got.collision == want, (elems, mode, modulus)
+        assert got.is_sidon == (want is None)
+        witnessed += want is not None
+        wide += want is not None and max(map(abs, want)) >= 1 << 63
+    assert witnessed > 200 and wide > 50
 
 
 def test_is_sidon_modes_differ():
