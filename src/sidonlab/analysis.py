@@ -6,11 +6,13 @@ Two families of finite/infinite sums drive every expectation estimate:
     tau(n; m)   = sum over x, y > m, x - y = n of x^-alpha y^-beta
 
 sigma is a finite sum; tau is an infinite one and is evaluated with a
-certified tail: partial sum to a cutoff plus an integral sandwich whose
-width is guaranteed below the requested tolerance. The half-width of the
-sandwich is the reported error bound, and the crude closed-form majorant
-X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is reported
-alongside the cutoff.
+certified tail: partial sum to a cutoff plus an integral sandwich. The
+reported error bound (sandwich half-width plus a proved rounding bound)
+is guaranteed below the requested tolerance, and the crude closed-form
+majorant X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is
+reported alongside the cutoff. The three-factor series of the deletion
+lemma is certified the same way, its tail expanded into Hurwitz zeta
+values with a closed-form remainder.
 
 The asymptotic inequalities these sums obey (everything of the shape
 f <= C (n+m)^e with an unspecified constant) are operationalized as
@@ -95,7 +97,9 @@ def sigma(spec: SumSpec, *, dps: int | None = None) -> float:
     if hi < lo:
         return 0.0
     if dps is None:
-        return math.fsum(x ** -a * (n - x) ** -b for x in range(lo, hi + 1))
+        xs = np.arange(lo, hi + 1, dtype=np.float64)
+        powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
+        return math.fsum((powers[0] * powers[1]).tolist())
     with mpmath.workdps(dps):
         am = mpmath.mpf(spec.alpha.numerator) / spec.alpha.denominator
         bm = mpmath.mpf(spec.beta.numerator) / spec.beta.denominator
@@ -107,7 +111,7 @@ def sigma(spec: SumSpec, *, dps: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class TauResult:
-    """Certified evaluation: value, tail half-width, crude majorant, cutoff."""
+    """Certified evaluation: value, proved error bound, majorant, cutoff."""
 
     value: float
     error_bound: float
@@ -115,11 +119,87 @@ class TauResult:
     cutoff: int
 
 
-def _tau_tail_integral(n: int, a: float, b: float, c: float) -> float:
-    # integral over t > c of t^-b (t+n)^-a, via an incomplete Beta form
-    s = n / (c + n)
-    val = mpmath.betainc(a + b - 1, 1 - b, 0, s)
-    return float(n ** (1 - a - b) * val)
+# --- proved rounding bounds -------------------------------------------------
+# The bounds below assume that each float64 `np.power` call (and each mpmath
+# power at its working precision) is within _POW_ULPS ulps of the exact
+# power of its arguments, and that mpmath's special functions (incomplete
+# Beta, Hurwitz zeta) evaluated at _MP_DPS digits carry a relative error
+# below _MP_REL. The rest is IEEE arithmetic with unit roundoff u: a
+# correctly rounded math.fsum, and Higham's gamma_k = k u / (1 - k u) for a
+# sum of k + 1 terms in any order (Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 4.2). _SAFETY absorbs the few roundings of
+# the bound's own arithmetic.
+
+_U = 2.0 ** -53
+_POW_ULPS = 4
+_MP_DPS = 18
+_MP_REL = 1e-14
+_BLOCK = 1 << 12
+_SAFETY = 1 + 2.0 ** -20
+
+
+def _mp(value) -> mpmath.mpf:
+    """A Fraction (or the exact value of a float) at the working precision."""
+    value = _as_fraction(value)
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def _gamma(k: int, unit: float = _U) -> float:
+    """Higham's gamma_k = k u / (1 - k u); infinite once k u >= 1."""
+    ku = k * unit
+    return ku / (1 - ku) if ku < 1 else math.inf
+
+
+def _compose(*rels: float) -> float:
+    """prod(1 + r) - 1 for nonnegative r, without cancellation."""
+    acc = 0.0
+    for r in rels:
+        acc += r + acc * r
+    return acc
+
+
+def _power_sum_rel_error(factors, hi: int, block: int,
+                         unit: float = _U) -> float:
+    """rho with |computed - exact| <= rho * exact for a sum over x <= hi of
+    prod (x + c)^e, factors (c, e) with exact exponents e.
+
+    Each term takes one power per factor, with the exponent rounded once
+    (|e' - e| <= unit |e|, which scales (x + c)^e by at most
+    exp(t) - 1 <= t (1 + t), t = unit |e| ln(x + c)), and one product per
+    extra factor, all at unit roundoff `unit`. Terms are summed in blocks
+    of at most `block`, and the block sums are rounded to one float.
+    """
+    t = unit * sum(abs(float(e)) * math.log(hi + c) for c, e in factors)
+    if t >= 1:
+        return math.inf
+    per_term = ([2 * _POW_ULPS * unit] * len(factors)
+                + [unit] * (len(factors) - 1))
+    return _compose(*per_term, t * (1 + t), _gamma(block - 1, unit), _U)
+
+
+def _power_sum(factors, lo: int, hi: int) -> float:
+    """Float sum over lo <= x <= hi of prod (x + c)^e, in blocks of _BLOCK
+    terms so that memory stays bounded; the block sums go through fsum."""
+    if hi + max(c for c, _ in factors) >= 2 ** 53:
+        raise RangeError("summation range exceeds exact float integers")
+    (c0, e0), *rest = [(c, float(e)) for c, e in factors]
+    sums = []
+    for start in range(lo, hi + 1, _BLOCK):
+        xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
+        terms = np.power(xs + c0, e0)
+        for c, e in rest:
+            terms *= np.power(xs + c, e)
+        sums.append(float(terms.sum()))
+    return math.fsum(sums)
+
+
+def _tau_tail_integral(n: int, a, b, c) -> mpmath.mpf:
+    # integral over t > c of t^-b (t+n)^-a, via an incomplete Beta form,
+    # with exact exponents at the caller's working precision
+    am, bm = _mp(a), _mp(b)
+    s = mpmath.mpf(n) / (mpmath.mpf(c) + n)
+    return (mpmath.power(n, 1 - am - bm)
+            * mpmath.betainc(am + bm - 1, 1 - bm, 0, s))
 
 
 def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
@@ -129,8 +209,17 @@ def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
     convex, so the tail beyond a cutoff X sits between the trapezoid
     minorant (integral from X+1, plus half of f(X+1)) and the midpoint
     majorant (integral from X+1/2); both integrals have a closed
-    incomplete-Beta form. The sandwich width shrinks like f(X)/X, so the
-    cutoff stays small even for tight tolerances.
+    incomplete-Beta form, evaluated at _MP_DPS digits so that their
+    difference does not cancel. The sandwich width shrinks like f(X)/X,
+    so the cutoff stays small even for tight tolerances.
+
+    The error bound is proved under the assumptions stated above: the
+    sandwich half-width, plus the rounding of the partial sum (relative
+    bound from `_power_sum_rel_error`, applied to the a priori majorant
+    f(m+1) + (m+1)^(1-alpha-beta)/(alpha+beta-1)), of the tail values and
+    of the final addition. All of it enters the cut check, so the bound
+    never exceeds the tolerance; a tolerance below the rounding alone
+    raises RangeError.
     """
     a, b = spec.alpha, spec.beta
     if a + b <= 1:
@@ -139,34 +228,48 @@ def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
         raise RangeError("exponents must be below 1")
     tol = float(spec.tail_tolerance if spec.tail_tolerance is not None
                 else Fraction(1, 10 ** 9))
-    af, bf, n, m = float(a), float(b), spec.n, spec.m
+    n, m = spec.n, spec.m
+    excess = float(a + b - 1)
+    factors = ((n, -a), (0, -b))
+    unit = _U
+    if dps is not None:
+        with mpmath.workdps(dps):
+            unit = 2.0 ** -mpmath.mp.prec
+    with mpmath.workdps(_MP_DPS):
+        def term(y):
+            return mpmath.power(n + y, -_mp(a)) * mpmath.power(y, -_mp(b))
 
-    def term(y: float) -> float:
-        return (n + y) ** -af * y ** -bf
-
-    cut = max(m + 1, n, 1 << 10)
-    lower = upper = 0.0
-    for _ in range(200):
-        upper = _tau_tail_integral(n, af, bf, cut + 0.5)
-        lower = _tau_tail_integral(n, af, bf, cut + 1) + term(cut + 1) / 2
-        if max(upper - lower, 0.0) <= tol:
-            break
-        cut *= 2
+        # f(m+1) plus the integral from m+1 of t^-(alpha+beta) >= f(t)
+        partial_bound = _SAFETY * (float(term(m + 1))
+                                   + (m + 1) ** -excess / excess)
+        cut = max(m + 1, n, 1 << 10)
+        while True:
+            upper = _tau_tail_integral(n, a, b, cut + 0.5)
+            lower = _tau_tail_integral(n, a, b, cut + 1) + term(cut + 1) / 2
+            half = float(max(upper - lower, 0) / 2 + 2 * _MP_REL * upper)
+            block = _BLOCK if dps is None else cut - m
+            rho = _power_sum_rel_error(factors, cut, block, unit)
+            rounding = (rho * partial_bound
+                        + 3 * _U * (partial_bound + float(upper)))
+            error = _SAFETY * (half + rounding)
+            if error <= tol:
+                break
+            if _SAFETY * rounding > tol or cut >= 2 ** 52:
+                raise RangeError(
+                    f"tail tolerance {tol!r} is out of reach: the rounding "
+                    f"bound alone is {_SAFETY * rounding!r} at cut {cut}")
+            cut *= 2
+        mid = float((upper + lower) / 2)
     if dps is None:
-        ys = np.arange(m + 1, cut + 1, dtype=np.float64)
-        partial = float(np.power(ys + n, -af) @ np.power(ys, -bf))
+        partial = _power_sum(factors, m + 1, cut)
     else:
         with mpmath.workdps(dps):
-            am = mpmath.mpf(a.numerator) / a.denominator
-            bm = mpmath.mpf(b.numerator) / b.denominator
+            am, bm = _mp(a), _mp(b)
             partial = float(mpmath.fsum(
                 mpmath.power(n + y, -am) * mpmath.power(y, -bm)
                 for y in range(m + 1, cut + 1)))
-    value = partial + (upper + lower) / 2
-    error = max(upper - lower, 0.0) / 2 + 8e-16 * partial
-    excess = float(af + bf - 1)
     majorant = cut ** -excess / excess
-    return TauResult(value=value, error_bound=error,
+    return TauResult(value=partial + mid, error_bound=error,
                      majorant_bound=majorant, cutoff=cut)
 
 
@@ -228,25 +331,70 @@ def check_lemma_ab(alpha, beta, grid, *,
                        sup_ratio=max(r[2] for r in rows))
 
 
-def _abab_series(g: float, a: int, b: int, tol: float) -> float:
-    # The summand is x^(1-4g) h(x) with h(x) = (1+a/x)^-g (1+b/x)^(1-2g);
-    # h increases to 1, so the tail beyond X lies between h(X+1) J and J,
-    # where J = sum over x > X of x^(1-4g) is a Hurwitz zeta value.
-    s = 4 * g - 1
-    cut = max(a, b, 1 << 10)
-    envelope = gap = 0.0
-    for _ in range(200):
-        envelope = float(mpmath.zeta(s, cut + 1))
-        floor_ratio = ((1 + a / (cut + 1)) ** -g
-                       * (1 + b / (cut + 1)) ** (1 - 2 * g))
-        gap = (1 - floor_ratio) * envelope
-        if gap <= tol:
-            break
-        cut *= 2
-    xs = np.arange(1, cut + 1, dtype=np.float64)
-    partial = float(np.power(xs, -g)
-                    @ (np.power(xs + a, -g) * np.power(xs + b, 1 - 2 * g)))
-    return partial + envelope - gap / 2
+def _abab_series(g, a: int, b: int, tol: float) -> tuple[float, float, int]:
+    """(value, error_bound, cutoff) for the sum over x >= 1 of
+    x^-g (x+a)^-g (x+b)^(1-2g), 1/2 < g < 1, with error_bound <= tol.
+
+    Terms up to X = max(2 max(a, b), 1024) are summed in float blocks
+    (`_power_sum`). Beyond X the summand is x^(1-4g) (1+a/x)^-g
+    (1+b/x)^(1-2g); expanding both factors as binomial series gives the
+    tail sum over n of e_n zeta(4g-1+n, X+1), with
+    e_n = sum over j+k=n of C(-g, j) a^j C(1-2g, k) b^k. Every binomial
+    coefficient has modulus at most 1 for 1/2 < g < 1, so |e_n| <=
+    (n+1) max(a, b)^n, and zeta(s+n, X+1) <= (X+1)^-n zeta(s, X+1). The
+    terms of degree K and up are therefore at most zeta(4g-1, X+1) times
+    the sum over n >= K of (n+1) r^n = r^K ((K+1)/(1-r) + r/(1-r)^2),
+    r = max(a, b)/(X+1) < 1/2; K is the smallest degree that keeps this
+    below tol/2. The rest of the bound is rounding, under the assumptions
+    stated with `_power_sum_rel_error`; it must fit in the other tol/2.
+    """
+    g = _as_fraction(g)
+    if not Fraction(1, 2) < g < 1:
+        raise RangeError("gamma must lie in (1/2, 1)")
+    if not tol > 0:
+        raise RangeError("tail tolerance must be positive")
+    top = max(a, b)
+    cut = max(2 * top, 1 << 10)
+    factors = ((0, -g), (a, -g), (b, 1 - 2 * g))
+    partial = _power_sum(factors, 1, cut)
+    rho = _power_sum_rel_error(factors, cut, _BLOCK)
+    r = top / (cut + 1)
+    with mpmath.workdps(_MP_DPS):
+        s = 4 * _mp(g) - 1
+        zeta0 = mpmath.zeta(s, cut + 1)
+        z = float(zeta0) * _SAFETY
+        # tail_abs >= sum of |e_n| zeta(s+n, X+1) over all n, so >= |tail|
+        tail_abs = z / (1 - r) ** 2
+        rounding = _SAFETY * (rho * partial / (1 - rho)
+                              + 3 * _U * (partial + tail_abs)
+                              + _MP_REL * tail_abs)
+        if rounding > tol / 2:
+            raise RangeError(f"tail tolerance {tol!r} is below twice the "
+                             f"rounding bound {rounding!r} of this series")
+        degree, truncation = 0, tail_abs
+        while truncation > tol / 2:
+            degree += 1
+            truncation = _SAFETY * z * r ** degree * (
+                (degree + 1) / (1 - r) + r / (1 - r) ** 2)
+        coef_a = _binomial_powers(-g, a, degree)
+        coef_b = _binomial_powers(1 - 2 * g, b, degree)
+        tail = mpmath.mpf(0)
+        for k in range(degree):
+            e_k = mpmath.fsum(coef_a[j] * coef_b[k - j] for j in range(k + 1))
+            zeta_k = zeta0 if k == 0 else mpmath.zeta(s + k, cut + 1)
+            tail += e_k * zeta_k
+        tail = float(tail)
+    return partial + tail, truncation + rounding, cut
+
+
+def _binomial_powers(e: Fraction, c: int, count: int) -> list:
+    """C(e, j) c^j for j < count, at the working precision."""
+    out, coef = [], mpmath.mpf(1)
+    em = _mp(e)
+    for j in range(count):
+        out.append(coef)
+        coef = coef * (em - j) / (j + 1) * c
+    return out
 
 
 def check_lemma_abab(gamma, pairs, *,
@@ -263,6 +411,8 @@ def check_lemma_abab(gamma, pairs, *,
         raise NonConvergent("series needs gamma > 1/2")
     gf = float(g)
     tol = float(_as_fraction(tail_tolerance))
+    if tol <= 0:
+        raise RangeError("tail tolerance must be positive")
     rows, seen = [], set()
     for a, b in pairs:
         for u, v in ((int(a), int(b)), (int(b), int(a))):
@@ -271,7 +421,7 @@ def check_lemma_abab(gamma, pairs, *,
             if (u, v) in seen:
                 continue
             seen.add((u, v))
-            val = _abab_series(gf, u, v, tol)
+            val = _abab_series(g, u, v, tol)[0]
             rows.append((f"a={u} b={v}", val, val * (u * v) ** (2 * gf - 1)))
     if not rows:
         raise RangeError("pairs must be nonempty")

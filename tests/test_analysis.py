@@ -2,17 +2,23 @@
 brute-force and Monte Carlo oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
 import pytest
 
+import series_reference
 from sidonlab.analysis import (
     NonConvergent,
     RatioReport,
     SumSpec,
+    _abab_series,
+    _power_sum,
+    _power_sum_rel_error,
     _tau_tail_integral,
     check_lemma_ab,
     check_lemma_abab,
@@ -73,6 +79,16 @@ class TestSigma:
         spec = SumSpec(G, G, 500, 3)
         assert sigma(spec) == pytest.approx(sigma(spec, dps=40), rel=1e-12)
 
+    @pytest.mark.parametrize("g", [G, Fraction(19, 27)])
+    @pytest.mark.parametrize("n,m", [(316, 100), (3162, 100), (31623, 0)])
+    def test_matches_scalar_loop(self, g, n, m):
+        # the NumPy power pass may differ from libm pow by a few ulps per
+        # term; fsum keeps the totals within that
+        a = float(g)
+        loop = math.fsum(x ** -a * (n - x) ** -a
+                         for x in range(m + 1, n - m))
+        assert sigma(SumSpec(g, g, n, m)) == pytest.approx(loop, rel=1e-14)
+
 
 class TestTau:
     def test_divergent(self):
@@ -118,6 +134,40 @@ class TestTau:
         assert res.cutoff >= 1024
         assert res.majorant_bound > 0
         assert res.value > 0
+
+    @pytest.mark.parametrize("n,m", [(10, 0), (316, 100), (100000, 0)])
+    @pytest.mark.parametrize("tol", [Fraction(1, 10 ** 6),
+                                     Fraction(1, 10 ** 10)])
+    def test_bound_covers_reference(self, n, m, tol):
+        res = tau(SumSpec(G, G, n, m, tol))
+        ref = series_reference.tau(G, G, n, m)
+        assert abs(res.value - ref) <= res.error_bound <= tol
+
+    def test_tolerance_below_rounding_raises(self):
+        # the bracket width alone cancels to 0.0 here; the rounding of
+        # the partial sum does not
+        with pytest.raises(RangeError):
+            tau(SumSpec(G, G, 10, 0, Fraction(1, 10 ** 18)))
+
+
+class TestPowerSum:
+    FACTORS = ((0, -G), (3, -G), (7, 1 - 2 * G))
+
+    def test_rounding_bound_holds(self):
+        lo, hi = 5, 9000
+        got = _power_sum(self.FACTORS, lo, hi)
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(
+                series_reference._power_product(
+                    [(c, -series_reference._mp(e)) for c, e in self.FACTORS],
+                    x) for x in range(lo, hi + 1))
+        rho = _power_sum_rel_error(self.FACTORS, hi, 1 << 12)
+        assert 0 < rho < 1e-11
+        assert abs(got - float(exact)) <= rho * float(exact)
+
+    def test_range_beyond_exact_integers(self):
+        with pytest.raises(RangeError):
+            _power_sum(self.FACTORS, 2 ** 53 - 3, 2 ** 53 - 2)
 
 
 class TestLemmaAb:
@@ -190,6 +240,45 @@ class TestLemmaAbab:
         report = check_lemma_abab(G, pairs)
         assert len(report.rows) == 9
         assert report.sup_ratio == max(r[2] for r in report.rows)
+
+    @pytest.mark.parametrize("tol", [0, -1, Fraction(-1, 10 ** 6)])
+    def test_nonpositive_tolerance(self, tol):
+        with pytest.raises(RangeError):
+            check_lemma_abab(G, [(1, 1)], tail_tolerance=tol)
+
+
+@lru_cache(maxsize=None)
+def _abab_reference(a, b):
+    return series_reference.abab(G, a, b)
+
+
+class TestAbabSeries:
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 5), (10, 10 ** 4),
+                                     (10 ** 5, 1), (1, 10 ** 5),
+                                     (10 ** 5, 10 ** 5)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_against_reference(self, a, b, tol):
+        value, bound, cutoff = _abab_series(G, a, b, tol)
+        assert abs(value - _abab_reference(a, b)) <= bound <= tol
+        assert cutoff <= max(2 * max(a, b), 1024)
+
+    def test_memory_bounded_by_block(self):
+        # a whole-cutoff array of 2*10^5 floats alone would take 1.6 MB
+        tracemalloc.start()
+        try:
+            _abab_series(G, 10 ** 5, 10 ** 5, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    def test_validation(self):
+        with pytest.raises(RangeError):
+            _abab_series(G, 1, 1, 0.0)
+        with pytest.raises(RangeError):
+            _abab_series(Fraction(1, 2), 1, 1, 1e-6)
+        with pytest.raises(RangeError):
+            _abab_series(G, 1, 1, 1e-16)
 
 
 class TestGammaFromEpsilon:

@@ -408,6 +408,11 @@ class TestAnalyze:
                             "--pairs", "1:1"])
         assert env["payload"]["error"] == "NonConvergent"
 
+    def test_lemma_abab_zero_tolerance_exits_one(self, capsys):
+        env = _err(capsys, ["analyze", "lemma-abab", "--gamma", "7/11",
+                            "--pairs", "1:1", "--tol", "0"])
+        assert env["payload"]["error"] == "RangeError"
+
     def test_lemma_abab_replays_library(self, capsys):
         env = _ok(capsys, ["analyze", "lemma-abab", "--gamma", "7/11",
                            "--pairs", "2:5"])
