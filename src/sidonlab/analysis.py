@@ -41,7 +41,7 @@ import numpy as np
 
 from .deletionlab import FamilySpec, enumerate_family
 from .numbertheory import RangeError
-from .randommodel import SampleConfig, _as_fraction, sample_sequence
+from .randommodel import SampleConfig, _as_fraction, _blocks, sample_sequence
 
 __all__ = [
     "NonConvergent",
@@ -442,12 +442,9 @@ def gamma_from_epsilon(epsilon) -> Fraction:
 
 def _prob_array(cfg: SampleConfig, top: int) -> np.ndarray:
     """q[x] = inclusion probability for x in [0, top]."""
-    xs = np.arange(top + 1, dtype=np.int64)
-    mask = xs > cfg.m
-    mask &= np.isin(xs % cfg.modulus, np.asarray(cfg.residues, dtype=np.int64))
     q = np.zeros(top + 1)
-    idx = np.nonzero(mask)[0]
-    q[idx] = np.power(idx.astype(np.float64), -float(cfg.gamma))
+    for xs, probs in _blocks(cfg, top):
+        q[xs] = probs
     return q
 
 

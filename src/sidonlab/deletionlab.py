@@ -33,10 +33,12 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .numbertheory import RangeError
+from .randommodel import _as_fraction
 
 __all__ = [
     "UnsupportedKind",
@@ -59,14 +61,6 @@ _ARITY = {"Q": 3, "R": 4, "T": 8, "B": 7, "U2": 2, "U3": 3, "V2": 2,
 
 class UnsupportedKind(ValueError):
     """The family kind is unknown, or cannot be enumerated."""
-
-
-def _fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, tuple):
-        return Fraction(*value)
-    return Fraction(value)
 
 
 def _coerce(A) -> tuple[int, ...]:
@@ -96,7 +90,7 @@ class FamilySpec:
         if needs_eps:
             if self.epsilon is None:
                 raise RangeError(f"kind {kind} requires epsilon")
-            eps = _fraction(self.epsilon)
+            eps = _as_fraction(self.epsilon)
             if not 0 < eps < 1:
                 raise RangeError("epsilon must satisfy 0 < epsilon < 1")
             object.__setattr__(self, "epsilon", eps)
@@ -145,8 +139,12 @@ class VectorFamily:
     def __iter__(self):
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def __contains__(self, t):
-        return tuple(t) in set(self.members)
+        return tuple(t) in self._member_set
 
     def to_json_lines(self) -> str:
         meta = {"kind": self.spec.kind, "target": self.spec.target,

@@ -8,6 +8,20 @@ seed + x * golden, so membership of x can be decided in isolation, any
 subrange can be resampled without replaying a generator, and restricting S
 provably filters a fuller sample rather than reshuffling it.
 
+Candidates are streamed, never sized by the horizon: `_blocks` yields the
+admissible x in ascending order as k N + r, a run of k at a time against
+the sorted residues, in blocks of about _BLOCK candidates, so a sample or
+a moment sum holds O(_BLOCK + output) memory at any horizon.
+
+The accept rule u < x^(-gamma), with u = k 2^-53, is decided exactly. The
+float comparison against t = fl(x^(-fl(gamma))) is trusted only when u
+clears t by the proved margin `_margin`, which assumes that `pow` (libm
+for a scalar, `np.power` for an array) is within 4 ulps of the exact power
+of its float arguments. Inside the margin the decision is made in integers,
+k^q x^p < 2^(53 q) for gamma = p/q, or for large q from the sign of
+q log k + p log x - 53 q log 2 in interval arithmetic. So a seeded sample
+does not depend on the platform's `pow`.
+
 The same rule is implemented twice, as scalar integer arithmetic and as a
 vectorized numpy pipeline; tests pin them to each other bit for bit.
 """
@@ -16,12 +30,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
 
 from .numbertheory import RangeError
 from .sidoncore import ModSet
@@ -42,6 +59,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+_BLOCK = 1 << 16          # candidates per streamed block
+_EXACT_BITS = 1 << 12     # past this size of k^q x^p, compare logarithms
 
 GammaLike = Union[Fraction, str, int, tuple]
 
@@ -132,11 +151,59 @@ def inclusion_probability(config: SampleConfig, x: int) -> float:
     return float(x) ** (-float(config.gamma))
 
 
+def _margin(t, x, gamma: float):
+    """Half-width of the band around t = fl(x^-fl(gamma)) outside which
+    the float comparison u < t is proved to equal u < x^-gamma; x may be
+    any bound at least as large as the candidates t was computed for.
+
+    With unit roundoff u0 = 2^-53: fl(gamma) and fl(x) move x^-gamma by a
+    factor exp(+-s), s = u0 gamma (ln x + 2), and `pow` within 4 ulps
+    adds a factor 1 +- 8 u0, so t = x^-gamma (1 + e) with |e| <= rho =
+    exp(s)(1 + 8 u0) - 1 <= 2 s + 9 u0 while s <= 1/2 (gamma below about
+    10^14). Then x^-gamma lies in [t (1 - rho), t (1 + 2 rho)], so the
+    comparison is safe once |u - t| > 2 rho t; the factor below is twice
+    that, which absorbs the rounding of the band's own arithmetic. The
+    absolute term covers subnormal t, where `pow` is only 4 ulps of
+    2^-1074 off."""
+    return t * (2.0 ** -47 + 2.0 ** -50 * gamma * (2.0 + math.log(x))) \
+        + 2.0 ** -1000
+
+
+def _exact_accept(k: int, x: int, gamma: Fraction) -> bool:
+    """u < x^-gamma for u = k 2^-53 and gamma = p/q, in exact arithmetic:
+    k^q x^p < 2^(53 q)."""
+    p, q = gamma.numerator, gamma.denominator
+    if k == 0:
+        return True
+    if 53 * q + p * x.bit_length() <= _EXACT_BITS:
+        return k ** q * x ** p < 1 << (53 * q)
+    # k^q x^p = 2^(53 q) needs k and x to be powers of two; otherwise the
+    # difference of logarithms is nonzero and an interval at rising
+    # precision settles its sign
+    if k & (k - 1) == 0 and x & (x - 1) == 0:
+        return q * (k.bit_length() - 1) + p * (x.bit_length() - 1) < 53 * q
+    ctx = MPIntervalContext()
+    ctx.prec = 64
+    while True:
+        d = q * ctx.log(k) + p * ctx.log(x) - 53 * q * ctx.log(2)
+        if d.b < 0:
+            return True
+        if d.a > 0:
+            return False
+        ctx.prec *= 2
+
+
 def contains(config: SampleConfig, x: int) -> bool:
     """Scalar membership decision; agrees with `sample_sequence` exactly."""
     if x <= config.m or x % config.modulus not in config.residues:
         return False
-    return uniform_unit(config.seed, x) < float(x) ** (-float(config.gamma))
+    k = mix64(config.seed + x * _GOLDEN) >> 11
+    u = k * 2.0 ** -53
+    g = float(config.gamma)
+    t = float(x) ** -g
+    if abs(u - t) > _margin(t, x, g):
+        return u < t
+    return _exact_accept(k, x, config.gamma)
 
 
 def _uniform_array(seed: int, xs: np.ndarray) -> np.ndarray:
@@ -150,37 +217,58 @@ def _uniform_array(seed: int, xs: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _admissible(config: SampleConfig, horizon: int) -> np.ndarray:
-    xs = np.arange(1, horizon + 1, dtype=np.uint64)
-    mask = xs > np.uint64(config.m)
+def _blocks(config: SampleConfig, horizon: int):
+    """(x, q): the admissible x in (m, horizon], ascending, with their
+    inclusion probabilities, as nonempty blocks of about _BLOCK candidates.
+    x = k N + r for a run of k against every residue r; only the first and
+    last blocks are clipped to the range."""
+    if horizon >> 64:
+        raise RangeError("horizon must be below 2^64")
+    n, m, g = config.modulus, config.m, -float(config.gamma)
     res = np.asarray(config.residues, dtype=np.uint64)
-    mask &= np.isin(xs % np.uint64(config.modulus), res)
-    return xs[mask]
+    first, last = (m + 1) // n, horizon // n
+    rows = max(1, _BLOCK // len(res))
+    for k0 in range(first, last + 1, rows):
+        k1 = min(k0 + rows, last + 1)
+        xs = (np.arange(k0, k1, dtype=np.uint64)[:, None] * np.uint64(n)
+              + res).ravel()
+        if k0 == first or k1 == last + 1:
+            xs = xs[(xs > np.uint64(m)) & (xs <= np.uint64(horizon))]
+        if len(xs):
+            yield xs, np.power(xs.astype(np.float64), g)
+
+
+def _accept(config: SampleConfig, xs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The accept mask of a block with thresholds t = fl(x^-gamma): the
+    float comparison, with candidates inside the margin decided exactly."""
+    u = _uniform_array(config.seed, xs)
+    keep = u < t
+    band = np.abs(u - t) <= _margin(t, int(xs[-1]), float(config.gamma))
+    for i in np.flatnonzero(band):
+        x = int(xs[i])
+        keep[i] = _exact_accept(mix64(config.seed + x * _GOLDEN) >> 11, x,
+                                config.gamma)
+    return keep
 
 
 def sample_sequence(config: SampleConfig, horizon: int) -> "IntSeq":
     """All sampled elements in [1, horizon], vectorized."""
     if horizon < 0:
         raise RangeError("horizon must be nonnegative")
-    xs = _admissible(config, horizon)
-    u = _uniform_array(config.seed, xs)
-    thresh = np.power(xs.astype(np.float64), -float(config.gamma))
-    keep = xs[u < thresh]
-    return IntSeq(elements=tuple(int(v) for v in keep), config=config,
-                  horizon=horizon)
+    kept = [xs[_accept(config, xs, t)] for xs, t in _blocks(config, horizon)]
+    elements = tuple(np.concatenate(kept).tolist()) if kept else ()
+    return IntSeq(elements=elements, config=config, horizon=horizon)
 
 
 def expected_count(config: SampleConfig, horizon: int) -> float:
     """Exact E|A intersect [1, horizon]| = sum of inclusion probabilities."""
-    xs = _admissible(config, horizon)
-    return float(np.power(xs.astype(np.float64), -float(config.gamma)).sum())
+    return math.fsum(float(q.sum()) for _, q in _blocks(config, horizon))
 
 
 def count_variance(config: SampleConfig, horizon: int) -> float:
     """Sum of q(1-q) over admissible x: exact variance of the count."""
-    xs = _admissible(config, horizon)
-    q = np.power(xs.astype(np.float64), -float(config.gamma))
-    return float((q * (1.0 - q)).sum())
+    return math.fsum(float((q * (1.0 - q)).sum())
+                     for _, q in _blocks(config, horizon))
 
 
 @dataclass(frozen=True)
@@ -197,8 +285,12 @@ class IntSeq:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, x):
-        return x in set(self.elements)
+        return x in self._members
 
     def as_set(self) -> set[int]:
         return set(self.elements)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -73,8 +74,12 @@ class ModSet:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, x):
-        return x in set(self.elements)
+        return x in self._members
 
     def to_json(self) -> str:
         return json.dumps(

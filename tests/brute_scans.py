@@ -1,15 +1,20 @@
 """Brute-force reference scans that the fast kernels are pinned against.
 
 These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
-the library used before its O(p) curve solver and vectorised Sidon check.
-They live here, outside `src/`, as exact oracles only.
+the library used before its O(p) curve solver and vectorised Sidon check,
+and the full-range sampler that built every x in [1, horizon] before the
+streamed residue blocks. They live here, outside `src/`, as exact oracles
+only.
 """
 
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from sidonlab.numbertheory import (crt_flatten, is_prime, is_primitive_root,
                                    primitive_root)
+from sidonlab.randommodel import _uniform_array
 
 
 def targets():
@@ -111,3 +116,29 @@ def sidon_witness(elems, mode, modulus):
                 return (seen[s][0], seen[s][1], a, b)
             seen[s] = (a, b)
     return None
+
+
+def admissible(config, horizon):
+    """Every x in [1, horizon] with x > m and x mod N in the residue set,
+    by a mask over the whole range."""
+    xs = np.arange(1, horizon + 1, dtype=np.uint64)
+    mask = xs > np.uint64(config.m)
+    res = np.asarray(config.residues, dtype=np.uint64)
+    mask &= np.isin(xs % np.uint64(config.modulus), res)
+    return xs[mask]
+
+
+def sample_elements(config, horizon):
+    """The full-range sample: u < fl(x^-gamma) by a single float
+    comparison over all admissible x."""
+    xs = admissible(config, horizon)
+    u = _uniform_array(config.seed, xs)
+    thresh = np.power(xs.astype(np.float64), -float(config.gamma))
+    return tuple(int(v) for v in xs[u < thresh])
+
+
+def moments(config, horizon):
+    """(sum of q, sum of q (1 - q)) over the full-range admissible x."""
+    xs = admissible(config, horizon)
+    q = np.power(xs.astype(np.float64), -float(config.gamma))
+    return float(q.sum()), float((q * (1.0 - q)).sum())

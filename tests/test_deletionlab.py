@@ -347,6 +347,14 @@ class TestFamilyType:
         assert q.convention == "unordered-sets"
         assert q.arity == 3 and fam.arity == 2
 
+    def test_membership_is_cached(self):
+        fam = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))
+        again = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))
+        assert [2, 4] in fam and (4, 4) not in fam
+        assert fam._member_set is fam._member_set
+        assert fam == again and hash(fam) == hash(again)
+        assert fam.to_json_lines() == again.to_json_lines()
+
     def test_invariants_enforced(self):
         spec = FamilySpec("U2", 6)
         with pytest.raises(RangeError):

@@ -1,10 +1,15 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import brute_scans as brute
+from sidonlab import randommodel
+from sidonlab.analysis import _prob_array
 from sidonlab.numbertheory import RangeError
 from sidonlab.randommodel import (
     IntSeq,
@@ -17,7 +22,8 @@ from sidonlab.randommodel import (
     sample_sequence,
     uniform_unit,
 )
-from sidonlab.randommodel import _uniform_array
+from sidonlab.randommodel import (_blocks, _exact_accept, _margin,
+                                  _uniform_array)
 from sidonlab.sidoncore import ruzsa_set
 
 
@@ -117,6 +123,142 @@ class TestModel:
         assert sample_sequence(cfg, 100).elements == ()  # all x <= m
         assert expected_count(cfg, 100) == 0.0
 
+    def test_horizon_beyond_64_bits(self):
+        top = SampleConfig(gamma="7/11", m=2 ** 64 - 100, modulus=1,
+                           residues=(0,), seed=1)
+        assert len(sample_sequence(top, 2 ** 64 - 1)) <= 99
+        for f in (sample_sequence, expected_count, count_variance):
+            with pytest.raises(RangeError):
+                f(top, 2 ** 64)
+        with pytest.raises(RangeError):
+            sample_sequence(top, -1)
+
+
+def _block_cases():
+    """(config, horizon): modulus 1 and 156, m and horizon on and off the
+    block and residue edges, horizon <= m and horizon 0."""
+    ruzsa = ruzsa_set(13).elements
+    for seed, m in ((3, 0), (4, 100), (5, 127), (6, 128)):
+        cfg = SampleConfig(gamma="7/11", m=m, modulus=1, residues=(0,),
+                           seed=seed)
+        for horizon in (0, m, max(m - 1, 0), 256, 320, 321, 1000, 2000):
+            yield cfg, horizon
+    for seed, m in ((7, 0), (8, 100), (9, 155), (10, 156), (11, 157),
+                    (12, 779)):
+        cfg = SampleConfig(gamma="7/11", m=m, modulus=156, residues=ruzsa,
+                           seed=seed)
+        for horizon in (0, m, 5 * 156, 5 * 156 - 1, 5 * 156 + ruzsa[0],
+                        15 * 156, 15 * 156 + ruzsa[-1], 15 * 156 + 155,
+                        20000):
+            yield cfg, horizon
+
+
+class TestBlocks:
+    """The streamed sampler against the full-range oracle, with blocks
+    small enough that one call spans several of them."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(randommodel, "_BLOCK", 64)
+
+    def test_blocks_match_full_range_admissible(self):
+        for cfg, horizon in _block_cases():
+            blocks = [xs for xs, _ in _blocks(cfg, horizon)]
+            got = np.concatenate(blocks) if blocks else np.zeros(0, np.uint64)
+            assert np.array_equal(got, brute.admissible(cfg, horizon))
+            assert all(0 < len(b) <= 64 for b in blocks)
+        spans = len(list(_blocks(_ruzsa_config(), 15 * 156)))
+        assert spans >= 3
+
+    def test_samples_and_moments_match_oracle(self):
+        for cfg, horizon in _block_cases():
+            assert sample_sequence(cfg, horizon).elements == \
+                brute.sample_elements(cfg, horizon)
+            mu, var = brute.moments(cfg, horizon)
+            assert expected_count(cfg, horizon) == pytest.approx(mu, rel=1e-12)
+            assert count_variance(cfg, horizon) == pytest.approx(var, rel=1e-12)
+
+    def test_prob_array_matches_oracle(self):
+        for cfg, top in ((_ruzsa_config(), 6144), (_ruzsa_config(m=0), 157),
+                         (SampleConfig(gamma="19/27", m=7, modulus=1,
+                                       residues=(0,)), 1000)):
+            xs = brute.admissible(cfg, top)
+            want = np.zeros(top + 1)
+            want[xs] = np.power(xs.astype(np.float64), -float(cfg.gamma))
+            got = _prob_array(cfg, top)
+            assert np.array_equal(got > 0, want > 0)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+class TestExactRule:
+    def test_big_sample_memory_bounded(self):
+        # a full-range build of 10^8 candidates would take gigabytes
+        tracemalloc.start()
+        try:
+            seq = sample_sequence(_ruzsa_config(seed=12345), 10 ** 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq) > 0
+        assert peak < 64 * 2 ** 20
+
+    def test_margin_covers_pow_error(self):
+        # |fl(x^-fl(gamma)) - x^-gamma| is far inside the band
+        for gamma in (Fraction(7, 11), Fraction(19, 27), Fraction(1, 10 ** 6),
+                      Fraction(5, 2)):
+            g = float(gamma)
+            for x in (1, 2, 3, 101, 12345, 10 ** 7 + 1, 2 ** 40 + 7):
+                t = float(x) ** -g
+                with mpmath.workdps(40):
+                    exact = mpmath.mpf(x) ** (-mpmath.mpf(gamma.numerator)
+                                              / gamma.denominator)
+                    err = abs(mpmath.mpf(t) - exact)
+                assert err <= (_margin(t, x, g) - 2.0 ** -1000) / 4
+
+    def test_all_candidates_through_exact_fallback(self, monkeypatch):
+        cases = [(_ruzsa_config(seed=s), 20000) for s in (0, 12345)]
+        cases.append((SampleConfig(gamma="7/11", m=100, modulus=1,
+                                   residues=(0,), seed=5), 5000))
+        floats = [sample_sequence(cfg, h).elements for cfg, h in cases]
+        calls = []
+
+        def counted(k, x, gamma):
+            calls.append(x)
+            return _exact_accept(k, x, gamma)
+
+        monkeypatch.setattr(randommodel, "_margin", lambda t, x, gamma: 1.0)
+        monkeypatch.setattr(randommodel, "_exact_accept", counted)
+        for (cfg, h), want in zip(cases, floats):
+            calls.clear()
+            assert sample_sequence(cfg, h).elements == want
+            assert calls == brute.admissible(cfg, h).tolist()
+            assert tuple(x for x in range(1, h + 1) if contains(cfg, x)) == want
+
+    def test_large_denominator_fallback(self, monkeypatch):
+        free = SampleConfig(gamma="1/1000000", m=0, modulus=1, residues=(0,),
+                            seed=9)
+        want = sample_sequence(free, 50).elements
+        monkeypatch.setattr(randommodel, "_margin", lambda t, x, gamma: 1.0)
+        assert sample_sequence(free, 50).elements == want
+
+    def test_log_comparison_matches_integers(self, monkeypatch):
+        cases = [(0, 5, Fraction(7, 11)), (1, 1, Fraction(3)),
+                 (2 ** 52, 1, Fraction(1)), (2 ** 52 - 1, 2, Fraction(1)),
+                 (2 ** 52, 2, Fraction(1)), (2 ** 51, 4, Fraction(1)),
+                 (2 ** 26, 2 ** 54, Fraction(1, 2))]
+        for gamma in (Fraction(1, 1000), Fraction(3, 1000)):
+            for k in (2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 3 * 2 ** 50):
+                for e in (998, 999, 1000, 1001):
+                    cases.append((k, 2 ** e, gamma))
+                    cases.append((k, 2 ** e + 1, gamma))
+                    cases.append((k, 2 ** e - 1, gamma))
+        want = [k ** g.denominator * x ** g.numerator < 2 ** (53 * g.denominator)
+                for k, x, g in cases]
+        assert [_exact_accept(k, x, g) for k, x, g in cases] == want
+        monkeypatch.setattr(randommodel, "_EXACT_BITS", 0)
+        assert [_exact_accept(k, x, g) for k, x, g in cases] == want
+        assert True in want and False in want
+
 
 class TestConfig:
     def test_gamma_forms(self):
@@ -205,4 +347,11 @@ class TestIntSeq:
         assert len(seq) == 5
         for x in seq:
             assert x in seq
+        assert 4999 not in seq
         assert seq.as_set() == set(seq.elements)
+
+    def test_membership_cache_leaves_equality(self):
+        seq = sample_sequence(_ruzsa_config(seed=99991), 5000)
+        again = sample_sequence(_ruzsa_config(seed=99991), 5000)
+        assert seq.elements[0] in seq and seq._members is seq._members
+        assert seq == again and hash(seq) == hash(again)

@@ -40,6 +40,13 @@ def test_modset_json_and_text_roundtrip():
         ModSet.from_text("156\n3\n")
 
 
+def test_modset_membership_is_cached():
+    s, t = ModSet(156, (3, 14, 16, 17)), ModSet(156, (17, 16, 14, 3))
+    assert 14 in s and 15 not in s and "14" not in s
+    assert s._members is s._members
+    assert s == t and hash(s) == hash(t) and s.to_json() == t.to_json()
+
+
 def test_erdos_turan_examples():
     assert erdos_turan_set(3).elements == (0, 7, 8)
     assert erdos_turan_set(3).modulus == 18
