@@ -36,7 +36,7 @@ from .analysis import (NonConvergent, SumSpec, check_lemma_ab,
                        monte_carlo_family_mean, sigma, tau)
 from .curveoracle import (CurveParams, QuadricParams, curve_point_count,
                           dyadic_box_coverage, enumerate_quadric, hasse_slack,
-                          torus_points, triple_rep_count)
+                          torus_points, triple_rep_count, triple_rep_table)
 from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
                          decompose4_ruzsa)
 from .deletionlab import (FamilySpec, UnsupportedKind, b2_2_lift,
@@ -295,12 +295,14 @@ def _cmd_curve_identity(args) -> int:
         payload = {"a": args.a, "b": args.b, "tripleReps": reps,
                    "curvePoints": points, "match": reps == points}
         return _ok(args, payload)
+    # the Ruzsa set's 3-fold sum counts against the curve, target by target
+    table = triple_rep_table(p, gen)
     mismatches = []
     checked = 0
     for a in range(p - 1):
         lam = pow(gen, a, p)
         for b in range(p):
-            reps = triple_rep_count(p, gen, a, b)
+            reps = table.get((a, b), 0)
             points = curve_point_count(CurveParams(p, b, lam))
             checked += 1
             if reps != points:
@@ -364,7 +366,7 @@ def _cmd_lift(args) -> int:
     elements, _ = _read_elements(args)
     _resolved(args, elements=elements)
     lifter = sidon_lift if args._cmd == "lift.sidon" else b2_2_lift
-    kept = lifter(elements, fixpoint=args.fixpoint)
+    kept = lifter(elements)
     payload = {"inputSize": len(elements), "outputSize": len(kept),
                "removedCount": len(elements) - len(kept),
                "elements": list(kept)}
@@ -641,8 +643,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("sidon", "b22"):
         par = leaf(lift, name, _cmd_lift, f"lift.{name}")
         par.add_argument("--in", dest="src", metavar="PATH", required=True)
-        par.add_argument("--fixpoint", action="store_true",
-                         help="re-run the pass until nothing changes")
 
     family = groups.add_parser(
         "family", allow_abbrev=False,

@@ -8,7 +8,9 @@ are in bijection with the points (U, V), V != 0, of the curve
 
     U^2 = 4 V^3 + (b V + lam)^2   (mod p),   lam = g^a,
 
-so their number is p + O(sqrt(p)). Solutions with a repeated coordinate
+so their number is p + O(sqrt(p)). The counts for every target at once are
+the 3-fold sum profile of the Ruzsa set (`triple_rep_table`), which makes
+the identity a statement about that set. Solutions with a repeated coordinate
 reduce to a cubic and number at most 9 per target, which keeps
 pairwise-distinct representations plentiful for every target once p is
 moderately large.
@@ -25,7 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .numbertheory import NotGenerator, NotPrime, RangeError, is_prime, is_primitive_root
+import numpy as np
+
+from .numbertheory import (NotPrime, RangeError, crt_flatten, is_prime,
+                           power_table)
+from .sidoncore import convolution_profile_array
 
 __all__ = [
     "CurveParams",
@@ -119,15 +125,6 @@ def curve_point_count(params: CurveParams) -> int:
     return count
 
 
-def _power_table(p: int, g: int) -> list[int]:
-    if not is_primitive_root(g, p):
-        raise NotGenerator(f"{g} does not generate Z_{p}^*")
-    table = [1] * (p - 1)
-    for x in range(1, p - 1):
-        table[x] = table[x - 1] * g % p
-    return table
-
-
 def triple_reps(p: int, g: int, a: int, b: int):
     """Iterator over the ordered triples (x1, x2, x3) in [0, p-1)^3 with
     exponent sum a mod p-1 and power sum b mod p, in lexicographic order.
@@ -138,9 +135,7 @@ def triple_reps(p: int, g: int, a: int, b: int):
     """
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
-    if p == 2:
-        raise NotPrime("2 is not an odd prime")
-    pw = _power_table(p, g)
+    pw = power_table(p, g)
     log = dict(zip(pw, range(p - 1)))
     root = _sqrt_table(p)
     n, half = p - 1, (p + 1) // 2
@@ -169,19 +164,22 @@ def triple_rep_count(p: int, g: int, a: int, b: int,
 
 
 def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
-    """Counts for every target (a, b) in one sweep over all triples."""
-    pw = _power_table(p, g)
-    table: dict[tuple[int, int], int] = {}
-    for x1 in range(p - 1):
-        for x2 in range(p - 1):
-            s12 = x1 + x2
-            p12 = pw[x1] + pw[x2]
-            for x3 in range(p - 1):
-                if distinct == "pairwise" and (x1 == x2 or x1 == x3 or x2 == x3):
-                    continue
-                key = ((s12 + x3) % (p - 1), (p12 + pw[x3]) % p)
-                table[key] = table.get(key, 0) + 1
-    return table
+    """Counts for every target (a, b), read off the ordered 3-fold sum
+    profile of the Ruzsa set at z = crt_flatten(a, b, p).
+
+    distinct="pairwise" drops the triples with a repeated element by
+    inclusion-exclusion over the three coordinate equalities: each fixes a
+    sum 2a + a', and all three together fix 3a.
+    """
+    elems = [crt_flatten(x, v, p) for x, v in enumerate(power_table(p, g))]
+    N = (p - 1) * p
+    counts = convolution_profile_array(elems, 3, N)
+    if distinct == "pairwise":
+        a = np.array(elems, dtype=np.int64)
+        counts -= 3 * np.bincount(((2 * a[:, None] + a) % N).ravel(), minlength=N)
+        counts += 2 * np.bincount(3 * a % N, minlength=N)
+    return {(z % (p - 1), z % p): int(counts[z])
+            for z in np.flatnonzero(counts).tolist()}
 
 
 def repeated_coordinate_count(p: int, g: int, a: int, b: int) -> int:

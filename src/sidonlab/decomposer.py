@@ -34,6 +34,7 @@ from .numbertheory import (
     find_decomposition_prime,
     is_prime,
     is_primitive_root,
+    power_table,
     primitive_root,
 )
 from .curveoracle import QuadricParams, enumerate_quadric, triple_reps
@@ -180,7 +181,7 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
                          "shifted_target": [a, bb]},
         )
     # exhaustive pairwise-distinct 4-tuple search
-    pw = [pow(g, x, p) for x in range(p - 1)]
+    pw = power_table(p, g)
     for x1 in range(p - 1):
         for x2 in range(x1 + 1, p - 1):
             for x3 in range(x2 + 1, p - 1):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .numbertheory import RangeError
 from .randommodel import _as_fraction
@@ -51,7 +51,6 @@ __all__ = [
     "b2_2_lift",
     "AuditResult",
     "destruction_audit",
-    "find_kdsv",
 ]
 
 _KINDS = ("Q", "R", "T", "B", "U2", "U3", "V2", "V3", "W", "CUSTOM")
@@ -364,27 +363,19 @@ def b22_removals(A) -> dict[int, tuple[int, int, int, int, int]]:
     return out
 
 
-def sidon_lift(A, fixpoint: bool = False) -> tuple[int, ...]:
+def sidon_lift(A) -> tuple[int, ...]:
     """Single pass against the original sequence; the result is Sidon, so
-    the optional fixpoint iteration never has more work to do."""
-    cur = _coerce(A)
-    while True:
-        removed = sidon_removals(cur)
-        nxt = tuple(x for x in cur if x not in removed)
-        if not fixpoint or nxt == cur:
-            return nxt
-        cur = nxt
+    a second pass removes nothing."""
+    A = _coerce(A)
+    removed = sidon_removals(A)
+    return tuple(x for x in A if x not in removed)
 
 
-def b2_2_lift(A, fixpoint: bool = False) -> tuple[int, ...]:
+def b2_2_lift(A) -> tuple[int, ...]:
     """Single pass; survivors never share one pair sum three times over."""
-    cur = _coerce(A)
-    while True:
-        removed = b22_removals(cur)
-        nxt = tuple(x for x in cur if x not in removed)
-        if not fixpoint or nxt == cur:
-            return nxt
-        cur = nxt
+    A = _coerce(A)
+    removed = b22_removals(A)
+    return tuple(x for x in A if x not in removed)
 
 
 class AuditResult(NamedTuple):
@@ -421,40 +412,3 @@ def destruction_audit(A, n: int, N: int = 1, mode: str = "b22",
     return AuditResult(q_before, q_after, t_count,
                        q_after >= q_before - t_count)
 
-
-def find_kdsv(family: Union[VectorFamily, Iterable[tuple]], k: int):
-    """k members with pairwise disjoint coordinate sets, or None.
-
-    Greedy scan first; on failure, exact backtracking settles the decision.
-    """
-    if k < 1:
-        raise RangeError("k must be >= 1")
-    members = tuple(getattr(family, "members", family))
-    sets = [frozenset(t) for t in members]
-
-    greedy, used = [], set()
-    for i, s in enumerate(sets):
-        if not (used & s):
-            greedy.append(i)
-            used |= s
-            if len(greedy) == k:
-                return [members[i] for i in greedy]
-
-    chosen = []
-
-    def backtrack(start, used):
-        if len(chosen) == k:
-            return True
-        for i in range(start, len(members)):
-            s = sets[i]
-            if used & s:
-                continue
-            chosen.append(i)
-            if backtrack(i + 1, used | s):
-                return True
-            chosen.pop()
-        return False
-
-    if backtrack(0, frozenset()):
-        return [members[i] for i in chosen]
-    return None

@@ -6,19 +6,16 @@ All functions are pure, so they are safe under concurrent callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "NotPrime",
     "NotGenerator",
     "PrimeNotFound",
     "RangeError",
-    "PrimeField",
-    "GeneratorPair",
     "is_prime",
     "prime_factors",
     "is_primitive_root",
     "primitive_root",
+    "power_table",
     "crt_flatten",
     "find_decomposition_prime",
 ]
@@ -112,6 +109,22 @@ def primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
+def power_table(p: int, g: int) -> list[int]:
+    """[g^x mod p for x in range(p - 1)] for an odd prime p and a generator g.
+
+    Raises NotPrime when p is 2 or composite, NotGenerator when g does not
+    generate the multiplicative group mod p.
+    """
+    if p == 2:
+        raise NotPrime("2 is not an odd prime")
+    if not is_primitive_root(g, p):
+        raise NotGenerator(f"{g} does not generate Z_{p}^*")
+    table = [1] * (p - 1)
+    for x in range(1, p - 1):
+        table[x] = table[x - 1] * g % p
+    return table
+
+
 def crt_flatten(u: int, v: int, p: int) -> int:
     """Unique t mod (p-1)p with t = u mod (p-1) and t = v mod p.
 
@@ -159,26 +172,3 @@ def _isqrt_ceil(n: int) -> int:
 
     r = isqrt(n)
     return r if r * r == n else r + 1
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """A prime modulus, validated once at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
-
-
-@dataclass(frozen=True)
-class GeneratorPair:
-    """A prime p together with a primitive root g mod p."""
-
-    p: int
-    g: int
-
-    def __post_init__(self):
-        if not is_primitive_root(self.g, self.p):
-            raise NotGenerator(f"{self.g} does not generate Z_{self.p}^*")

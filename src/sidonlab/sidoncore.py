@@ -12,6 +12,11 @@ through the CRT isomorphism Z_{p-1} x Z_p = Z_{(p-1)p}.
 Representation counting has two independent engines: brute-force enumeration
 (any convention) and an exact integer convolution (cyclic, ordered,
 no distinctness constraint). Counts are exact integers in both.
+
+Pair sums a + a' (a <= a') have one index, `_pair_sums`: every such sum,
+sorted stably, so that equal sums form runs in scan order. `is_sidon`
+reads its witness off the first repeated run and `b2g_bound` is the
+longest run.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numbertheory import NotGenerator, NotPrime, RangeError, is_prime, is_primitive_root, crt_flatten, primitive_root
+from .numbertheory import RangeError, crt_flatten, is_prime, power_table, primitive_root
 
 __all__ = [
     "NotOddPrime",
@@ -145,9 +150,6 @@ class RepProfile:
             falling *= n - i
         return max(falling, 0) if self.convention == "ordered" else comb(n, h)
 
-    def max_count(self) -> int:
-        return max(self.counts.values(), default=0)
-
 
 def erdos_turan_set(p: int) -> ModSet:
     """Erdos-Turan Sidon set {x + (x^2 mod p) * 2p : 0 <= x < p} in Z_{2p^2}.
@@ -169,13 +171,7 @@ def ruzsa_set(p: int, g: Optional[int] = None) -> ModSet:
         raise NotOddPrime(f"{p} is not an odd prime")
     if g is None:
         g = primitive_root(p)
-    elif not is_primitive_root(g, p):
-        raise NotGenerator(f"{g} does not generate Z_{p}^*")
-    elems = []
-    power = 1
-    for x in range(p - 1):
-        elems.append(crt_flatten(x, power, p))
-        power = power * g % p
+    elems = (crt_flatten(x, v, p) for x, v in enumerate(power_table(p, g)))
     return ModSet(modulus=(p - 1) * p, elements=tuple(elems))
 
 
@@ -200,39 +196,52 @@ def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
     return elems, modulus
 
 
-def is_sidon(setlike, mode: str = "integer", modulus: Optional[int] = None) -> SidonWitness:
-    """Check all pairwise sums a + a' (a <= a') are distinct.
+def _pair_sums(elems: Sequence[int], mode: str, modulus: Optional[int]):
+    """The pair-sum index: (left, right, ranked) over the pairs i <= j of elems.
 
-    mode "cyclic" sums in Z_modulus, mode "integer" sums in Z. On failure the
-    witness (a, a2, a3, a4) has (a3, a4) the first pair in (i, j >= i) scan
-    order whose sum repeats, (a, a2) the first pair with that sum. A sort of
-    all pair sums finds the ties, and only those are scanned (exact ints).
+    ranked[k] is the sum elems[left[k]] + elems[right[k]] (reduced mod the
+    modulus in cyclic mode), and the pairs are sorted stably by it from
+    row-major (i, j) order. Equal sums therefore form runs, and each run
+    lists its pairs in scan order, that is by their smaller index i. Values
+    of 2^62 and up are summed as exact Python ints in object arrays.
     """
-    elems, modulus = _coerce_elements(setlike, mode, modulus)
     top = max([abs(e) for e in elems] + [modulus if mode == "cyclic" else 0])
     vals = np.array(elems, dtype=np.int64 if top < 1 << 62 else object)
     left, right = np.triu_indices(len(elems))
     sums = vals[left] + vals[right]
     if mode == "cyclic":
         sums %= modulus
-    ranked = np.sort(sums)
-    tied = np.flatnonzero(np.isin(sums, ranked[1:][ranked[1:] == ranked[:-1]]))
-    seen = {}
-    for k in tied:
-        pair = (elems[left[k]], elems[right[k]])
-        if sums[k] in seen:
-            return SidonWitness(False, seen[sums[k]] + pair)
-        seen[sums[k]] = pair
-    return SidonWitness(True)
+    order = np.argsort(sums, kind="stable")
+    return left[order], right[order], sums[order]
+
+
+def is_sidon(setlike, mode: str = "integer", modulus: Optional[int] = None) -> SidonWitness:
+    """Check all pairwise sums a + a' (a <= a') are distinct.
+
+    mode "cyclic" sums in Z_modulus, mode "integer" sums in Z. On failure the
+    witness (a, a2, a3, a4) has (a3, a4) the first pair in (i, j >= i) scan
+    order whose sum repeats, (a, a2) the first pair with that sum.
+    """
+    elems, modulus = _coerce_elements(setlike, mode, modulus)
+    left, right, ranked = _pair_sums(elems, mode, modulus)
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    if not repeats.size:
+        return SidonWitness(True)
+    # (i, j) -> i * n + j keeps scan order; a run's first pair opens it
+    k = repeats[np.argmin(left[repeats] * len(elems) + right[repeats])]
+    first = np.searchsorted(ranked, ranked[k])
+    return SidonWitness(False, (elems[left[first]], elems[right[first]],
+                                elems[left[k]], elems[right[k]]))
 
 
 def b2g_bound(setlike, mode: str = "integer", modulus: Optional[int] = None) -> int:
     """Smallest g such that the set is B_2[g]: max representation count of
-    any value as a + a' with a <= a'. Empty set gives 0."""
-    profile = rep_profile(setlike, 2, mode=mode, modulus=modulus,
-                          convention="unordered", distinct="none",
-                          engine="brute")
-    return profile.max_count()
+    any value as a + a' with a <= a', the longest run of equal pair sums.
+    Empty set gives 0."""
+    elems, modulus = _coerce_elements(setlike, mode, modulus)
+    _, _, ranked = _pair_sums(elems, mode, modulus)
+    edges = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    return int(np.diff(edges, prepend=0, append=len(ranked)).max(initial=0))
 
 
 def _brute_profile_counts(elems: Sequence[int], h: int, mode: str,

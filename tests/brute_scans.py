@@ -2,9 +2,9 @@
 
 These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
 the library used before its O(p) curve solver and vectorised Sidon check,
-and the full-range sampler that built every x in [1, horizon] before the
-streamed residue blocks. They live here, outside `src/`, as exact oracles
-only.
+the O(p^3) triple loop behind the old `triple_rep_table`, and the
+full-range sampler that built every x in [1, horizon] before the streamed
+residue blocks. They live here, outside `src/`, as exact oracles only.
 """
 
 import random
@@ -96,6 +96,21 @@ def decompose4(p, g, a, b):
                     logs = [x1, x2, x3, x4]
                     return logs, [crt_flatten(x, pw[x], p) for x in logs]
     return None
+
+
+def triple_rep_table(p, g, distinct="none"):
+    """(a, b) -> ordered exponent triples hitting it, by looping over all
+    (x1, x2, x3); distinct="pairwise" skips a repeated coordinate."""
+    pw = powers(p, g)
+    table = {}
+    for x1 in range(p - 1):
+        for x2 in range(p - 1):
+            for x3 in range(p - 1):
+                if distinct == "pairwise" and len({x1, x2, x3}) < 3:
+                    continue
+                key = ((x1 + x2 + x3) % (p - 1), (pw[x1] + pw[x2] + pw[x3]) % p)
+                table[key] = table.get(key, 0) + 1
+    return table
 
 
 def enumerate_quadric(p, r1, r2):

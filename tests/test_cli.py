@@ -196,6 +196,15 @@ class TestCurve:
     def test_identity_half_specified_is_usage_error(self, capsys):
         _usage(capsys, ["curve", "identity", "-p", "7", "-a", "1"])
 
+    @pytest.mark.parametrize("argv,error", [
+        (["-p", "2"], "NotPrime"),
+        (["-p", "15", "-g", "2"], "NotPrime"),
+        (["-p", "7", "-g", "2"], "NotGenerator"),  # 2^3 = 1 mod 7
+    ])
+    def test_identity_sweep_error_names(self, capsys, argv, error):
+        env = _err(capsys, ["curve", "identity"] + argv)
+        assert env["payload"]["error"] == error
+
     def test_quadric_replays_library(self, capsys):
         env = _ok(capsys, ["curve", "quadric", "-p", "13", "--r1", "1",
                            "--r2", "2"])
@@ -288,9 +297,8 @@ class TestLift:
 
     def test_b22_lift_replays_library(self, capsys, sampled):
         path, elements = sampled
-        env = _ok(capsys, ["lift", "b22", "--in", str(path), "--fixpoint"])
-        assert tuple(env["payload"]["elements"]) == b2_2_lift(
-            elements, fixpoint=True)
+        env = _ok(capsys, ["lift", "b22", "--in", str(path)])
+        assert tuple(env["payload"]["elements"]) == b2_2_lift(elements)
 
 
 class TestFamily:

@@ -18,7 +18,8 @@ from sidonlab.curveoracle import (
     triple_rep_table,
     triple_reps,
 )
-from sidonlab.numbertheory import NotGenerator, NotPrime, RangeError, is_prime, primitive_root
+from sidonlab.numbertheory import (NotGenerator, NotPrime, RangeError, is_prime,
+                                   is_primitive_root, primitive_root)
 
 
 def test_curve_point_count_example():
@@ -78,6 +79,30 @@ def test_identity_small_sweep():
             for b in range(p):
                 curve = curve_point_count(CurveParams(p, b, lam))
                 assert table.get((a, b), 0) == curve, (p, a, b)
+
+
+def test_table_matches_triple_loop():
+    # the profile of the Ruzsa set, read back through the CRT, against the
+    # loop over every (x1, x2, x3), with up to three generators per prime
+    for p in range(3, 32):
+        if not is_prime(p):
+            continue
+        gens = [h for h in range(2, p) if is_primitive_root(h, p)][:3]
+        for g in gens:
+            for distinct in ("none", "pairwise"):
+                want = brute.triple_rep_table(p, g, distinct)
+                got = triple_rep_table(p, g, distinct)
+                assert got == want, (p, g, distinct)
+                assert all(type(k) is int for key in got for k in key)
+
+
+def test_table_checks_arguments_as_the_solver_does():
+    with pytest.raises(NotPrime):
+        triple_rep_table(2, 1)
+    with pytest.raises(NotPrime):
+        triple_rep_table(15, 2)
+    with pytest.raises(NotGenerator):
+        triple_rep_table(7, 2)  # 2^3 = 1 mod 7
 
 
 def test_pairwise_table_is_total_minus_repeated():

@@ -14,7 +14,6 @@ from sidonlab.deletionlab import (
     b22_removals,
     destruction_audit,
     enumerate_family,
-    find_kdsv,
     sidon_lift,
     sidon_removals,
 )
@@ -213,6 +212,8 @@ class TestLifts:
         sidon = (1, 2, 5, 11, 22)
         assert not sidon_removals(sidon)
         assert b2_2_lift(sidon) == sidon
+        assert b2_2_lift(iter(sidon)) == sidon  # the input is read once
+        assert sidon_lift(iter(sidon)) == sidon
         assert b2_2_lift(()) == ()
 
     def test_lift_outputs_and_monotonicity(self):
@@ -227,11 +228,12 @@ class TestLifts:
             assert set(s) <= set(b)  # sidon removal witnesses are b22-rarer
 
     def test_fixpoint_equals_single_pass(self):
+        # one pass reaches the fixpoint: a second pass removes nothing
         rng = random.Random(911)
         for _ in range(20):
             A = tuple(sorted(rng.sample(range(1, 50), 10)))
-            assert sidon_lift(A, fixpoint=True) == sidon_lift(A)
-            assert b2_2_lift(A, fixpoint=True) == b2_2_lift(A)
+            assert sidon_lift(sidon_lift(A)) == sidon_lift(A)
+            assert b2_2_lift(b2_2_lift(A)) == b2_2_lift(A)
 
     def test_sidon_witnesses_replay(self):
         rng = random.Random(77)
@@ -299,43 +301,6 @@ class TestAudit:
     def test_unknown_mode(self):
         with pytest.raises(UnsupportedKind):
             destruction_audit((1, 2), 5, mode="fast")
-
-
-class TestDisjointVectors:
-    def test_inspection_examples(self):
-        assert find_kdsv([(1, 2), (3, 4)], 2) == [(1, 2), (3, 4)]
-        assert find_kdsv([(1, 2), (2, 3)], 2) is None
-
-    def test_k_bounds(self):
-        assert find_kdsv([(1, 2)], 1) == [(1, 2)]
-        assert find_kdsv([(1, 2)], 2) is None
-        with pytest.raises(RangeError):
-            find_kdsv([(1, 2)], 0)
-
-    def test_greedy_insufficient_backtracking_wins(self):
-        # greedy grabs (1,2) then (3,4) blocks nothing; force a trap:
-        fam = [(1, 2), (2, 3), (1, 4)]  # greedy takes (1,2), leaving none
-        assert find_kdsv(fam, 2) == [(2, 3), (1, 4)]
-
-    def test_oracle_on_enumerated_families(self):
-        rng = random.Random(13331)
-        for _ in range(10):
-            A = rng.sample(range(1, 25), 9)
-            fam = enumerate_family(A, FamilySpec("U2", rng.randrange(6, 30)))
-            if len(fam) > 20:
-                continue
-            for k in (1, 2, 3):
-                got = find_kdsv(fam, k)
-                want = any(
-                    all(not (set(a) & set(b)) for a, b in combinations(sel, 2))
-                    for sel in combinations(fam.members, k))
-                if got is None:
-                    assert not want
-                else:
-                    assert want and len(got) == k
-                    for a, b in combinations(got, 2):
-                        assert not (set(a) & set(b))
-                    assert all(t in fam.members for t in got)
 
 
 class TestFamilyType:

@@ -3,16 +3,15 @@ import random
 import pytest
 
 from sidonlab.numbertheory import (
-    GeneratorPair,
     NotGenerator,
     NotPrime,
-    PrimeField,
     PrimeNotFound,
     RangeError,
     crt_flatten,
     find_decomposition_prime,
     is_prime,
     is_primitive_root,
+    power_table,
     prime_factors,
     primitive_root,
 )
@@ -131,10 +130,14 @@ def test_find_decomposition_prime_brackets():
                 assert not (4 * q * q < N < 5 * q * q)
 
 
-def test_prime_field_and_generator_pair():
-    PrimeField(13)
+def test_power_table():
+    assert power_table(7, 3) == [1, 3, 2, 6, 4, 5]
+    for p in (3, 5, 13, 211):
+        g = primitive_root(p)
+        assert power_table(p, g) == [pow(g, x, p) for x in range(p - 1)]
     with pytest.raises(NotPrime):
-        PrimeField(12)
-    GeneratorPair(13, 2)
+        power_table(2, 1)
+    with pytest.raises(NotPrime):
+        power_table(15, 2)
     with pytest.raises(NotGenerator):
-        GeneratorPair(13, 3)  # 3^3 = 27 = 1 mod 13
+        power_table(13, 3)  # 3^3 = 27 = 1 mod 13

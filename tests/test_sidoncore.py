@@ -151,6 +151,27 @@ def test_b2g_bound_one_iff_sidon():
             assert g == 0
 
 
+def test_b2g_bound_matches_brute_profile():
+    # the longest run of equal pair sums is the largest unordered count
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(200):
+        size = rng.randrange(0, 30)
+        base = rng.choice([0, -50, 1 << 62, 10 ** 20])
+        elems = [base + x for x in rng.sample(range(3 * size + 5), size)]
+        cases = [("integer", None)]
+        modulus = rng.choice([rng.randrange(1, 60), (1 << 63) + rng.randrange(9)])
+        if len({e % modulus for e in elems}) == size:
+            cases.append(("cyclic", modulus))
+        for mode, mod in cases:
+            profile = rep_profile(elems, 2, mode=mode, modulus=mod,
+                                  convention="unordered", engine="brute")
+            want = max(profile.counts.values(), default=0)
+            assert b2g_bound(elems, mode=mode, modulus=mod) == want
+            checked += mode == "cyclic" and want > 1
+    assert checked > 20
+
+
 def test_rep_profile_totals():
     ms = ModSet(20, (0, 3, 5, 11))
     for h in (1, 2, 3):
