@@ -5,14 +5,16 @@ Two families of finite/infinite sums drive every expectation estimate:
     sigma(n; m) = sum over x, y > m, x + y = n of x^-alpha y^-beta
     tau(n; m)   = sum over x, y > m, x - y = n of x^-alpha y^-beta
 
-sigma is a finite sum; tau is an infinite one and is evaluated with a
-certified tail: partial sum to a cutoff plus an integral sandwich. The
-reported error bound (sandwich half-width plus a proved rounding bound)
-is guaranteed below the requested tolerance, and the crude closed-form
-majorant X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is
-reported alongside the cutoff. The three-factor series of the deletion
-lemma is certified the same way, its tail expanded into Hurwitz zeta
-values with a closed-form remainder.
+sigma is a finite sum, taken in bounded blocks into one correctly rounded
+fsum; tau is an infinite one and is evaluated with a certified tail:
+partial sum to a cutoff plus an integral sandwich. The reported error
+bound (sandwich half-width plus a proved rounding bound) is guaranteed
+below the requested tolerance, and the crude closed-form majorant
+X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is reported
+alongside the cutoff. The three-factor series of the deletion lemma is
+certified the same way, its tail expanded into Hurwitz zeta values with a
+closed-form remainder. Each sum has one float path; the independent
+30-digit references that check them live with the tests.
 
 The asymptotic inequalities these sums obey (everything of the shape
 f <= C (n+m)^e with an unspecified constant) are operationalized as
@@ -21,11 +23,12 @@ power, record the sup, and compare reruns against a pinned constant
 stored with the package. The pins are measurements, not theorems.
 
 Expected counts of the triple family used by the deletion audit are
-computed exactly, by a quadratic reference loop and by a linear-time
-convolution engine (inclusion-exclusion over forbidden congruences),
-and the clustering term controlling lower-tail concentration is computed
-the same two ways. Monte Carlo shadows of the remaining families reuse
-the counter-based sampler, so every table is reproducible from a seed.
+computed exactly, by a quadratic loop and by a convolution engine
+(inclusion-exclusion over forbidden congruences), and the clustering term
+controlling lower-tail concentration is computed the same two ways; both
+loops reduce one shared scan, and "auto" picks the loop up to n = 4096.
+Monte Carlo shadows of the remaining families reuse the counter-based
+sampler, so every table is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from importlib import resources
 import mpmath
 import numpy as np
 
-from .deletionlab import FamilySpec, enumerate_family
+from .deletionlab import _MODULUS_KINDS, FamilySpec, enumerate_family
 from .numbertheory import RangeError
 from .randommodel import SampleConfig, _as_fraction, _blocks, sample_sequence
 
@@ -90,23 +93,21 @@ class SumSpec:
             object.__setattr__(self, "tail_tolerance", tol)
 
 
-def sigma(spec: SumSpec, *, dps: int | None = None) -> float:
-    """Direct evaluation of the finite split sum; 0 on an empty range."""
+def sigma(spec: SumSpec) -> float:
+    """Direct evaluation of the finite split sum; 0 on an empty range.
+
+    The terms are made in blocks of _BLOCK, so memory stays bounded, and
+    all of them go into one correctly rounded fsum."""
     a, b, n, m = float(spec.alpha), float(spec.beta), spec.n, spec.m
     lo, hi = m + 1, n - m - 1
-    if hi < lo:
-        return 0.0
-    if dps is None:
-        xs = np.arange(lo, hi + 1, dtype=np.float64)
-        powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
-        return math.fsum((powers[0] * powers[1]).tolist())
-    with mpmath.workdps(dps):
-        am = mpmath.mpf(spec.alpha.numerator) / spec.alpha.denominator
-        bm = mpmath.mpf(spec.beta.numerator) / spec.beta.denominator
-        total = mpmath.fsum(
-            mpmath.power(x, -am) * mpmath.power(n - x, -bm)
-            for x in range(lo, hi + 1))
-        return float(total)
+
+    def terms():
+        for start in range(lo, hi + 1, _BLOCK):
+            xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
+            powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
+            yield from (powers[0] * powers[1]).tolist()
+
+    return math.fsum(terms())
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,9 @@ def _mp(value) -> mpmath.mpf:
     return mpmath.mpf(value.numerator) / value.denominator
 
 
-def _gamma(k: int, unit: float = _U) -> float:
+def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u); infinite once k u >= 1."""
-    ku = k * unit
+    ku = k * _U
     return ku / (1 - ku) if ku < 1 else math.inf
 
 
@@ -158,23 +159,22 @@ def _compose(*rels: float) -> float:
     return acc
 
 
-def _power_sum_rel_error(factors, hi: int, block: int,
-                         unit: float = _U) -> float:
-    """rho with |computed - exact| <= rho * exact for a sum over x <= hi of
-    prod (x + c)^e, factors (c, e) with exact exponents e.
+def _power_sum_rel_error(factors, hi: int) -> float:
+    """rho with |computed - exact| <= rho * exact for `_power_sum` over
+    x <= hi of prod (x + c)^e, factors (c, e) with exact exponents e.
 
     Each term takes one power per factor, with the exponent rounded once
-    (|e' - e| <= unit |e|, which scales (x + c)^e by at most
-    exp(t) - 1 <= t (1 + t), t = unit |e| ln(x + c)), and one product per
-    extra factor, all at unit roundoff `unit`. Terms are summed in blocks
-    of at most `block`, and the block sums are rounded to one float.
+    (|e' - e| <= u |e|, which scales (x + c)^e by at most
+    exp(t) - 1 <= t (1 + t), t = u |e| ln(x + c)), and one product per
+    extra factor. Terms are summed in blocks of at most _BLOCK, and the
+    block sums are rounded to one float.
     """
-    t = unit * sum(abs(float(e)) * math.log(hi + c) for c, e in factors)
+    t = _U * sum(abs(float(e)) * math.log(hi + c) for c, e in factors)
     if t >= 1:
         return math.inf
-    per_term = ([2 * _POW_ULPS * unit] * len(factors)
-                + [unit] * (len(factors) - 1))
-    return _compose(*per_term, t * (1 + t), _gamma(block - 1, unit), _U)
+    per_term = ([2 * _POW_ULPS * _U] * len(factors)
+                + [_U] * (len(factors) - 1))
+    return _compose(*per_term, t * (1 + t), _gamma(_BLOCK - 1), _U)
 
 
 def _power_sum(factors, lo: int, hi: int) -> float:
@@ -202,7 +202,7 @@ def _tau_tail_integral(n: int, a, b, c) -> mpmath.mpf:
             * mpmath.betainc(am + bm - 1, 1 - bm, 0, s))
 
 
-def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
+def tau(spec: SumSpec) -> TauResult:
     """Partial sum plus an integral sandwich for the tail.
 
     The summand f(y) = (n+y)^-alpha y^-beta is positive, decreasing and
@@ -231,10 +231,6 @@ def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
     n, m = spec.n, spec.m
     excess = float(a + b - 1)
     factors = ((n, -a), (0, -b))
-    unit = _U
-    if dps is not None:
-        with mpmath.workdps(dps):
-            unit = 2.0 ** -mpmath.mp.prec
     with mpmath.workdps(_MP_DPS):
         def term(y):
             return mpmath.power(n + y, -_mp(a)) * mpmath.power(y, -_mp(b))
@@ -247,8 +243,7 @@ def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
             upper = _tau_tail_integral(n, a, b, cut + 0.5)
             lower = _tau_tail_integral(n, a, b, cut + 1) + term(cut + 1) / 2
             half = float(max(upper - lower, 0) / 2 + 2 * _MP_REL * upper)
-            block = _BLOCK if dps is None else cut - m
-            rho = _power_sum_rel_error(factors, cut, block, unit)
+            rho = _power_sum_rel_error(factors, cut)
             rounding = (rho * partial_bound
                         + 3 * _U * (partial_bound + float(upper)))
             error = _SAFETY * (half + rounding)
@@ -260,14 +255,7 @@ def tau(spec: SumSpec, *, dps: int | None = None) -> TauResult:
                     f"bound alone is {_SAFETY * rounding!r} at cut {cut}")
             cut *= 2
         mid = float((upper + lower) / 2)
-    if dps is None:
-        partial = _power_sum(factors, m + 1, cut)
-    else:
-        with mpmath.workdps(dps):
-            am, bm = _mp(a), _mp(b)
-            partial = float(mpmath.fsum(
-                mpmath.power(n + y, -am) * mpmath.power(y, -bm)
-                for y in range(m + 1, cut + 1)))
+    partial = _power_sum(factors, m + 1, cut)
     majorant = cut ** -excess / excess
     return TauResult(value=partial + mid, error_bound=error,
                      majorant_bound=majorant, cutoff=cut)
@@ -357,7 +345,7 @@ def _abab_series(g, a: int, b: int, tol: float) -> tuple[float, float, int]:
     cut = max(2 * top, 1 << 10)
     factors = ((0, -g), (a, -g), (b, 1 - 2 * g))
     partial = _power_sum(factors, 1, cut)
-    rho = _power_sum_rel_error(factors, cut, _BLOCK)
+    rho = _power_sum_rel_error(factors, cut)
     r = top / (cut + 1)
     with mpmath.workdps(_MP_DPS):
         s = 4 * _mp(g) - 1
@@ -480,11 +468,9 @@ def _pair_sum_arrays(q: np.ndarray, modulus: int, top: int):
     return c2, g2
 
 
-def exact_expectation_Q(n: int, cfg: SampleConfig,
-                        engine: str = "auto") -> float:
-    """Expected number of admissible triples x1+x2+x3 = n, pairwise
-    incongruent mod the config modulus (pairwise distinct when it is 1),
-    counted unordered. Exact inclusion-exclusion; no sampling."""
+def _moment(n: int, cfg: SampleConfig, engine: str, loop, transform) -> float:
+    """The engine dispatch shared by both moments: "auto" takes the loop up
+    to n = 4096 and the transform beyond."""
     if engine == "auto":
         engine = "loop" if n <= 4096 else "transform"
     if engine not in ("loop", "transform"):
@@ -492,20 +478,28 @@ def exact_expectation_Q(n: int, cfg: SampleConfig,
     if n <= 3 * cfg.m or n < 6:
         return 0.0
     q = _prob_array(cfg, n)
-    if engine == "loop":
-        return _expectation_loop(n, cfg.modulus, q)
-    return _expectation_transform(n, cfg.modulus, q)
+    return (loop if engine == "loop" else transform)(n, cfg.modulus, q)
 
 
-def _expectation_loop(n: int, modulus: int, q: np.ndarray) -> float:
+def exact_expectation_Q(n: int, cfg: SampleConfig,
+                        engine: str = "auto") -> float:
+    """Expected number of admissible triples x1+x2+x3 = n, pairwise
+    incongruent mod the config modulus (pairwise distinct when it is 1),
+    counted unordered. Exact inclusion-exclusion; no sampling."""
+    return _moment(n, cfg, engine, _expectation_loop, _expectation_transform)
+
+
+def _loop_scan(n: int, modulus: int, q: np.ndarray):
+    """For every x1 with q[x1] > 0: q[x1], the products q[x2] q[x3] over
+    x2 = 1, 2, ... with x2 + x3 = n - x1, and the mask of the triples that
+    are pairwise incongruent (pairwise distinct when the modulus is 1).
+    x1 stops at n - 3: at n - 2 the only pair is x2 = x3 = 1, which the
+    mask always drops. Both loop engines reduce this one scan."""
     res = np.arange(n + 1, dtype=np.int64) % modulus
-    parts = []
-    for x1 in range(1, n - 1):
+    for x1 in range(1, n - 2):
         if q[x1] == 0.0:
             continue
         u = n - x1
-        if u < 2:
-            continue
         prod = q[1:u] * q[u - 1:0:-1]
         if modulus > 1:
             r2, r3, r1 = res[1:u], res[u - 1:0:-1], res[x1]
@@ -514,7 +508,12 @@ def _expectation_loop(n: int, modulus: int, q: np.ndarray) -> float:
             x2 = np.arange(1, u)
             x3 = u - x2
             mask = (x2 != x3) & (x2 != x1) & (x3 != x1)
-        parts.append(q[x1] * float(prod @ mask))
+        yield q[x1], prod, mask
+
+
+def _expectation_loop(n: int, modulus: int, q: np.ndarray) -> float:
+    parts = [q1 * float(prod @ mask)
+             for q1, prod, mask in _loop_scan(n, modulus, q)]
     return math.fsum(parts) / 6.0
 
 
@@ -546,39 +545,16 @@ def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
     distinct intersecting triples of the probability that their union is
     sampled. Two distinct triples with one total share exactly one
     element, so the sum splits over the shared element."""
-    if engine == "auto":
-        engine = "loop" if n <= 4096 else "transform"
-    if engine not in ("loop", "transform"):
-        raise RangeError("engine must be auto, loop, or transform")
-    if n <= 3 * cfg.m or n < 6:
-        return 0.0
-    q = _prob_array(cfg, n)
-    if engine == "loop":
-        return _delta_loop(n, cfg.modulus, q)
-    return _delta_transform(n, cfg.modulus, q)
+    return _moment(n, cfg, engine, _delta_loop, _delta_transform)
 
 
 def _delta_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    res = np.arange(n + 1, dtype=np.int64) % modulus
     parts = []
-    for x1 in range(1, n - 1):
-        if q[x1] == 0.0:
-            continue
-        u = n - x1
-        if u < 3:
-            continue
-        prod = q[1:u] * q[u - 1:0:-1]
-        if modulus > 1:
-            r2, r3, r1 = res[1:u], res[u - 1:0:-1], res[x1]
-            mask = (r2 != r3) & (r2 != r1) & (r3 != r1)
-        else:
-            x2 = np.arange(1, u)
-            x3 = u - x2
-            mask = (x2 != x3) & (x2 != x1) & (x3 != x1)
+    for q1, prod, mask in _loop_scan(n, modulus, q):
         kept = prod[mask]
         pair_sum = float(kept.sum()) / 2.0
         pair_sq = float((kept ** 2).sum()) / 2.0
-        parts.append(q[x1] * (pair_sum ** 2 - pair_sq))
+        parts.append(q1 * (pair_sum ** 2 - pair_sq))
     return math.fsum(parts)
 
 
@@ -649,32 +625,29 @@ def janson_threshold(cfg: SampleConfig, targets, engine: str = "auto"):
     return threshold, tuple(rows)
 
 
-_FAMILY_USES_MODULUS = frozenset({"Q", "T", "B"})
-
-
 def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
                             trials: int = 50, master_seed: int | None = None,
                             epsilon=None):
     """Sample-mean table (target, mean, stderr) of family sizes across
-    trial seeds derived from the master seed by unit offsets."""
+    trial seeds derived from the master seed by unit offsets. The family
+    specs are built, and so validated, before any sample is drawn."""
     if trials < 2:
         raise RangeError("trials must be at least 2")
     kind = str(kind).upper()
-    modulus = cfg.modulus if kind in _FAMILY_USES_MODULUS else 1
+    modulus = cfg.modulus if kind in _MODULUS_KINDS else 1
+    specs = [FamilySpec(kind=kind, target=int(t), modulus=modulus,
+                        epsilon=epsilon) for t in targets]
     base = cfg.seed if master_seed is None else int(master_seed)
-    targets = [int(t) for t in targets]
-    counts = np.zeros((trials, len(targets)))
+    counts = np.zeros((trials, len(specs)))
     for i in range(trials):
         conf = replace(cfg, seed=(base + i) % 2 ** 64)
         sample = sample_sequence(conf, horizon)
-        for j, target in enumerate(targets):
-            spec = FamilySpec(kind=kind, target=target, modulus=modulus,
-                              epsilon=epsilon)
+        for j, spec in enumerate(specs):
             counts[i, j] = len(enumerate_family(sample, spec).members)
     means = counts.mean(axis=0)
     errs = counts.std(axis=0, ddof=1) / math.sqrt(trials)
-    return tuple((t, float(mu), float(se))
-                 for t, mu, se in zip(targets, means, errs))
+    return tuple((spec.target, float(mu), float(se))
+                 for spec, mu, se in zip(specs, means, errs))
 
 
 def load_pins() -> dict:

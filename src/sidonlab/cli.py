@@ -44,17 +44,16 @@ from .deletionlab import (FamilySpec, UnsupportedKind, b2_2_lift,
 from .numbertheory import (NotGenerator, NotPrime, PrimeNotFound, RangeError,
                            primitive_root)
 from .randommodel import SampleConfig, sample_sequence
-from .sidoncore import (EngineUnavailable, ModSet, NotOddPrime, b2g_bound,
-                        basis_order_check, erdos_turan_set, is_sidon,
-                        ruzsa_set)
+from .sidoncore import (ModSet, NotOddPrime, b2g_bound, basis_order_check,
+                        erdos_turan_set, is_sidon, ruzsa_set)
 from .sunflower import SunflowerCert, find_vectorial_sunflower
 
 __all__ = ["run", "main"]
 
 # the library's own exception types only: anything else is a bug and propagates
 _DOMAIN_ERRORS = (RangeError, NotPrime, NotGenerator, PrimeNotFound,
-                  NotOddPrime, EngineUnavailable, NoRepresentation,
-                  UnsupportedKind, NonConvergent)
+                  NotOddPrime, NoRepresentation, UnsupportedKind,
+                  NonConvergent)
 
 _PLUMBING = frozenset({"out", "format", "threads", "src", "cert_src"})
 
@@ -225,17 +224,10 @@ def _model_config(args) -> SampleConfig:
 
 # ------------------------------------------------------------------ handlers
 
-def _cmd_construct_erdos_turan(args) -> int:
+def _cmd_construct(args) -> int:
     _resolved(args)
-    made = erdos_turan_set(args.p)
-    payload = json.loads(made.to_json())
-    return _ok(args, payload,
-               _rows_csv(("element",), [(x,) for x in made.elements]))
-
-
-def _cmd_construct_ruzsa(args) -> int:
-    _resolved(args)
-    made = ruzsa_set(args.p, args.g)
+    made = (ruzsa_set(args.p, args.g) if args._cmd == "construct.ruzsa"
+            else erdos_turan_set(args.p))
     payload = json.loads(made.to_json())
     return _ok(args, payload,
                _rows_csv(("element",), [(x,) for x in made.elements]))
@@ -428,7 +420,7 @@ def _cmd_sunflower_check(args) -> int:
 def _cmd_analyze_sigma(args) -> int:
     _resolved(args)
     spec = SumSpec(args.alpha, args.beta, args.n, args.m)
-    value = sigma(spec, dps=args.dps)
+    value = sigma(spec)
     payload = {"alpha": str(spec.alpha), "beta": str(spec.beta),
                "n": args.n, "m": args.m, "value": value}
     return _ok(args, payload)
@@ -438,7 +430,7 @@ def _cmd_analyze_tau(args) -> int:
     _resolved(args)
     spec = SumSpec(args.alpha, args.beta, args.n, args.m,
                    tail_tolerance=args.tol)
-    result = tau(spec, dps=args.dps)
+    result = tau(spec)
     payload = {"alpha": str(spec.alpha), "beta": str(spec.beta),
                "n": args.n, "m": args.m, "value": result.value,
                "errorBound": result.error_bound,
@@ -461,19 +453,12 @@ def _cmd_analyze_lemma_abab(args) -> int:
     return _ok(args, json.loads(report.to_json()), report.to_csv())
 
 
-def _cmd_analyze_expectation(args) -> int:
+def _cmd_analyze_moment(args) -> int:
     config = _model_config(args)
     _resolved(args, config=json.loads(config.to_json()))
-    value = exact_expectation_Q(args.n, config, args.engine)
-    payload = {"config": json.loads(config.to_json()), "n": args.n,
-               "engine": args.engine, "value": value}
-    return _ok(args, payload)
-
-
-def _cmd_analyze_delta(args) -> int:
-    config = _model_config(args)
-    _resolved(args, config=json.loads(config.to_json()))
-    value = exact_delta_Q(args.n, config, args.engine)
+    moment = (exact_delta_Q if args._cmd == "analyze.delta"
+              else exact_expectation_Q)
+    value = moment(args.n, config, args.engine)
     payload = {"config": json.loads(config.to_json()), "n": args.n,
                "engine": args.engine, "value": value}
     return _ok(args, payload)
@@ -554,11 +539,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "construct", allow_abbrev=False,
         help="build the two explicit Sidon sets").add_subparsers(
         metavar="KIND")
-    par = leaf(construct, "erdos-turan", _cmd_construct_erdos_turan,
+    par = leaf(construct, "erdos-turan", _cmd_construct,
                "construct.erdos-turan",
                help="p-element integer Sidon set below 2p^2")
     par.add_argument("-p", type=int, required=True, help="odd prime")
-    par = leaf(construct, "ruzsa", _cmd_construct_ruzsa, "construct.ruzsa",
+    par = leaf(construct, "ruzsa", _cmd_construct, "construct.ruzsa",
                help="(p-1)-element cyclic Sidon set mod (p-1)p")
     par.add_argument("-p", type=int, required=True, help="prime")
     par.add_argument("-g", type=int, default=None,
@@ -678,7 +663,6 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("--beta", type=_rational, required=True, metavar="P/Q")
     par.add_argument("-n", type=int, required=True)
     par.add_argument("--m", type=int, default=0)
-    par.add_argument("--dps", type=int, default=None)
     par = leaf(analyze, "tau", _cmd_analyze_tau, "analyze.tau",
                help="certified infinite sum along x - y = n")
     par.add_argument("--alpha", type=_rational, required=True, metavar="P/Q")
@@ -686,7 +670,6 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("-n", type=int, required=True)
     par.add_argument("--m", type=int, default=0)
     par.add_argument("--tol", type=_rational, default=None, metavar="P/Q")
-    par.add_argument("--dps", type=int, default=None)
     par = leaf(analyze, "lemma-ab", _cmd_analyze_lemma_ab, "analyze.lemma-ab",
                help="sigma and tau against the (n+m)^(1-alpha-beta) envelope")
     par.add_argument("--alpha", type=_rational, required=True, metavar="P/Q")
@@ -703,9 +686,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="A:B,A:B,...")
     par.add_argument("--tol", type=_rational, default=Fraction(1, 10 ** 6),
                      metavar="P/Q")
-    for name, handler in (("expectation", _cmd_analyze_expectation),
-                          ("delta", _cmd_analyze_delta)):
-        par = leaf(analyze, name, handler, f"analyze.{name}",
+    for name in ("expectation", "delta"):
+        par = leaf(analyze, name, _cmd_analyze_moment, f"analyze.{name}",
                    parents=[model],
                    help=f"exact {name} of the triple family under the model")
         par.add_argument("-n", type=int, required=True)

@@ -53,13 +53,13 @@ __all__ = [
     "destruction_audit",
 ]
 
-_KINDS = ("Q", "R", "T", "B", "U2", "U3", "V2", "V3", "W", "CUSTOM")
 _ARITY = {"Q": 3, "R": 4, "T": 8, "B": 7, "U2": 2, "U3": 3, "V2": 2,
           "V3": 3, "W": 5}
+_MODULUS_KINDS = frozenset({"Q", "T", "B"})  # the kinds that read the modulus
 
 
 class UnsupportedKind(ValueError):
-    """The family kind is unknown, or cannot be enumerated."""
+    """The family kind or audit mode is unknown."""
 
 
 def _coerce(A) -> tuple[int, ...]:
@@ -80,7 +80,7 @@ class FamilySpec:
 
     def __post_init__(self):
         kind = str(self.kind).upper()
-        if kind not in _KINDS:
+        if kind not in _ARITY:
             raise UnsupportedKind(f"unknown family kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         if self.modulus < 1:
@@ -112,8 +112,8 @@ class VectorFamily:
         arities = {len(t) for t in members}
         if len(arities) > 1:
             raise RangeError("family members must share one arity")
-        want = _ARITY.get(self.spec.kind)
-        if want is not None and arities and arities != {want}:
+        want = _ARITY[self.spec.kind]
+        if arities and arities != {want}:
             raise RangeError(
                 f"kind {self.spec.kind} has arity {want}, got {arities.pop()}")
 
@@ -123,9 +123,7 @@ class VectorFamily:
 
     @property
     def arity(self) -> int:
-        if self.members:
-            return len(self.members[0])
-        return _ARITY.get(self.spec.kind, 0)
+        return _ARITY[self.spec.kind]
 
     @property
     def convention(self) -> str:
@@ -148,7 +146,7 @@ class VectorFamily:
     def to_json_lines(self) -> str:
         meta = {"kind": self.spec.kind, "target": self.spec.target,
                 "convention": self.convention}
-        if self.spec.kind in ("Q", "T", "B"):
+        if self.spec.kind in _MODULUS_KINDS:
             meta["modulus"] = self.spec.modulus
         if self.spec.epsilon is not None:
             meta["epsilon"] = str(self.spec.epsilon)
@@ -310,10 +308,8 @@ def enumerate_family(A, spec: FamilySpec) -> VectorFamily:
         members = _u3_members(A, n)
     elif kind == "V3":
         members = _v3_members(A, n)
-    elif kind == "W":
+    else:  # W, the last kind
         members = _w_members(A, n)
-    else:
-        raise UnsupportedKind(f"kind {kind} cannot be enumerated")
     return VectorFamily(spec=spec, members=tuple(members))
 
 

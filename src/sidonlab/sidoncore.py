@@ -9,9 +9,10 @@ dense constructions are provided: the Erdos-Turan set
 and the Ruzsa set, the graph {(x, g^x)} of the discrete exponential flattened
 through the CRT isomorphism Z_{p-1} x Z_p = Z_{(p-1)p}.
 
-Representation counting has two independent engines: brute-force enumeration
-(any convention) and an exact integer convolution (cyclic, ordered,
-no distinctness constraint). Counts are exact integers in both.
+Representation counts are exact integers, and the convention picks the one
+way they are made: cyclic, ordered counts with no distinctness constraint
+come from an integer convolution, every other convention from enumerating
+the tuples.
 
 Pair sums a + a' (a <= a') have one index, `_pair_sums`: every such sum,
 sorted stably, so that equal sums form runs in scan order. `is_sidon`
@@ -34,7 +35,6 @@ from .numbertheory import RangeError, crt_flatten, is_prime, power_table, primit
 
 __all__ = [
     "NotOddPrime",
-    "EngineUnavailable",
     "ModSet",
     "SidonWitness",
     "RepProfile",
@@ -50,10 +50,6 @@ __all__ = [
 
 class NotOddPrime(ValueError):
     """Argument must be an odd prime."""
-
-
-class EngineUnavailable(ValueError):
-    """Requested counting engine does not support the requested convention."""
 
 
 @dataclass(frozen=True)
@@ -300,12 +296,11 @@ def convolution_profile_array(setlike, h: int, modulus: Optional[int] = None) ->
 
 def rep_profile(setlike, h: int, mode: str = "cyclic",
                 modulus: Optional[int] = None, convention: str = "ordered",
-                distinct: str = "none", engine: str = "auto") -> RepProfile:
+                distinct: str = "none") -> RepProfile:
     """Exact h-fold sum counts under an explicit convention.
 
-    engine "brute" enumerates tuples; engine "convolution" requires
-    mode=cyclic, convention=ordered, distinct=none and raises
-    EngineUnavailable otherwise; "auto" picks convolution when it applies.
+    Cyclic, ordered counts with no distinctness constraint come from the
+    convolution kernel; every other convention enumerates the tuples.
     """
     if convention not in ("ordered", "unordered"):
         raise RangeError(f"unknown convention {convention!r}")
@@ -313,39 +308,28 @@ def rep_profile(setlike, h: int, mode: str = "cyclic",
         raise RangeError(f"unknown distinct flag {distinct!r}")
     if h < 1:
         raise RangeError(f"need h >= 1, got {h}")
-    conv_ok = mode == "cyclic" and convention == "ordered" and distinct == "none"
-    if engine == "auto":
-        engine = "convolution" if conv_ok else "brute"
-    if engine == "convolution":
-        if not conv_ok:
-            raise EngineUnavailable(
-                "convolution engine supports cyclic mode, ordered convention, "
-                "distinct=none only"
-            )
-        arr = convolution_profile_array(setlike, h, modulus)
-        _, modulus = _coerce_elements(setlike, mode, modulus)
+    elems, modulus = _coerce_elements(setlike, mode, modulus)
+    if mode == "cyclic" and convention == "ordered" and distinct == "none":
+        arr = convolution_profile_array(elems, h, modulus)
         counts = {int(i): int(c) for i, c in enumerate(arr) if c}
-    elif engine == "brute":
-        elems, modulus = _coerce_elements(setlike, mode, modulus)
-        counts = _brute_profile_counts(elems, h, mode, modulus, convention, distinct)
     else:
-        raise RangeError(f"unknown engine {engine!r}")
+        counts = _brute_profile_counts(elems, h, mode, modulus, convention, distinct)
     return RepProfile(arity=h, mode=mode,
                       modulus=modulus if mode == "cyclic" else None,
                       convention=convention, distinct=distinct, counts=counts)
 
 
-def basis_order_check(modset: ModSet, h: int, repetition: str = "allowed",
-                      distinct: str = "none") -> tuple[bool, list[int]]:
+def basis_order_check(modset: ModSet, h: int,
+                      repetition: str = "allowed") -> tuple[bool, list[int]]:
     """Is every residue of Z_N a sum of h elements of the set?
 
-    repetition "forbidden" (or distinct "pairwise") restricts to sums of
-    pairwise-distinct elements. Returns (covered, sorted uncovered residues).
+    repetition "forbidden" restricts to sums of pairwise-distinct elements.
+    Returns (covered, sorted uncovered residues).
     """
     if repetition not in ("allowed", "forbidden"):
         raise RangeError(f"unknown repetition flag {repetition!r}")
-    want_distinct = "pairwise" if (repetition == "forbidden" or distinct == "pairwise") else "none"
+    distinct = "pairwise" if repetition == "forbidden" else "none"
     profile = rep_profile(modset, h, mode="cyclic", convention="unordered",
-                          distinct=want_distinct, engine="brute")
+                          distinct=distinct)
     uncovered = [r for r in range(modset.modulus) if r not in profile.counts]
     return (not uncovered, uncovered)

@@ -1,6 +1,7 @@
-"""Independent 30-digit references for the certified series in analysis.
+"""Independent 30-digit references for the sums in analysis.
 
-Each series is a direct mpmath sum of its first terms plus an
+The finite split sum sigma is a direct mpmath sum of all its terms. Each
+infinite series is a direct mpmath sum of its first terms plus an
 Euler-Maclaurin tail with eight Bernoulli corrections, whose integral is
 taken by quadrature after a change of variable that makes it bounded and
 smooth. Nothing here shares code with `sidonlab.analysis`: no Hurwitz
@@ -88,3 +89,11 @@ def tau(alpha: Fraction, beta: Fraction, n: int, m: int) -> float:
     """sum over y > m of (n+y)^-alpha y^-beta."""
     with mpmath.workdps(DPS):
         return _series([(n, _mp(alpha)), (0, _mp(beta))], m + 1)
+
+
+def sigma(alpha: Fraction, beta: Fraction, n: int, m: int) -> float:
+    """sum over m < x < n - m of x^-alpha (n-x)^-beta, term by term."""
+    with mpmath.workdps(DPS):
+        a, b = _mp(alpha), _mp(beta)
+        return float(mpmath.fsum(mpmath.power(x, -a) * mpmath.power(n - x, -b)
+                                 for x in range(m + 1, n - m)))

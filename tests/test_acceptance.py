@@ -25,9 +25,9 @@ from sidonlab.deletionlab import (FamilySpec, b2_2_lift, destruction_audit,
                                   enumerate_family, sidon_lift)
 from sidonlab.numbertheory import is_prime, primitive_root
 from sidonlab.randommodel import sample_sequence
-from sidonlab.sidoncore import (ModSet, b2g_bound, convolution_profile_array,
-                                erdos_turan_set, is_sidon, rep_profile,
-                                ruzsa_set)
+from sidonlab.sidoncore import (ModSet, _brute_profile_counts, b2g_bound,
+                                convolution_profile_array, erdos_turan_set,
+                                is_sidon, rep_profile, ruzsa_set)
 from sidonlab.sunflower import find_vectorial_sunflower
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "refresh_pins.py"
@@ -126,9 +126,10 @@ def test_criterion_05_engine_equivalence_random_modsets():
         size = rng.randrange(2, min(modulus, 70) + 1)
         elements = tuple(sorted(rng.sample(range(modulus), size)))
         h = rng.randrange(1, 4)
-        brute = rep_profile(ModSet(modulus, elements), h, engine="brute")
-        conv = rep_profile(ModSet(modulus, elements), h, engine="convolution")
-        assert brute.counts == conv.counts, (trial, modulus, size, h)
+        brute = _brute_profile_counts(elements, h, "cyclic", modulus,
+                                      "ordered", "none")
+        conv = rep_profile(ModSet(modulus, elements), h)
+        assert conv.counts == brute, (trial, modulus, size, h)
     _verdict(5, "brute and convolution profiles identical on "
                 "100 random ModSets (N <= 2000, h <= 3)", started)
 
@@ -178,8 +179,7 @@ def test_criterion_08_basis_coverage_at_scale():
         bound = p - 2 * (math.isqrt(p) + 1) - 13
         assert bound > 0
         profile = rep_profile(rz, 3, mode="cyclic", modulus=rz.modulus,
-                              convention="ordered", distinct="pairwise",
-                              engine="brute")
+                              convention="ordered", distinct="pairwise")
         minima[p] = min(profile.counts.get(n, 0) for n in range(rz.modulus))
         assert minima[p] >= bound, (p, minima[p], bound)
         for a in range(p - 1):

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import series_reference
+from sidonlab import analysis
 from sidonlab.analysis import (
     NonConvergent,
     RatioReport,
@@ -30,9 +31,10 @@ from sidonlab.analysis import (
     sigma,
     tau,
 )
-from sidonlab.deletionlab import FamilySpec, enumerate_family
+from sidonlab.deletionlab import FamilySpec, UnsupportedKind, enumerate_family
 from sidonlab.numbertheory import RangeError
-from sidonlab.randommodel import SampleConfig, inclusion_probability
+from sidonlab.randommodel import (SampleConfig, inclusion_probability,
+                                  sample_sequence)
 from sidonlab.sidoncore import ruzsa_set
 
 G = Fraction(7, 11)
@@ -77,7 +79,18 @@ class TestSigma:
 
     def test_precision_agreement(self):
         spec = SumSpec(G, G, 500, 3)
-        assert sigma(spec) == pytest.approx(sigma(spec, dps=40), rel=1e-12)
+        ref = series_reference.sigma(G, G, 500, 3)
+        assert sigma(spec) == pytest.approx(ref, rel=1e-12)
+
+    def test_memory_bounded_by_block(self):
+        # whole-range arrays of the terms would take 61 MB here
+        tracemalloc.start()
+        try:
+            sigma(SumSpec(G, G, 10 ** 6, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
     @pytest.mark.parametrize("g", [G, Fraction(19, 27)])
     @pytest.mark.parametrize("n,m", [(316, 100), (3162, 100), (31623, 0)])
@@ -108,9 +121,11 @@ class TestTau:
                                                   + tight.error_bound)
 
     def test_precision_agreement(self):
-        spec = SumSpec(G, G, 10, 0, Fraction(1, 10 ** 6))
-        assert tau(spec).value == pytest.approx(tau(spec, dps=40).value,
-                                                rel=1e-12)
+        # a tolerance near the rounding floor, so the certified value is
+        # held to the reference at rel 1e-12
+        spec = SumSpec(G, G, 10, 0, Fraction(1, 10 ** 11))
+        ref = series_reference.tau(G, G, 10, 0)
+        assert tau(spec).value == pytest.approx(ref, rel=1e-12)
 
     def test_tail_integral_against_quadrature(self):
         # Default precision quadrature only reaches ~1e-5 on this slow
@@ -161,7 +176,7 @@ class TestPowerSum:
                 series_reference._power_product(
                     [(c, -series_reference._mp(e)) for c, e in self.FACTORS],
                     x) for x in range(lo, hi + 1))
-        rho = _power_sum_rel_error(self.FACTORS, hi, 1 << 12)
+        rho = _power_sum_rel_error(self.FACTORS, hi)
         assert 0 < rho < 1e-11
         assert abs(got - float(exact)) <= rho * float(exact)
 
@@ -428,6 +443,22 @@ class TestMonteCarlo:
     def test_trials_validation(self):
         with pytest.raises(RangeError):
             monte_carlo_family_mean("U2", [10], CFG5, horizon=20, trials=1)
+
+    @pytest.mark.parametrize("kind,error", [("R", RangeError),
+                                            ("CUSTOM", UnsupportedKind)])
+    def test_bad_spec_fails_before_sampling(self, monkeypatch, kind, error):
+        calls = []
+
+        def counting(cfg, horizon):
+            calls.append(horizon)
+            return sample_sequence(cfg, horizon)
+
+        monkeypatch.setattr(analysis, "sample_sequence", counting)
+        with pytest.raises(error):
+            monte_carlo_family_mean(kind, [10, 20], CFG5, horizon=30, trials=3)
+        assert calls == []
+        monte_carlo_family_mean("U2", [10, 20], CFG5, horizon=30, trials=3)
+        assert calls == [30, 30, 30]
 
     def test_t_kind_runs(self):
         table = monte_carlo_family_mean("T", [500], CFG156, horizon=3000,

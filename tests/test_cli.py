@@ -399,6 +399,15 @@ class TestAnalyze:
         assert env["payload"]["errorBound"] == want.error_bound
         assert env["payload"]["cutoff"] == want.cutoff
 
+    @pytest.mark.parametrize("task", ["sigma", "tau"])
+    def test_dps_flag_is_gone(self, capsys, task):
+        code = run(["analyze", task, "--alpha", "7/11", "--beta", "7/11",
+                    "-n", "10", "--dps", "30"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--dps" in captured.err
+
     def test_lemma_ab_replays_library(self, capsys):
         env = _ok(capsys, ["analyze", "lemma-ab", "--alpha", "7/11",
                            "--beta", "7/11", "--grid", "30:0,100:5"])

@@ -114,11 +114,12 @@ class TestFamilySpec:
         assert FamilySpec("B", 5, epsilon="1/2").epsilon == Fraction(1, 2)
 
     def test_custom_tag(self):
-        spec = FamilySpec("custom", 0)
-        fam = VectorFamily(spec=spec, members=((1, 2), (3, 4)))
-        assert fam.arity == 2
+        # every accepted kind can be enumerated and has a fixed arity
         with pytest.raises(UnsupportedKind):
-            enumerate_family({1, 2}, spec)
+            FamilySpec("custom", 0)
+        assert VectorFamily(spec=FamilySpec("U2", 0), members=()).arity == 2
+        with pytest.raises(RangeError):
+            VectorFamily(spec=FamilySpec("U2", 0), members=((1, 2, 3),))
 
 
 class TestEnumerate:

@@ -7,7 +7,7 @@ import pytest
 import brute_scans as brute
 from sidonlab.numbertheory import NotGenerator, RangeError
 from sidonlab.sidoncore import (
-    EngineUnavailable,
+    _brute_profile_counts,
     ModSet,
     NotOddPrime,
     b2g_bound,
@@ -165,7 +165,7 @@ def test_b2g_bound_matches_brute_profile():
             cases.append(("cyclic", modulus))
         for mode, mod in cases:
             profile = rep_profile(elems, 2, mode=mode, modulus=mod,
-                                  convention="unordered", engine="brute")
+                                  convention="unordered")
             want = max(profile.counts.values(), default=0)
             assert b2g_bound(elems, mode=mode, modulus=mod) == want
             checked += mode == "cyclic" and want > 1
@@ -178,25 +178,17 @@ def test_rep_profile_totals():
         for convention in ("ordered", "unordered"):
             for distinct in ("none", "pairwise"):
                 prof = rep_profile(ms, h, convention=convention,
-                                   distinct=distinct, engine="brute")
+                                   distinct=distinct)
                 assert prof.total() == prof.expected_total(len(ms))
-    prof = rep_profile(ms, 2, convention="unordered", engine="brute")
+    prof = rep_profile(ms, 2, convention="unordered")
     assert prof.total() == comb(4 + 1, 2)
 
 
 def test_rep_profile_integer_mode():
     prof = rep_profile([1, 2, 4], 2, mode="integer", convention="unordered",
-                       distinct="none", engine="brute")
+                       distinct="none")
     assert prof.counts == {2: 1, 3: 1, 5: 1, 4: 1, 6: 1, 8: 1}
     assert prof.modulus is None
-
-
-def test_engine_unavailable():
-    ms = ModSet(10, (1, 2))
-    with pytest.raises(EngineUnavailable):
-        rep_profile(ms, 2, convention="unordered", engine="convolution")
-    with pytest.raises(EngineUnavailable):
-        rep_profile(ms, 2, distinct="pairwise", engine="convolution")
 
 
 def test_engines_agree_random_sweep():
@@ -207,18 +199,17 @@ def test_engines_agree_random_sweep():
         max_size = min(N, 60 if h == 2 else 36)
         size = rng.randrange(1, max_size + 1)
         ms = ModSet(N, tuple(rng.sample(range(N), size)))
-        brute = rep_profile(ms, h, convention="ordered", distinct="none",
-                            engine="brute")
-        conv = rep_profile(ms, h, convention="ordered", distinct="none",
-                           engine="convolution")
-        assert brute.counts == conv.counts, (trial, N, h, size)
+        brute = _brute_profile_counts(ms.elements, h, "cyclic", N,
+                                      "ordered", "none")
+        conv = rep_profile(ms, h, convention="ordered", distinct="none")
+        assert conv.counts == brute, (trial, N, h, size)
 
 
 def test_convolution_array_matches_counts():
     ms = ModSet(50, (0, 1, 4, 9, 11))
     arr = convolution_profile_array(ms, 3)
-    prof = rep_profile(ms, 3, engine="brute", convention="ordered")
-    assert {i: c for i, c in enumerate(arr.tolist()) if c} == prof.counts
+    brute = _brute_profile_counts(ms.elements, 3, "cyclic", 50, "ordered", "none")
+    assert {i: c for i, c in enumerate(arr.tolist()) if c} == brute
     assert int(arr.sum()) == 5**3
 
 
