@@ -42,7 +42,7 @@ from importlib import resources
 import mpmath
 import numpy as np
 
-from .deletionlab import _MODULUS_KINDS, FamilySpec, enumerate_family
+from .deletionlab import _MODULUS_KINDS, FamilySpec, _family_size
 from .numbertheory import RangeError
 from .randommodel import SampleConfig, _as_fraction, _blocks, sample_sequence
 
@@ -643,7 +643,7 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
         conf = replace(cfg, seed=(base + i) % 2 ** 64)
         sample = sample_sequence(conf, horizon)
         for j, spec in enumerate(specs):
-            counts[i, j] = len(enumerate_family(sample, spec).members)
+            counts[i, j] = _family_size(sample, spec)
     means = counts.mean(axis=0)
     errs = counts.std(axis=0, ddof=1) / math.sqrt(trials)
     return tuple((spec.target, float(mu), float(se))

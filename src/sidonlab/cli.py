@@ -39,7 +39,7 @@ from .curveoracle import (CurveParams, QuadricParams, curve_point_count,
                           torus_points, triple_rep_count, triple_rep_table)
 from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
                          decompose4_ruzsa)
-from .deletionlab import (FamilySpec, UnsupportedKind, b2_2_lift,
+from .deletionlab import (_FAMILIES, FamilySpec, UnsupportedKind, b2_2_lift,
                           destruction_audit, enumerate_family, sidon_lift)
 from .numbertheory import (NotGenerator, NotPrime, PrimeNotFound, RangeError,
                            primitive_root)
@@ -377,7 +377,7 @@ def _cmd_family_enumerate(args) -> int:
                "modulus": spec.modulus,
                "epsilon": str(spec.epsilon) if spec.epsilon is not None else None,
                "count": len(members), "members": members}
-    header = tuple(f"x{i}" for i in range(1, fam.arity + 1)) or ("x1",)
+    header = tuple(f"x{i}" for i in range(1, fam.arity + 1))
     return _ok(args, payload, _rows_csv(header, fam.members))
 
 
@@ -635,8 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="TASK")
     par = leaf(family, "enumerate", _cmd_family_enumerate, "family.enumerate")
     par.add_argument("--in", dest="src", metavar="PATH", required=True)
-    par.add_argument("--kind", required=True,
-                     choices=("Q", "R", "T", "B", "U2", "U3", "V2", "V3", "W"))
+    par.add_argument("--kind", required=True, choices=tuple(_FAMILIES))
     par.add_argument("--target", type=int, required=True)
     par.add_argument("--modulus", type=int, default=1)
     par.add_argument("--epsilon", type=_rational, default=None, metavar="P/Q")
@@ -696,8 +695,7 @@ def _build_parser() -> argparse.ArgumentParser:
     par = leaf(analyze, "montecarlo", _cmd_analyze_montecarlo,
                "analyze.montecarlo", parents=[model],
                help="seeded family-count means across sampled sequences")
-    par.add_argument("--kind", required=True,
-                     choices=("Q", "R", "T", "B", "U2", "U3", "V2", "V3", "W"))
+    par.add_argument("--kind", required=True, choices=tuple(_FAMILIES))
     par.add_argument("--targets", type=_int_list, required=True,
                      metavar="N1,N2,...")
     par.add_argument("--horizon", type=int, required=True)

@@ -33,9 +33,9 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import permutations
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .numbertheory import RangeError
 from .randommodel import _as_fraction
@@ -53,8 +53,6 @@ __all__ = [
     "destruction_audit",
 ]
 
-_ARITY = {"Q": 3, "R": 4, "T": 8, "B": 7, "U2": 2, "U3": 3, "V2": 2,
-          "V3": 3, "W": 5}
 _MODULUS_KINDS = frozenset({"Q", "T", "B"})  # the kinds that read the modulus
 
 
@@ -80,11 +78,13 @@ class FamilySpec:
 
     def __post_init__(self):
         kind = str(self.kind).upper()
-        if kind not in _ARITY:
+        if kind not in _FAMILIES:
             raise UnsupportedKind(f"unknown family kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         if self.modulus < 1:
             raise RangeError("modulus must be >= 1")
+        if self.modulus != 1 and kind not in _MODULUS_KINDS:
+            raise RangeError(f"kind {kind} does not take a modulus")
         needs_eps = kind in ("R", "B")
         if needs_eps:
             if self.epsilon is None:
@@ -112,7 +112,7 @@ class VectorFamily:
         arities = {len(t) for t in members}
         if len(arities) > 1:
             raise RangeError("family members must share one arity")
-        want = _ARITY[self.spec.kind]
+        want = self.arity
         if arities and arities != {want}:
             raise RangeError(
                 f"kind {self.spec.kind} has arity {want}, got {arities.pop()}")
@@ -123,7 +123,7 @@ class VectorFamily:
 
     @property
     def arity(self) -> int:
-        return _ARITY[self.spec.kind]
+        return _FAMILIES[self.spec.kind].arity
 
     @property
     def convention(self) -> str:
@@ -168,7 +168,8 @@ def _ordered_pairs_by_sum(A):
     return idx
 
 
-def _q_members(A, n, N):
+def _q_members(A, spec):
+    n, N = spec.target, spec.modulus
     out = []
     aset = set(A)
     for i, x1 in enumerate(A):
@@ -188,7 +189,8 @@ def _q_members(A, n, N):
     return out
 
 
-def _r_members(A, n, eps):
+def _r_members(A, spec):
+    n, eps = spec.target, spec.epsilon
     out = []
     aset = set(A)
     for i, x1 in enumerate(A):
@@ -206,30 +208,33 @@ def _r_members(A, n, eps):
     return out
 
 
-def _t_members(A, n, N):
+def _t_members(A, spec):
+    N = spec.modulus
     idx = _ordered_pairs_by_sum(A)
+
+    @cache
+    def tails(x1, x4):
+        """Every (x5, x6, x7, x8) that completes a T-member from x1, x4."""
+        pool = [(u, v) for (u, v) in idx[x1 + x4]
+                if (u - x1) % N == 0 and (v - x4) % N == 0]
+        p14 = {x1, x4}
+        return [(x5, x6, x7, x8) for x5, x6 in pool if {x5, x6} != p14
+                for x7, x8 in pool if {x7, x8} != {x5, x6}]
+
     out = []
-    for triple in _q_members(A, n, N):
+    for triple in _q_members(A, spec):
         for x1, x2, x3 in permutations(triple):
             for x4 in A:
-                pool = [(u, v) for (u, v) in idx[x1 + x4]
-                        if (u - x1) % N == 0 and (v - x4) % N == 0]
-                p14 = {x1, x4}
-                for x5, x6 in pool:
-                    if {x5, x6} == p14:
-                        continue
-                    p56 = {x5, x6}
-                    for x7, x8 in pool:
-                        if {x7, x8} == p56:
-                            continue
-                        out.append((x1, x2, x3, x4, x5, x6, x7, x8))
+                head = (x1, x2, x3, x4)
+                out.extend([head + t for t in tails(x1, x4)])
     return out
 
 
-def _b_members(A, n, N, eps):
+def _b_members(A, spec):
+    N = spec.modulus
     idx = _ordered_pairs_by_sum(A)
     out = []
-    for quad in _r_members(A, n, eps):
+    for quad in _r_members(A, spec):
         for prefix in permutations(quad):
             x1 = prefix[0]
             for x5 in A:
@@ -243,39 +248,30 @@ def _b_members(A, n, N, eps):
     return out
 
 
-def _u2_members(A, r):
-    aset = set(A)
+def _u2_members(A, spec):
+    r, aset = spec.target, set(A)
     return [(u, r - u) for u in A if r - u in aset and r - u != u]
 
 
-def _v2_members(A, r):
-    aset = set(A)
+def _v2_members(A, spec):
+    r, aset = spec.target, set(A)
     return [(v + r, v) for v in A if v + r in aset and r != 0]
 
 
-def _u3_members(A, r):
-    aset = set(A)
+def _triple_members(A, spec, sign):
+    """U3 (sign 1, x1 + x2 + x3 = r) and V3 (sign -1, x1 + x2 - x3 = r)."""
+    r, aset = spec.target, set(A)
     out = []
     for x1 in A:
         for x2 in A:
-            x3 = r - x1 - x2
+            x3 = sign * (r - x1 - x2)
             if x3 in aset and x1 != x2 and x1 != x3 and x2 != x3:
                 out.append((x1, x2, x3))
     return out
 
 
-def _v3_members(A, r):
-    aset = set(A)
-    out = []
-    for x1 in A:
-        for x2 in A:
-            x3 = x1 + x2 - r
-            if x3 in aset and x1 != x2 and x1 != x3 and x2 != x3:
-                out.append((x1, x2, x3))
-    return out
-
-
-def _w_members(A, r):
+def _w_members(A, spec):
+    r = spec.target
     idx = _ordered_pairs_by_sum(A)
     out = []
     for x4 in A:
@@ -287,29 +283,35 @@ def _w_members(A, r):
     return out
 
 
+class _Family(NamedTuple):
+    arity: int
+    build: Callable  # (sorted elements, spec) -> list of member tuples
+
+
+# the one list of family kinds, in the order the CLI offers them
+_FAMILIES = {
+    "Q": _Family(3, _q_members),
+    "R": _Family(4, _r_members),
+    "T": _Family(8, _t_members),
+    "B": _Family(7, _b_members),
+    "U2": _Family(2, _u2_members),
+    "U3": _Family(3, partial(_triple_members, sign=1)),
+    "V2": _Family(2, _v2_members),
+    "V3": _Family(3, partial(_triple_members, sign=-1)),
+    "W": _Family(5, _w_members),
+}
+
+
+def _family_size(A, spec: FamilySpec) -> int:
+    """len(enumerate_family(A, spec)) without copying or validating the
+    members: the one place the audits and Monte Carlo count a family."""
+    return len(_FAMILIES[spec.kind].build(_coerce(A), spec))
+
+
 def enumerate_family(A, spec: FamilySpec) -> VectorFamily:
     """All tuples over A meeting the spec's defining conditions; Q/R come
     out as sorted sets, everything else as ordered tuples."""
-    A = _coerce(A)
-    kind, n = spec.kind, spec.target
-    if kind == "Q":
-        members = _q_members(A, n, spec.modulus)
-    elif kind == "R":
-        members = _r_members(A, n, spec.epsilon)
-    elif kind == "T":
-        members = _t_members(A, n, spec.modulus)
-    elif kind == "B":
-        members = _b_members(A, n, spec.modulus, spec.epsilon)
-    elif kind == "U2":
-        members = _u2_members(A, n)
-    elif kind == "V2":
-        members = _v2_members(A, n)
-    elif kind == "U3":
-        members = _u3_members(A, n)
-    elif kind == "V3":
-        members = _v3_members(A, n)
-    else:  # W, the last kind
-        members = _w_members(A, n)
+    members = _FAMILIES[spec.kind].build(_coerce(A), spec)
     return VectorFamily(spec=spec, members=tuple(members))
 
 
@@ -326,52 +328,50 @@ def _pair_tuple(fs) -> tuple[int, int]:
     return (vals[0], vals[-1])  # {v} stands for the doubled pair (v, v)
 
 
-def sidon_removals(A) -> dict[int, tuple[int, int, int]]:
-    """Element -> witness (a', a'', a''') with a + a' = a'' + a''' and
-    {a, a'} != {a'', a'''}; presence means the Sidon lift removes it."""
-    A = _coerce(A)
+def _removals(A, limit: int) -> dict[int, tuple[int, ...]]:
+    """Element a of the sorted A -> (a2, then limit - 1 rival pairs) for the
+    first a2 whose sum a + a2 has at least limit - 1 unordered pairs other
+    than {a, a2}, the rivals smallest first. Limit 2 is the Sidon lift's
+    rule, limit 3 the B2[2] lift's."""
     idx = _pair_sets_by_sum(A)
     out = {}
     for a in A:
         for a2 in A:
             rivals = idx[a + a2] - {frozenset((a, a2))}
-            if rivals:
-                a3, a4 = _pair_tuple(min(rivals, key=sorted))
-                out[a] = (a2, a3, a4)
+            if len(rivals) >= limit - 1:
+                first = sorted(rivals, key=sorted)[:limit - 1]
+                out[a] = (a2,) + tuple(v for p in first for v in _pair_tuple(p))
                 break
     return out
+
+
+def _lift(A, limit: int) -> tuple[int, ...]:
+    A = _coerce(A)
+    removed = _removals(A, limit)
+    return tuple(x for x in A if x not in removed)
+
+
+def sidon_removals(A) -> dict[int, tuple[int, int, int]]:
+    """Element -> witness (a', a'', a''') with a + a' = a'' + a''' and
+    {a, a'} != {a'', a'''}; presence means the Sidon lift removes it."""
+    return _removals(_coerce(A), 2)
 
 
 def b22_removals(A) -> dict[int, tuple[int, int, int, int, int]]:
     """Element -> witness (a2..a6) with a1+a2 = a3+a4 = a5+a6 and the three
     pairs pairwise distinct; presence means the B2[2] lift removes it."""
-    A = _coerce(A)
-    idx = _pair_sets_by_sum(A)
-    out = {}
-    for a1 in A:
-        for a2 in A:
-            rivals = sorted(idx[a1 + a2] - {frozenset((a1, a2))}, key=sorted)
-            if len(rivals) >= 2:
-                a3, a4 = _pair_tuple(rivals[0])
-                a5, a6 = _pair_tuple(rivals[1])
-                out[a1] = (a2, a3, a4, a5, a6)
-                break
-    return out
+    return _removals(_coerce(A), 3)
 
 
 def sidon_lift(A) -> tuple[int, ...]:
     """Single pass against the original sequence; the result is Sidon, so
     a second pass removes nothing."""
-    A = _coerce(A)
-    removed = sidon_removals(A)
-    return tuple(x for x in A if x not in removed)
+    return _lift(A, 2)
 
 
 def b2_2_lift(A) -> tuple[int, ...]:
     """Single pass; survivors never share one pair sum three times over."""
-    A = _coerce(A)
-    removed = b22_removals(A)
-    return tuple(x for x in A if x not in removed)
+    return _lift(A, 3)
 
 
 class AuditResult(NamedTuple):
@@ -387,24 +387,26 @@ def destruction_audit(A, n: int, N: int = 1, mode: str = "b22",
     obstruction family on the original sequence, and check that the drop
     never exceeds the obstruction count.
 
-    mode "b22": Q against T with the B2[2] lift. mode "sidon": R against
-    B with the Sidon lift (epsilon required). Representation counts are
-    unordered-set counts; obstruction counts are ordered-tuple counts.
+    mode "b22": Q against T with the B2[2] lift (no epsilon). mode "sidon":
+    R against B with the Sidon lift (epsilon required). Representation
+    counts are unordered-set counts; obstruction counts are ordered-tuple
+    counts.
     """
     A = _coerce(A)
     if mode == "b22":
+        if epsilon is not None:
+            raise RangeError("mode b22 does not take epsilon")
         fam = FamilySpec("Q", n, modulus=N)
         obs = FamilySpec("T", n, modulus=N)
-        lifted = b2_2_lift(A)
+        limit = 3
     elif mode == "sidon":
         fam = FamilySpec("R", n, epsilon=epsilon)
         obs = FamilySpec("B", n, modulus=N, epsilon=epsilon)
-        lifted = sidon_lift(A)
+        limit = 2
     else:
         raise UnsupportedKind(f"unknown audit mode {mode!r}")
-    q_before = len(enumerate_family(A, fam))
-    q_after = len(enumerate_family(lifted, fam))
-    t_count = len(enumerate_family(A, obs))
+    q_before = _family_size(A, fam)
+    q_after = _family_size(_lift(A, limit), fam)
+    t_count = _family_size(A, obs)
     return AuditResult(q_before, q_after, t_count,
                        q_after >= q_before - t_count)
-

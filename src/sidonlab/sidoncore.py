@@ -285,11 +285,8 @@ def convolution_profile_array(setlike, h: int, modulus: Optional[int] = None) ->
     for _ in range(h - 2):
         nxt = np.zeros(N, dtype=np.int64)
         for e in elems:
-            if e == 0:
-                nxt += cur
-            else:
-                nxt[e:] += cur[: N - e]
-                nxt[:e] += cur[N - e:]
+            nxt[e:] += cur[: N - e]
+            nxt[:e] += cur[N - e:]
         cur = nxt
     return cur
 

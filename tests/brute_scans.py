@@ -2,9 +2,10 @@
 
 These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
 the library used before its O(p) curve solver and vectorised Sidon check,
-the O(p^3) triple loop behind the old `triple_rep_table`, and the
-full-range sampler that built every x in [1, horizon] before the streamed
-residue blocks. They live here, outside `src/`, as exact oracles only.
+the O(p^3) triple loop behind the old `triple_rep_table`, the full-range
+sampler that built every x in [1, horizon] before the streamed residue
+blocks, and a literal reading of the deletion lifts' removal rule. They
+live here, outside `src/`, as exact oracles only.
 """
 
 import random
@@ -131,6 +132,28 @@ def sidon_witness(elems, mode, modulus):
                 return (seen[s][0], seen[s][1], a, b)
             seen[s] = (a, b)
     return None
+
+
+def removals(A, limit):
+    """Element -> removal witness of the deletion lifts (limit 2 Sidon,
+    limit 3 B2[2]): A's unordered pairs (u <= v) grouped by sum once, then
+    for each a in ascending order the first a2 in ascending order whose sum
+    has at least limit - 1 pairs other than {a, a2}; the witness is a2
+    followed by the smallest limit - 1 of those pairs."""
+    A = sorted(set(A))
+    by_sum = {}
+    for i, u in enumerate(A):
+        for v in A[i:]:
+            by_sum.setdefault(u + v, []).append((u, v))
+    out = {}
+    for a in A:
+        for a2 in A:
+            own = (min(a, a2), max(a, a2))
+            rivals = sorted(p for p in by_sum[a + a2] if p != own)
+            if len(rivals) >= limit - 1:
+                out[a] = (a2,) + tuple(v for p in rivals[:limit - 1] for v in p)
+                break
+    return out
 
 
 def admissible(config, horizon):

@@ -4,6 +4,7 @@ sweep definitions shared with scripts/refresh_pins.py are imported from
 that script so both sides always measure the same thing."""
 
 import importlib.util
+import json
 import math
 import random
 import time
@@ -306,7 +307,7 @@ def test_criterion_12_monte_carlo_shadows():
                  f"Janson shadow {math.exp(-mu / 12):.3f} + 3se", started)
 
 
-def test_criterion_13_cli_determinism(capsys):
+def test_criterion_13_cli_determinism(capsys, tmp_path):
     started = time.perf_counter()
     outputs = []
     for threads in ("1", "8"):
@@ -335,6 +336,18 @@ def test_criterion_13_cli_determinism(capsys):
         assert run(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[6] == outputs[8]
+    # the deletion commands: a lift that keeps 5 of 11, the T family and
+    # an audit in which the lift destroys 2 of 3 Q-members
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps([2, 4, 10, 20, 35, 40, 42, 44, 50, 54, 59]))
+    for argv in (["lift", "b22"],
+                 ["family", "enumerate", "--kind", "T", "--target", "66"],
+                 ["audit", "destruction", "-n", "66"]):
+        outs = []
+        for threads in ("1", "8"):
+            assert run(argv + ["--in", str(path), "--threads", threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
     with capsys.disabled():
         _verdict(13, "byte-identical JSON across --threads and repeats "
-                     "for four seeded commands", started)
+                     "for seven seeded commands", started)

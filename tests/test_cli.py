@@ -333,6 +333,15 @@ class TestFamily:
         fam = enumerate_family(range(1, 20), FamilySpec("Q", 24))
         assert len(lines) - 1 == len(fam.members)
 
+    def test_modulus_on_a_kind_that_ignores_it_exits_one(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(list(range(1, 20))))
+        env = _err(capsys, ["family", "enumerate", "--in", str(path),
+                            "--kind", "U2", "--target", "16",
+                            "--modulus", "5"])
+        assert env["payload"]["error"] == "RangeError"
+
 
 class TestSunflower:
     def test_find_matches_library(self, capsys, tmp_path):
@@ -482,6 +491,13 @@ class TestAudit:
         assert env["payload"]["qAfter"] == want.q_after
         assert env["payload"]["obstructions"] == want.obstructions
         assert env["payload"]["holds"] == want.holds
+
+    def test_b22_epsilon_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(list(range(1, 20))))
+        env = _err(capsys, ["audit", "destruction", "--in", str(path),
+                            "-n", "30", "--mode", "b22", "--epsilon", "1/2"])
+        assert env["payload"]["error"] == "RangeError"
 
 
 class TestUsage:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import brute_scans as brute
 import pytest
 
 from sidonlab.deletionlab import (
@@ -10,6 +11,7 @@ from sidonlab.deletionlab import (
     FamilySpec,
     UnsupportedKind,
     VectorFamily,
+    _family_size,
     b2_2_lift,
     b22_removals,
     destruction_audit,
@@ -113,6 +115,16 @@ class TestFamilySpec:
         assert FamilySpec("q", 5).kind == "Q"
         assert FamilySpec("B", 5, epsilon="1/2").epsilon == Fraction(1, 2)
 
+    def test_modulus_only_for_kinds_that_read_it(self):
+        for kind in ("R", "U2", "V2", "U3", "V3", "W"):
+            eps = "1/2" if kind == "R" else None
+            with pytest.raises(RangeError, match="does not take a modulus"):
+                FamilySpec(kind, 16, modulus=5, epsilon=eps)
+            assert FamilySpec(kind, 16, modulus=1, epsilon=eps).modulus == 1
+        for kind in ("Q", "T"):
+            assert FamilySpec(kind, 16, modulus=5).modulus == 5
+        assert FamilySpec("B", 16, modulus=5, epsilon="1/2").modulus == 5
+
     def test_custom_tag(self):
         # every accepted kind can be enumerated and has a fixed arity
         with pytest.raises(UnsupportedKind):
@@ -140,8 +152,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", [12, 15, 18])
     def test_q_matches_oracle(self, n, N):
         A = range(1, 11)
-        fam = enumerate_family(A, FamilySpec("Q", n, modulus=N))
+        spec = FamilySpec("Q", n, modulus=N)
+        fam = enumerate_family(A, spec)
         assert set(fam.members) == oracle_q(A, n, N)
+        assert _family_size(A, spec) == len(fam)
 
     def test_q_modulus_one_is_plain_distinctness(self):
         fam = enumerate_family({1, 2, 3}, FamilySpec("Q", 6, modulus=1))
@@ -160,8 +174,10 @@ class TestEnumerate:
                                        (45, Fraction(2, 3))])
     def test_r_matches_oracle(self, n, eps):
         A = range(1, 16)
-        fam = enumerate_family(A, FamilySpec("R", n, epsilon=eps))
+        spec = FamilySpec("R", n, epsilon=eps)
+        fam = enumerate_family(A, spec)
         assert set(fam.members) == oracle_r(A, n, eps)
+        assert _family_size(A, spec) == len(fam)
 
     def test_t_contains_spec_tuple(self):
         fam = enumerate_family(range(1, 7), FamilySpec("T", 6, modulus=1))
@@ -170,17 +186,21 @@ class TestEnumerate:
     @pytest.mark.parametrize("n,N", [(6, 1), (9, 5), (9, 2)])
     def test_t_matches_oracle(self, n, N):
         A = range(1, 7)
-        fam = enumerate_family(A, FamilySpec("T", n, modulus=N))
+        spec = FamilySpec("T", n, modulus=N)
+        fam = enumerate_family(A, spec)
         assert len(fam.members) == len(set(fam.members))
         assert set(fam.members) == oracle_t(A, n, N)
+        assert _family_size(A, spec) == len(fam)
 
     @pytest.mark.parametrize("n,N,eps", [(12, 1, Fraction(2, 3)),
                                          (12, 2, Fraction(2, 3)),
                                          (14, 1, Fraction(1, 2))])
     def test_b_matches_oracle(self, n, N, eps):
         A = range(1, 7)
-        fam = enumerate_family(A, FamilySpec("B", n, modulus=N, epsilon=eps))
+        spec = FamilySpec("B", n, modulus=N, epsilon=eps)
+        fam = enumerate_family(A, spec)
         assert set(fam.members) == oracle_b(A, n, N, eps)
+        assert _family_size(A, spec) == len(fam)
 
     def test_small_family_examples(self):
         v2 = enumerate_family({1, 3, 4, 9}, FamilySpec("V2", 2))
@@ -197,9 +217,11 @@ class TestEnumerate:
         for _ in range(5):
             A = rng.sample(range(1, 21), 8)
             for r in (3, 10, 17):
-                fam = enumerate_family(A, FamilySpec(kind, r))
+                spec = FamilySpec(kind, r)
+                fam = enumerate_family(A, spec)
                 assert set(fam.members) == oracle_small(A, kind, r)
                 assert len(fam.members) == len(set(fam.members))
+                assert _family_size(A, spec) == len(fam)
 
 
 class TestLifts:
@@ -246,6 +268,22 @@ class TestLifts:
                 assert {a, a2, a3, a4} <= set(A)
                 assert a + a2 == a3 + a4
                 assert {a, a2} != {a3, a4}
+
+    def test_removals_match_literal_scan(self):
+        # the witness chosen, not only its validity, is pinned: dense
+        # ranges, sparse sets and values from 2^62, sizes 0 to 40
+        rng = random.Random(20261018)
+        for i in range(300):
+            size = rng.randrange(41)
+            if i % 3 == 0:
+                lo = rng.randrange(1, 100)
+                A = rng.sample(range(lo, lo + 2 * size + 1), size)
+            elif i % 3 == 1:
+                A = rng.sample(range(1, 10 ** 5), size)
+            else:
+                A = [2 ** 62 + rng.randrange(3 * size + 1) for _ in range(size)]
+            assert sidon_removals(A) == brute.removals(A, 2)
+            assert b22_removals(A) == brute.removals(A, 3)
 
     def test_b22_witnesses_replay(self):
         rng = random.Random(78)
@@ -302,6 +340,10 @@ class TestAudit:
     def test_unknown_mode(self):
         with pytest.raises(UnsupportedKind):
             destruction_audit((1, 2), 5, mode="fast")
+
+    def test_b22_mode_rejects_epsilon(self):
+        with pytest.raises(RangeError, match="does not take epsilon"):
+            destruction_audit(range(1, 10), 12, mode="b22", epsilon="1/2")
 
 
 class TestFamilyType:
