@@ -22,11 +22,14 @@ bounded-ratio reports: compute f over a grid, normalize by the claimed
 power, record the sup, and compare reruns against a pinned constant
 stored with the package. The pins are measurements, not theorems.
 
-Expected counts of the triple family used by the deletion audit are
-computed exactly, by a quadratic loop and by a convolution engine
-(inclusion-exclusion over forbidden congruences), and the clustering term
-controlling lower-tail concentration is computed the same two ways; both
-loops reduce one shared scan, and "auto" picks the loop up to n = 4096.
+Expected counts of the triple family used by the deletion audit, and the
+clustering term controlling lower-tail concentration, are computed exactly
+by two engines. The loop sums each first element's kept pairs from direct
+convolutions of nonnegative terms, with exact zeros where no pair (for the
+clustering term, no second pair) is kept; the transform is
+inclusion-exclusion over forbidden congruences on FFT convolutions. "auto"
+picks the loop up to n = 4096, and both give exactly 0 at a target that no
+three distinct admissible residues reach.
 Monte Carlo shadows of the remaining families reuse the counter-based
 sampler, so every table is reproducible from a seed.
 """
@@ -475,46 +478,97 @@ def _moment(n: int, cfg: SampleConfig, engine: str, loop, transform) -> float:
         engine = "loop" if n <= 4096 else "transform"
     if engine not in ("loop", "transform"):
         raise RangeError("engine must be auto, loop, or transform")
-    if n <= 3 * cfg.m or n < 6:
+    if n <= 3 * cfg.m or n < 6 or not _residues_reach(n, cfg):
         return 0.0
     q = _prob_array(cfg, n)
     return (loop if engine == "loop" else transform)(n, cfg.modulus, q)
+
+
+def _residues_reach(n: int, cfg: SampleConfig) -> bool:
+    """Whether three pairwise-distinct admissible residues sum to n mod the
+    modulus (always, when the modulus is 1: the triples need only be
+    pairwise distinct). Otherwise no triple exists and both moments are 0."""
+    modulus = cfg.modulus
+    if modulus == 1:
+        return True
+    res = np.asarray(cfg.residues, dtype=np.int64)
+    for i, r1 in enumerate(cfg.residues):
+        r2 = res[i + 1:]
+        r3 = ((n - r1) % modulus - r2) % modulus
+        if np.isin(r3[r3 > r2], res).any():
+            return True
+    return False
 
 
 def exact_expectation_Q(n: int, cfg: SampleConfig,
                         engine: str = "auto") -> float:
     """Expected number of admissible triples x1+x2+x3 = n, pairwise
     incongruent mod the config modulus (pairwise distinct when it is 1),
-    counted unordered. Exact inclusion-exclusion; no sampling."""
+    counted unordered. Exact; no sampling."""
     return _moment(n, cfg, engine, _expectation_loop, _expectation_transform)
 
 
-def _loop_scan(n: int, modulus: int, q: np.ndarray):
-    """For every x1 with q[x1] > 0: q[x1], the products q[x2] q[x3] over
-    x2 = 1, 2, ... with x2 + x3 = n - x1, and the mask of the triples that
-    are pairwise incongruent (pairwise distinct when the modulus is 1).
-    x1 stops at n - 3: at n - 2 the only pair is x2 = x3 = 1, which the
-    mask always drops. Both loop engines reduce this one scan."""
-    res = np.arange(n + 1, dtype=np.int64) % modulus
-    for x1 in range(1, n - 2):
-        if q[x1] == 0.0:
-            continue
-        u = n - x1
-        prod = q[1:u] * q[u - 1:0:-1]
-        if modulus > 1:
-            r2, r3, r1 = res[1:u], res[u - 1:0:-1], res[x1]
-            mask = (r2 != r3) & (r2 != r1) & (r3 != r1)
-        else:
-            x2 = np.arange(1, u)
-            x3 = u - x2
-            mask = (x2 != x3) & (x2 != x1) & (x3 != x1)
-        yield q[x1], prod, mask
+def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
+    """For every x1 with q[x1] > 0: q[x1], the count of kept ordered pairs
+    (x2, x3) with x2 + x3 = n - x1, and for each weight array w the sum of
+    w[x2] w[x3] over those pairs. A pair is kept when the triple is
+    pairwise incongruent (pairwise distinct when the modulus is 1). x1
+    stops at n - 3: at n - 2 the only pair is x2 = x3 = 1, never kept."""
+    x1s = np.flatnonzero(q[1:n - 2]) + 1
+    support = (q > 0).astype(np.float64)
+    return q[x1s], *(_kept_pair_sums(n, modulus, w, x1s)
+                     for w in (support, *weights))
+
+
+def _kept_pair_sums(n: int, modulus: int, w: np.ndarray,
+                    x1s: np.ndarray) -> np.ndarray:
+    """Per x1, the sum of w[x2] w[x3] over the kept pairs x2 + x3 = u,
+    u = n - x1, from direct convolutions (no FFT). Modulus 1: all pairs,
+    less x2 = x3 and the two pairs that reuse x1. Modulus M: x1 in class
+    s1 puts u in class v = n - s1, so each class s2 fixes s3 = v - s2;
+    the classes s1, s2, s3 that are pairwise distinct add nonnegative
+    terms. Counts (w the 0/1 support) are exact below 2^53."""
+    us = n - x1s
+    if modulus == 1:
+        dropped = np.zeros(len(x1s))
+        even = us % 2 == 0
+        dropped[even] = w[us[even] // 2] ** 2
+        x3s = us - x1s
+        cross = (x3s >= 1) & (x3s != x1s)
+        dropped[cross] += 2 * w[x1s[cross]] * w[x3s[cross]]
+        out = np.convolve(w, w)[us] - dropped
+        # a row that dropped more than it kept lost bits to cancellation
+        # (x1 = 1 when gamma is large): sum its kept pairs directly
+        for i in np.flatnonzero(out < dropped).tolist():
+            x2 = np.arange(1, us[i])
+            x2 = x2[(2 * x2 != us[i]) & (x2 != x1s[i]) & (x2 != x3s[i])]
+            out[i] = w[x2] @ w[us[i] - x2]
+        return out
+    # u = v + M t; the pair of classes (s2, s3) reads its convolution at
+    # t - (s2 + s3 - v) / M, so each class s1 sums its terms in one array
+    out = np.zeros(len(x1s))
+    classes = {s: w[s::modulus]
+               for s in np.unique(np.flatnonzero(w) % modulus).tolist()}
+    r1s = x1s % modulus
+    for s1 in np.unique(r1s).tolist():
+        rows = np.flatnonzero(r1s == s1)
+        v = (n - s1) % modulus
+        acc = np.zeros(2 * (n // modulus + 1))
+        for s2, c2 in classes.items():
+            s3 = (v - s2) % modulus
+            if s1 in (s2, s3) or s2 == s3 or s3 not in classes:
+                continue
+            conv = np.convolve(c2, classes[s3])
+            shift = (s2 + s3 - v) // modulus
+            acc[shift:shift + len(conv)] += conv
+        out[rows] = acc[(us[rows] - v) // modulus]
+    return out
 
 
 def _expectation_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    parts = [q1 * float(prod @ mask)
-             for q1, prod, mask in _loop_scan(n, modulus, q)]
-    return math.fsum(parts) / 6.0
+    q1, count, pair_sum = _loop_rows(n, modulus, q, q)
+    pair_sum[count == 0] = 0.0
+    return math.fsum((q1 * pair_sum).tolist()) / 6.0
 
 
 def _expectation_transform(n: int, modulus: int, q: np.ndarray) -> float:
@@ -549,13 +603,11 @@ def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
 
 
 def _delta_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    parts = []
-    for q1, prod, mask in _loop_scan(n, modulus, q):
-        kept = prod[mask]
-        pair_sum = float(kept.sum()) / 2.0
-        pair_sq = float((kept ** 2).sum()) / 2.0
-        parts.append(q1 * (pair_sum ** 2 - pair_sq))
-    return math.fsum(parts)
+    q1, count, pair_sum, pair_sq = _loop_rows(n, modulus, q, q, q * q)
+    rows = q1 * ((pair_sum / 2.0) ** 2 - pair_sq / 2.0)
+    # one unordered pair (two ordered ones) has no second pair to meet
+    rows[count <= 2] = 0.0
+    return math.fsum(rows.tolist())
 
 
 def _delta_inner_transform(n: int, modulus: int, q: np.ndarray):
@@ -578,10 +630,12 @@ def _delta_inner_transform(n: int, modulus: int, q: np.ndarray):
         return x1s, ordered
     class_arrays = [q[s::modulus] for s in range(modulus)]
     for s in range(modulus):
+        qs = class_arrays[s]
+        if not qs.any():            # q[x1] = 0 zeroes these rows anyway
+            continue
         sel = np.nonzero(x1s % modulus == s)[0]
         if not len(sel):
             continue
-        qs = class_arrays[s]
         c = (n - 2 * s) % modulus
         conv_sc = _linconv(qs, class_arrays[c])
         uu = us[sel]

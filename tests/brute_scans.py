@@ -4,10 +4,13 @@ These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
 the library used before its O(p) curve solver and vectorised Sidon check,
 the O(p^3) triple loop behind the old `triple_rep_table`, the full-range
 sampler that built every x in [1, horizon] before the streamed residue
-blocks, and a literal reading of the deletion lifts' removal rule. They
-live here, outside `src/`, as exact oracles only.
+blocks, a literal reading of the deletion lifts' removal rule, and the
+per-x1 scan behind the triple family's moments before the loop engines
+moved onto direct convolutions. They live here, outside `src/`, as exact
+oracles only.
 """
 
+import math
 import random
 from functools import lru_cache
 
@@ -180,3 +183,37 @@ def moments(config, horizon):
     xs = admissible(config, horizon)
     q = np.power(xs.astype(np.float64), -float(config.gamma))
     return float(q.sum()), float((q * (1.0 - q)).sum())
+
+
+def _loop_scan(n, modulus, q):
+    """For every x1 with q[x1] > 0: q[x1], the products q[x2] q[x3] over
+    x2 = 1, 2, ... with x2 + x3 = n - x1, and the mask of the triples that
+    are pairwise incongruent (pairwise distinct when the modulus is 1)."""
+    res = np.arange(n + 1, dtype=np.int64) % modulus
+    for x1 in range(1, n - 2):
+        if q[x1] == 0.0:
+            continue
+        u = n - x1
+        prod = q[1:u] * q[u - 1:0:-1]
+        if modulus > 1:
+            r2, r3, r1 = res[1:u], res[u - 1:0:-1], res[x1]
+            mask = (r2 != r3) & (r2 != r1) & (r3 != r1)
+        else:
+            x2 = np.arange(1, u)
+            x3 = u - x2
+            mask = (x2 != x3) & (x2 != x1) & (x3 != x1)
+        yield q[x1], prod, mask
+
+
+def triple_moments(n, modulus, q):
+    """(E, Delta) of the triple family from the probability array q by a
+    per-x1 scan: E sums q1 times the kept products, over 6; Delta sums q1
+    ((S/2)^2 - S2/2), S and S2 the kept products and their squares."""
+    expect, delta = [], []
+    for q1, prod, mask in _loop_scan(n, modulus, q):
+        expect.append(q1 * float(prod @ mask))
+        kept = prod[mask]
+        pair_sum = float(kept.sum()) / 2.0
+        pair_sq = float((kept ** 2).sum()) / 2.0
+        delta.append(q1 * (pair_sum ** 2 - pair_sq))
+    return math.fsum(expect) / 6.0, math.fsum(delta)

@@ -8,9 +8,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import random
+
 import mpmath
 import pytest
 
+import brute_scans as brute
 import series_reference
 from sidonlab import analysis
 from sidonlab.analysis import (
@@ -404,6 +407,82 @@ class TestDeltaQ:
             earlier = [r for r in rows if r[0] < threshold]
             if earlier:
                 assert not earlier[-1][3]
+
+
+def _loop_grid():
+    """(cfg, n): the plain model at small n for three floors and three
+    exponents, two small moduli, and the mod-156 Ruzsa-residue model from
+    n = 300 up, with seeded targets beside fixed ones (1990 and 2000 on
+    either side of reachability, 4184 and 4340 unreachable)."""
+    rng = random.Random(2026)
+    for g in (G, Fraction(1, 2), Fraction(1, 10 ** 6)):
+        for m in (0, 1, 3):
+            cfg = SampleConfig(gamma=g, m=m, modulus=1, residues=(0,))
+            for n in list(range(6, 31)) + rng.sample(range(31, 300), 4):
+                yield cfg, n
+    mod3 = SampleConfig(gamma=G, m=0, modulus=3, residues=(0, 1, 2))
+    for cfg in (mod3, CFG5):
+        for n in list(range(6, 40)) + rng.sample(range(40, 600), 6):
+            yield cfg, n
+    for n in [300, 1990, 2000, 4184, 4340] + rng.sample(range(301, 4500), 12):
+        yield CFG156, n
+
+
+class TestLoopEngines:
+    def test_match_the_per_x1_scan(self):
+        """Both loop engines against the scan they replaced: the same zero
+        pattern, nothing negative and relative error at most 1e-14."""
+        worst = 0.0
+        for cfg, n in _loop_grid():
+            q = analysis._prob_array(cfg, n)
+            want = brute.triple_moments(n, cfg.modulus, q)
+            got = (analysis._expectation_loop(n, cfg.modulus, q),
+                   analysis._delta_loop(n, cfg.modulus, q))
+            for name, w, v in zip(("E", "Delta"), want, got):
+                assert (v == 0.0) == (w == 0.0), (name, cfg, n, w, v)
+                assert v >= 0.0, (name, cfg, n, v)
+                if w:
+                    worst = max(worst, abs(v - w) / w)
+        assert worst <= 1e-14
+
+
+    @pytest.mark.parametrize("g", [Fraction(10), Fraction(50)])
+    def test_cancelling_rows_are_summed_directly(self, g):
+        # at x1 = 1 the dropped pair (1, n - 2) outweighs the kept ones by
+        # about 2^gamma; E stays within 1e-14 of the scan, and Delta, whose
+        # own (S/2)^2 - S2/2 cancels as much in the scan, keeps its zeros
+        cfg = SampleConfig(gamma=g, m=0, modulus=1, residues=(0,))
+        for n in range(6, 60):
+            q = analysis._prob_array(cfg, n)
+            want_e, want_d = brute.triple_moments(n, 1, q)
+            got_e = analysis._expectation_loop(n, 1, q)
+            got_d = analysis._delta_loop(n, 1, q)
+            assert got_e == pytest.approx(want_e, rel=1e-14, abs=0)
+            assert (got_d == 0.0) == (want_d == 0.0) and got_d >= 0.0
+
+
+class TestUnreachableResidues:
+    def test_matches_residue_triples(self):
+        sums = {sum(t) % CFG156.modulus
+                for t in combinations(CFG156.residues, 3)}
+        assert 0 < len(sums) < CFG156.modulus
+        for r in range(CFG156.modulus):
+            assert analysis._residues_reach(r, CFG156) == (r in sums)
+        assert analysis._residues_reach(7, CFG1)
+        two = SampleConfig(gamma=G, m=0, modulus=2, residues=(0, 1))
+        assert not analysis._residues_reach(101, two)
+
+    @pytest.mark.parametrize("n", [2000, 4184, 4340])
+    def test_both_engines_give_exact_zero(self, n):
+        # n = 128 mod 156: no three distinct Ruzsa residues sum to it
+        for engine in ("auto", "loop", "transform"):
+            assert exact_expectation_Q(n, CFG156, engine) == 0.0
+            assert exact_delta_Q(n, CFG156, engine) == 0.0
+
+    def test_janson_row(self):
+        threshold, rows = janson_threshold(CFG156, (4184, 4340))
+        assert rows == ((4184, 0.0, 0.0, False), (4340, 0.0, 0.0, False))
+        assert threshold is None
 
 
 def _exact_u2_mean(r, cfg):
