@@ -24,12 +24,14 @@ stored with the package. The pins are measurements, not theorems.
 
 Expected counts of the triple family used by the deletion audit, and the
 clustering term controlling lower-tail concentration, are computed exactly
-by two engines. The loop sums each first element's kept pairs from direct
-convolutions of nonnegative terms, with exact zeros where no pair (for the
-clustering term, no second pair) is kept; the transform is
-inclusion-exclusion over forbidden congruences on FFT convolutions. "auto"
-picks the loop up to n = 4096, and both give exactly 0 at a target that no
-three distinct admissible residues reach.
+by two engines. The loop sums each first element's kept pairs by direct
+convolutions, either class pair by class pair or as all pairs less the
+dropped ones (a row that cancels is summed directly), with exact zeros
+where no pair (for the clustering term, no second pair) is kept; the
+transform is inclusion-exclusion over forbidden congruences on FFT
+convolutions. "auto" picks the loop up to n = 4096, and both give exactly
+0 at a target that no three distinct residue classes of admissible
+x <= n reach.
 Monte Carlo shadows of the remaining families reuse the counter-based
 sampler, so every table is reproducible from a seed.
 """
@@ -450,6 +452,12 @@ def _linconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                         size)[:nout]
 
 
+def _live_classes(q: np.ndarray, modulus: int) -> list:
+    """The residue classes mod the modulus that meet the support of q,
+    ascending."""
+    return np.unique(np.flatnonzero(q) % modulus).tolist()
+
+
 def _pair_sum_arrays(q: np.ndarray, modulus: int, top: int):
     """C2[u] = unrestricted pair weight at sum u; G2[u] = congruent-pair
     weight (x equal to y mod modulus), both truncated to u <= top."""
@@ -459,10 +467,8 @@ def _pair_sum_arrays(q: np.ndarray, modulus: int, top: int):
         even = np.arange(0, top + 1, 2)
         g2[even] = q[even // 2] ** 2
     else:
-        for s in range(modulus):
+        for s in _live_classes(q, modulus):
             qs = q[s::modulus]
-            if not qs.any():
-                continue
             conv = _linconv(qs, qs)
             jmax = (top - 2 * s) // modulus
             if jmax >= 0:
@@ -478,24 +484,28 @@ def _moment(n: int, cfg: SampleConfig, engine: str, loop, transform) -> float:
         engine = "loop" if n <= 4096 else "transform"
     if engine not in ("loop", "transform"):
         raise RangeError("engine must be auto, loop, or transform")
-    if n <= 3 * cfg.m or n < 6 or not _residues_reach(n, cfg):
+    if n <= 3 * cfg.m or n < 6:
         return 0.0
     q = _prob_array(cfg, n)
+    if not _residues_reach(n, cfg.modulus, q):
+        return 0.0
     return (loop if engine == "loop" else transform)(n, cfg.modulus, q)
 
 
-def _residues_reach(n: int, cfg: SampleConfig) -> bool:
-    """Whether three pairwise-distinct admissible residues sum to n mod the
-    modulus (always, when the modulus is 1: the triples need only be
-    pairwise distinct). Otherwise no triple exists and both moments are 0."""
-    modulus = cfg.modulus
+def _residues_reach(n: int, modulus: int, q: np.ndarray) -> bool:
+    """Whether three pairwise-distinct residue classes that meet the
+    support of q sum to n mod the modulus (always, when the modulus is 1:
+    the triples need only be pairwise distinct). Otherwise no triple
+    exists and both moments are 0. Classes with no x in (m, n] do not
+    count, so a long residue list costs no more than its support."""
     if modulus == 1:
         return True
-    res = np.asarray(cfg.residues, dtype=np.int64)
-    for i, r1 in enumerate(cfg.residues):
+    res = np.array(_live_classes(q, modulus), dtype=np.int64)
+    for i, r1 in enumerate(res.tolist()):
         r2 = res[i + 1:]
-        r3 = ((n - r1) % modulus - r2) % modulus
-        if np.isin(r3[r3 > r2], res).any():
+        r3 = (n - r1 - r2) % modulus
+        at = np.minimum(np.searchsorted(res, r3), len(res) - 1)
+        if ((res[at] == r3) & (r3 > r2)).any():
             return True
     return False
 
@@ -509,65 +519,103 @@ def exact_expectation_Q(n: int, cfg: SampleConfig,
 
 
 def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
-    """For every x1 with q[x1] > 0: q[x1], the count of kept ordered pairs
-    (x2, x3) with x2 + x3 = n - x1, and for each weight array w the sum of
-    w[x2] w[x3] over those pairs. A pair is kept when the triple is
-    pairwise incongruent (pairwise distinct when the modulus is 1). x1
-    stops at n - 3: at n - 2 the only pair is x2 = x3 = 1, never kept."""
+    """For every x1 with q[x1] > 0: q[x1] and, for each weight array w,
+    the sum of w[x2] w[x3] over the kept ordered pairs (x2, x3) with
+    x2 + x3 = n - x1. A pair is kept when the triple is pairwise
+    incongruent (pairwise distinct when the modulus is 1). x1 stops at
+    n - 3: at n - 2 the only pair is x2 = x3 = 1, never kept. Counts (w
+    the 0/1 support) are exact below 2^53.
+
+    Both ways below are direct convolutions (no FFT). Summing the kept
+    pairs of classes takes a pass per residue class of x1, about 25 us
+    on a 2-vCPU host; one convolution of all pairs less the dropped ones
+    takes about 0.15 ns * n^2 per weight array, and a pass over rows and
+    offsets that only stays small while the modulus exceeds n / 16. So
+    the classes are summed when the modulus is at most n / 16, or when the
+    classes of x1 number at most w n^2 / 2^18 for w weight arrays."""
     x1s = np.flatnonzero(q[1:n - 2]) + 1
-    support = (q > 0).astype(np.float64)
-    return q[x1s], *(_kept_pair_sums(n, modulus, w, x1s)
-                     for w in (support, *weights))
+    ws = np.array(weights)
+    by_class = modulus > 1 and (
+        16 * modulus <= n
+        or 2 ** 18 * len(np.unique(x1s % modulus)) <= len(ws) * n * n)
+    pair_sums = _pair_sums_by_class if by_class else _pair_sums_by_exclusion
+    return q[x1s], *pair_sums(n, modulus, ws, x1s)
 
 
-def _kept_pair_sums(n: int, modulus: int, w: np.ndarray,
-                    x1s: np.ndarray) -> np.ndarray:
-    """Per x1, the sum of w[x2] w[x3] over the kept pairs x2 + x3 = u,
-    u = n - x1, from direct convolutions (no FFT). Modulus 1: all pairs,
-    less x2 = x3 and the two pairs that reuse x1. Modulus M: x1 in class
-    s1 puts u in class v = n - s1, so each class s2 fixes s3 = v - s2;
-    the classes s1, s2, s3 that are pairwise distinct add nonnegative
-    terms. Counts (w the 0/1 support) are exact below 2^53."""
-    us = n - x1s
-    if modulus == 1:
-        dropped = np.zeros(len(x1s))
-        even = us % 2 == 0
-        dropped[even] = w[us[even] // 2] ** 2
-        x3s = us - x1s
-        cross = (x3s >= 1) & (x3s != x1s)
-        dropped[cross] += 2 * w[x1s[cross]] * w[x3s[cross]]
-        out = np.convolve(w, w)[us] - dropped
+def _pair_sums_by_exclusion(n: int, modulus: int, ws: np.ndarray,
+                            x1s: np.ndarray) -> np.ndarray:
+    """All pairs x2 + x3 = u = n - x1 by one convolution, less the dropped
+    pairs: x2 congruent to x1, else x3 congruent to x1, else x2 congruent
+    to x3, each family run through by its offset k p (p = modulus, or
+    n + 1 when the modulus is 1, so that congruent means equal)."""
+    p = modulus if modulus > 1 else n + 1
+    ks = np.arange(-(n // p), n // p + 1) * p
+    x1, u = x1s[:, None], (n - x1s)[:, None]
+    half, odd = np.divmod(u - ks, 2)
+    x2 = np.concatenate([x1 + ks, u - x1 - ks, half], axis=1)
+    ok = (x2 >= 1) & (x2 < u)
+    ok[:, len(ks):] &= (x2[:, len(ks):] - x1) % p != 0
+    ok[:, 2 * len(ks):] &= odd == 0
+    x2[~ok] = 0                     # w[0] = 0: 0 <= m is never admissible
+    us = u[:, 0]
+    out = np.empty((len(ws), len(x1s)))
+    for w, row in zip(ws, out):
+        dropped = (w[x2] * w[u - x2]).sum(axis=1)
+        row[:] = np.convolve(w, w)[us] - dropped
         # a row that dropped more than it kept lost bits to cancellation
         # (x1 = 1 when gamma is large): sum its kept pairs directly
-        for i in np.flatnonzero(out < dropped).tolist():
-            x2 = np.arange(1, us[i])
-            x2 = x2[(2 * x2 != us[i]) & (x2 != x1s[i]) & (x2 != x3s[i])]
-            out[i] = w[x2] @ w[us[i] - x2]
-        return out
-    # u = v + M t; the pair of classes (s2, s3) reads its convolution at
-    # t - (s2 + s3 - v) / M, so each class s1 sums its terms in one array
-    out = np.zeros(len(x1s))
-    classes = {s: w[s::modulus]
-               for s in np.unique(np.flatnonzero(w) % modulus).tolist()}
+        for i in np.flatnonzero(row < dropped).tolist():
+            y2 = np.arange(1, us[i])
+            y3 = us[i] - y2
+            keep = (((y2 - y3) % p != 0) & ((y2 - x1s[i]) % p != 0)
+                    & ((y3 - x1s[i]) % p != 0))
+            row[i] = w[y2[keep]] @ w[y3[keep]]
+    return out
+
+
+def _pair_sums_by_class(n: int, modulus: int, ws: np.ndarray,
+                        x1s: np.ndarray) -> np.ndarray:
+    """x1 in class s1 puts u = n - x1 in class v = n - s1, so each class
+    s2 fixes s3 = v - s2; the pairs of classes with s1, s2, s3 pairwise
+    distinct add their convolutions, batched over all weight arrays and
+    looped over the shorter of the class pairs and the class length."""
+    nz = np.flatnonzero(ws.any(axis=0))
+    classes = np.unique(nz % modulus)
+    span = n // modulus + 1
+    cw = np.zeros((len(ws), len(classes), span))
+    cw[:, np.searchsorted(classes, nz % modulus), nz // modulus] = ws[:, nz]
+    us = n - x1s
     r1s = x1s % modulus
+    out = np.zeros((len(ws), len(x1s)))
     for s1 in np.unique(r1s).tolist():
-        rows = np.flatnonzero(r1s == s1)
         v = (n - s1) % modulus
-        acc = np.zeros(2 * (n // modulus + 1))
-        for s2, c2 in classes.items():
-            s3 = (v - s2) % modulus
-            if s1 in (s2, s3) or s2 == s3 or s3 not in classes:
-                continue
-            conv = np.convolve(c2, classes[s3])
-            shift = (s2 + s3 - v) // modulus
-            acc[shift:shift + len(conv)] += conv
-        out[rows] = acc[(us[rows] - v) // modulus]
+        s3 = (v - classes) % modulus
+        i3 = np.minimum(np.searchsorted(classes, s3), len(classes) - 1)
+        i2 = np.flatnonzero((classes[i3] == s3) & (classes != s3)
+                            & (classes != s1) & (s3 != s1))
+        i3 = i3[i2]
+        # s2 + s3 is v or v + modulus; in the second case the pair's
+        # convolution lands one place later in u = v + modulus t
+        late = classes[i2] + classes[i3] > v
+        a = cw[:, i2]
+        b = np.zeros((len(ws), len(i2), span + 1))
+        b[:, ~late, :span] = cw[:, i3[~late]]
+        b[:, late, 1:] = cw[:, i3[late]]
+        acc = np.zeros((len(ws), 2 * span))
+        if len(i2) <= span:
+            for j, (aw, bw) in enumerate(zip(a, b)):
+                for ak, bk in zip(aw, bw):
+                    acc[j] += np.convolve(ak, bk)
+        else:
+            for t in range(span):
+                acc[:, t:t + span + 1] += (a[:, None, :, t] @ b)[:, 0]
+        rows = np.flatnonzero(r1s == s1)
+        out[:, rows] = acc[:, (us[rows] - v) // modulus]
     return out
 
 
 def _expectation_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    q1, count, pair_sum = _loop_rows(n, modulus, q, q)
-    pair_sum[count == 0] = 0.0
+    q1, pair_sum = _loop_rows(n, modulus, q, q)
     return math.fsum((q1 * pair_sum).tolist()) / 6.0
 
 
@@ -581,12 +629,10 @@ def _expectation_transform(n: int, modulus: int, q: np.ndarray) -> float:
         if n % 3 == 0:
             triple = float(q[n // 3] ** 3)
     else:
-        for s in range(modulus):
+        for s in _live_classes(q, modulus):
             if (n - 3 * s) % modulus:
                 continue
             qs = q[s::modulus]
-            if not qs.any():
-                continue
             j3 = (n - 3 * s) // modulus
             conv = _linconv(_linconv(qs, qs), qs)
             if 0 <= j3 < len(conv):
@@ -603,17 +649,20 @@ def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
 
 
 def _delta_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    q1, count, pair_sum, pair_sq = _loop_rows(n, modulus, q, q, q * q)
+    support = (q > 0).astype(np.float64)
+    q1, count, pair_sum, pair_sq = _loop_rows(n, modulus, q, support, q,
+                                              q * q)
     rows = q1 * ((pair_sum / 2.0) ** 2 - pair_sq / 2.0)
     # one unordered pair (two ordered ones) has no second pair to meet
     rows[count <= 2] = 0.0
     return math.fsum(rows.tolist())
 
 
-def _delta_inner_transform(n: int, modulus: int, q: np.ndarray):
+def _delta_inner_transform(n: int, modulus: int, q: np.ndarray, live):
     """For every x1, the ordered weight of pairs (x2, x3), x2+x3 = n-x1,
     with the triple pairwise incongruent: C2 - G2 - 2H + 2K at u = n-x1,
-    where H fixes x2 in x1's class and K fixes both."""
+    where H fixes x2 in x1's class and K fixes both. Only the rows of the
+    live classes of x1 are filled; the others stay 0."""
     top = n
     c2, g2 = _pair_sum_arrays(q, modulus, top)
     x1s = np.arange(1, n - 2 + 1)
@@ -628,16 +677,13 @@ def _delta_inner_transform(n: int, modulus: int, q: np.ndarray):
         eq_all = np.where(us == 2 * x1s, q[x1s] ** 2, 0.0)
         ordered = free - eq23 - 2 * eq12 + 2 * eq_all
         return x1s, ordered
-    class_arrays = [q[s::modulus] for s in range(modulus)]
-    for s in range(modulus):
-        qs = class_arrays[s]
-        if not qs.any():            # q[x1] = 0 zeroes these rows anyway
-            continue
+    for s in live:
+        qs = q[s::modulus]
         sel = np.nonzero(x1s % modulus == s)[0]
         if not len(sel):
             continue
         c = (n - 2 * s) % modulus
-        conv_sc = _linconv(qs, class_arrays[c])
+        conv_sc = _linconv(qs, q[c::modulus])
         uu = us[sel]
         hidx = (uu - s - c) // modulus
         h = np.zeros(len(sel))
@@ -654,8 +700,11 @@ def _delta_inner_transform(n: int, modulus: int, q: np.ndarray):
 
 
 def _delta_transform(n: int, modulus: int, q: np.ndarray) -> float:
-    x1s, ordered = _delta_inner_transform(n, modulus, q)
-    _, ordered_sq = _delta_inner_transform(n, modulus, q ** 2)
+    # the classes where q vanishes add q[x1] = 0; q ** 2 may underflow to
+    # 0 on a class where q does not, so both passes take q's classes
+    live = _live_classes(q, modulus)
+    x1s, ordered = _delta_inner_transform(n, modulus, q, live)
+    _, ordered_sq = _delta_inner_transform(n, modulus, q ** 2, live)
     pair_sum = ordered / 2.0
     pair_sq = ordered_sq / 2.0
     contrib = q[x1s] * (pair_sum ** 2 - pair_sq)

@@ -2,15 +2,15 @@
 brute-force and Monte Carlo oracles."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-import random
-
 import mpmath
+import numpy as np
 import pytest
 
 import brute_scans as brute
@@ -390,6 +390,19 @@ class TestDeltaQ:
             assert exact_delta_Q(n, cfg, "transform") == pytest.approx(
                 want, rel=1e-9, abs=1e-12)
 
+    def test_transform_where_q_squared_underflows(self):
+        # q(120) = 120^-80, about 1e-167, squares to 0, yet the row x1 = 120
+        # carries both pairs of n - 120 = 5: {1, 4} and {2, 3}; Delta is
+        # 2 q1 q2 q3 q4 q120, up to the cancellation in (S/2)^2 - S2/2
+        cfg = SampleConfig(gamma=80, m=0, modulus=200,
+                           residues=(1, 2, 3, 4, 120))
+        want = 2 * math.prod(inclusion_probability(cfg, x)
+                             for x in cfg.residues)
+        loop = exact_delta_Q(125, cfg, "loop")
+        assert loop == pytest.approx(want, rel=1e-2, abs=0)
+        assert exact_delta_Q(125, cfg, "transform") == pytest.approx(
+            loop, rel=1e-12, abs=0)
+
     def test_engines_match_at_scale(self):
         loop = exact_delta_Q(1990, CFG156, "loop")
         fast = exact_delta_Q(1990, CFG156, "transform")
@@ -411,9 +424,13 @@ class TestDeltaQ:
 
 def _loop_grid():
     """(cfg, n): the plain model at small n for three floors and three
-    exponents, two small moduli, and the mod-156 Ruzsa-residue model from
+    exponents, two small moduli, the mod-156 Ruzsa-residue model from
     n = 300 up, with seeded targets beside fixed ones (1990 and 2000 on
-    either side of reachability, 4184 and 4340 unreachable)."""
+    either side of reachability, 4184 and 4340 unreachable), and three
+    moduli with many residues: 50 (all of them), 60 (40 seeded ones) and
+    1000 (500 seeded ones), at targets that the engines sum by class (50
+    at n = 900, with more class pairs than class length) and by exclusion
+    (the others)."""
     rng = random.Random(2026)
     for g in (G, Fraction(1, 2), Fraction(1, 10 ** 6)):
         for m in (0, 1, 3):
@@ -426,6 +443,12 @@ def _loop_grid():
             yield cfg, n
     for n in [300, 1990, 2000, 4184, 4340] + rng.sample(range(301, 4500), 12):
         yield CFG156, n
+    for modulus, count, targets in ((50, 50, (500, 900)), (60, 40, (700,)),
+                                    (1000, 500, (1200,))):
+        cfg = SampleConfig(gamma=G, m=10, modulus=modulus,
+                           residues=rng.sample(range(modulus), count))
+        for n in targets:
+            yield cfg, n
 
 
 class TestLoopEngines:
@@ -445,6 +468,22 @@ class TestLoopEngines:
                     worst = max(worst, abs(v - w) / w)
         assert worst <= 1e-14
 
+    def test_class_and_exclusion_sums_agree(self):
+        """The two ways of summing the kept pairs, whichever the moment
+        engines pick: counts equal, the same zeros, rows within 1e-13."""
+        for cfg, n in _loop_grid():
+            if cfg.modulus == 1:
+                continue
+            q = analysis._prob_array(cfg, n)
+            x1s = np.flatnonzero(q[1:n - 2]) + 1
+            ws = np.array([(q > 0).astype(float), q, q * q])
+            by_class = analysis._pair_sums_by_class(n, cfg.modulus, ws, x1s)
+            by_exclusion = analysis._pair_sums_by_exclusion(n, cfg.modulus,
+                                                            ws, x1s)
+            assert np.array_equal(by_class[0], by_exclusion[0]), (cfg, n)
+            assert np.array_equal(by_class == 0, by_exclusion == 0)
+            np.testing.assert_allclose(by_exclusion, by_class, rtol=1e-13,
+                                       atol=0)
 
     @pytest.mark.parametrize("g", [Fraction(10), Fraction(50)])
     def test_cancelling_rows_are_summed_directly(self, g):
@@ -466,11 +505,22 @@ class TestUnreachableResidues:
         sums = {sum(t) % CFG156.modulus
                 for t in combinations(CFG156.residues, 3)}
         assert 0 < len(sums) < CFG156.modulus
+        q = analysis._prob_array(CFG156, 1000)  # every residue above m
         for r in range(CFG156.modulus):
-            assert analysis._residues_reach(r, CFG156) == (r in sums)
-        assert analysis._residues_reach(7, CFG1)
+            assert analysis._residues_reach(r, 156, q) == (r in sums)
+        assert analysis._residues_reach(7, 1, analysis._prob_array(CFG1, 7))
         two = SampleConfig(gamma=G, m=0, modulus=2, residues=(0, 1))
-        assert not analysis._residues_reach(101, two)
+        assert not analysis._residues_reach(101, 2,
+                                            analysis._prob_array(two, 101))
+
+    def test_only_classes_that_meet_the_support_count(self):
+        # 1 + 100 + 959 = 60 mod 1000, but no x <= 60 lies in 100 or 959
+        cfg = SampleConfig(gamma=G, m=0, modulus=1000,
+                           residues=(1, 100, 959))
+        assert not analysis._residues_reach(60, 1000,
+                                            analysis._prob_array(cfg, 60))
+        assert analysis._residues_reach(1060, 1000,
+                                        analysis._prob_array(cfg, 1060))
 
     @pytest.mark.parametrize("n", [2000, 4184, 4340])
     def test_both_engines_give_exact_zero(self, n):
