@@ -452,10 +452,18 @@ def _linconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                         size)[:nout]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonnegative integer array, ascending.
+    np.unique would do, but its first call imports numpy.ma, about 20 ms
+    of every process that uses it."""
+    values = np.sort(values)
+    return values[np.flatnonzero(np.diff(values, prepend=-1))]
+
+
 def _live_classes(q: np.ndarray, modulus: int) -> list:
     """The residue classes mod the modulus that meet the support of q,
     ascending."""
-    return np.unique(np.flatnonzero(q) % modulus).tolist()
+    return _distinct(np.flatnonzero(q) % modulus).tolist()
 
 
 def _pair_sum_arrays(q: np.ndarray, modulus: int, top: int):
@@ -537,7 +545,7 @@ def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
     ws = np.array(weights)
     by_class = modulus > 1 and (
         16 * modulus <= n
-        or 2 ** 18 * len(np.unique(x1s % modulus)) <= len(ws) * n * n)
+        or 2 ** 18 * len(_distinct(x1s % modulus)) <= len(ws) * n * n)
     pair_sums = _pair_sums_by_class if by_class else _pair_sums_by_exclusion
     return q[x1s], *pair_sums(n, modulus, ws, x1s)
 
@@ -580,14 +588,14 @@ def _pair_sums_by_class(n: int, modulus: int, ws: np.ndarray,
     distinct add their convolutions, batched over all weight arrays and
     looped over the shorter of the class pairs and the class length."""
     nz = np.flatnonzero(ws.any(axis=0))
-    classes = np.unique(nz % modulus)
+    classes = _distinct(nz % modulus)
     span = n // modulus + 1
     cw = np.zeros((len(ws), len(classes), span))
     cw[:, np.searchsorted(classes, nz % modulus), nz // modulus] = ws[:, nz]
     us = n - x1s
     r1s = x1s % modulus
     out = np.zeros((len(ws), len(x1s)))
-    for s1 in np.unique(r1s).tolist():
+    for s1 in _distinct(r1s).tolist():
         v = (n - s1) % modulus
         s3 = (v - classes) % modulus
         i3 = np.minimum(np.searchsorted(classes, s3), len(classes) - 1)
