@@ -611,9 +611,9 @@ def _pair_sums_by_class(n: int, modulus: int, ws: np.ndarray,
         b[:, late, 1:] = cw[:, i3[late]]
         acc = np.zeros((len(ws), 2 * span))
         if len(i2) <= span:
-            for j, (aw, bw) in enumerate(zip(a, b)):
-                for ak, bk in zip(aw, bw):
-                    acc[j] += np.convolve(ak, bk)
+            for acc_w, a_w, b_w in zip(acc, a, b):
+                for ak, bk in zip(a_w, b_w):
+                    acc_w += np.convolve(ak, bk)
         else:
             for t in range(span):
                 acc[:, t:t + span + 1] += (a[:, None, :, t] @ b)[:, 0]
