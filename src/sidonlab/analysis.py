@@ -441,17 +441,6 @@ def _prob_array(cfg: SampleConfig, top: int) -> np.ndarray:
     return q
 
 
-def _linconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    nout = len(a) + len(b) - 1
-    if nout <= 0:
-        return np.zeros(0)
-    if nout < 256:
-        return np.convolve(a, b)
-    size = 1 << (nout - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size),
-                        size)[:nout]
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a nonnegative integer array, ascending.
     np.unique would do, but its first call imports numpy.ma, about 20 ms
@@ -460,60 +449,49 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.flatnonzero(np.diff(values, prepend=-1))]
 
 
-def _live_classes(q: np.ndarray, modulus: int) -> list:
-    """The residue classes mod the modulus that meet the support of q,
-    ascending."""
-    return _distinct(np.flatnonzero(q) % modulus).tolist()
-
-
-def _pair_sum_arrays(q: np.ndarray, modulus: int, top: int):
-    """C2[u] = unrestricted pair weight at sum u; G2[u] = congruent-pair
-    weight (x equal to y mod modulus), both truncated to u <= top."""
-    c2 = _linconv(q, q)[:top + 1]
-    g2 = np.zeros(top + 1)
-    if modulus == 1:
-        even = np.arange(0, top + 1, 2)
-        g2[even] = q[even // 2] ** 2
-    else:
-        for s in _live_classes(q, modulus):
-            qs = q[s::modulus]
-            conv = _linconv(qs, qs)
-            jmax = (top - 2 * s) // modulus
-            if jmax >= 0:
-                sl = min(jmax + 1, len(conv))
-                g2[2 * s + modulus * np.arange(sl)] += conv[:sl]
-    return c2, g2
-
-
-def _moment(n: int, cfg: SampleConfig, engine: str, loop, transform) -> float:
+def _moment(n: int, cfg: SampleConfig, engine: str, finish) -> float:
     """The engine dispatch shared by both moments: "auto" takes the loop up
-    to n = 4096 and the transform beyond."""
+    to n = 4096 and the transform beyond; `finish` turns the chosen
+    engine's rows into the moment. Exactly 0 below 3m + 6, the smallest
+    sum of three distinct integers above m, and wherever no three residue
+    classes reach n."""
     if engine == "auto":
         engine = "loop" if n <= 4096 else "transform"
     if engine not in ("loop", "transform"):
         raise RangeError("engine must be auto, loop, or transform")
-    if n <= 3 * cfg.m or n < 6:
+    if n < 3 * cfg.m + 6:
         return 0.0
     q = _prob_array(cfg, n)
     if not _residues_reach(n, cfg.modulus, q):
         return 0.0
-    return (loop if engine == "loop" else transform)(n, cfg.modulus, q)
+    rows = _loop_rows if engine == "loop" else _transform_rows
+    return finish(rows, n, cfg.modulus, q)
 
 
 def _residues_reach(n: int, modulus: int, q: np.ndarray) -> bool:
     """Whether three pairwise-distinct residue classes that meet the
-    support of q sum to n mod the modulus (always, when the modulus is 1:
-    the triples need only be pairwise distinct). Otherwise no triple
-    exists and both moments are 0. Classes with no x in (m, n] do not
-    count, so a long residue list costs no more than its support."""
+    support of q sum to n mod the modulus, with their smallest members of
+    the support summing to at most n (always, when the modulus is 1: the
+    caller checks n against the smallest three distinct admissible x).
+    Otherwise no triple exists and both moments are 0. The support is
+    every admissible x up to some point, so each class's smallest member
+    lies within a modulus of the smallest x of all; classes with no x in
+    (m, n] do not count, so a long residue list costs no more than its
+    support."""
     if modulus == 1:
         return True
-    res = np.array(_live_classes(q, modulus), dtype=np.int64)
-    for i, r1 in enumerate(res.tolist()):
+    nz = np.flatnonzero(q)
+    if not len(nz):
+        return False
+    low = nz[nz < nz[0] + modulus]
+    order = np.argsort(low % modulus)
+    res, low = low[order] % modulus, low[order]
+    for i, (r1, x1) in enumerate(zip(res.tolist(), low.tolist())):
         r2 = res[i + 1:]
         r3 = (n - r1 - r2) % modulus
         at = np.minimum(np.searchsorted(res, r3), len(res) - 1)
-        if ((res[at] == r3) & (r3 > r2)).any():
+        if ((res[at] == r3) & (r3 > r2)
+                & (x1 + low[i + 1:] + low[at] <= n)).any():
             return True
     return False
 
@@ -523,7 +501,40 @@ def exact_expectation_Q(n: int, cfg: SampleConfig,
     """Expected number of admissible triples x1+x2+x3 = n, pairwise
     incongruent mod the config modulus (pairwise distinct when it is 1),
     counted unordered. Exact; no sampling."""
-    return _moment(n, cfg, engine, _expectation_loop, _expectation_transform)
+    return _moment(n, cfg, engine, _expectation)
+
+
+def _expectation(rows, n: int, modulus: int, q: np.ndarray) -> float:
+    q1, pair_sum = rows(n, modulus, q, q)
+    return math.fsum((q1 * pair_sum).tolist()) / 6.0
+
+
+def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
+    """Clustering term for the triple family: sum over ordered pairs of
+    distinct intersecting triples of the probability that their union is
+    sampled. Two distinct triples with one total share exactly one
+    element, so the sum splits over the shared element.
+
+    A row whose first element has a single unordered pair (two ordered
+    ones) has no second pair to meet, and is exactly 0. Kept ordered
+    counts are even (a pair and its swap are both kept, x2 = x3 never
+    is), so the rule is count < 3, and the transform's count needs an
+    error below 1 only. By Percival's bound (Math. Comp. 72, 2003), a
+    float64 FFT convolution of length 2^k errs in each entry by at most
+    |x| |y| ((1+u)^3k (1+u sqrt5)^(3k+1) (1+mu)^3k - 1), u = 2^-53, mu the
+    error of the twiddle factors. Assuming numpy's pocketfft keeps mu
+    below 4u, that is under 2.2e-15 (3k+1) n for 0/1 vectors of length
+    n + 1; C2, at most two class convolutions of G2 and twice one of H add
+    five such errors, below 1e-3 for every n <= 2^30, far beyond memory."""
+    return _moment(n, cfg, engine, _delta)
+
+
+def _delta(rows, n: int, modulus: int, q: np.ndarray) -> float:
+    support = (q > 0).astype(np.float64)
+    q1, count, pair_sum, pair_sq = rows(n, modulus, q, support, q, q * q)
+    terms = q1 * ((pair_sum / 2.0) ** 2 - pair_sq / 2.0)
+    terms[count < 3] = 0.0
+    return math.fsum(terms.tolist())
 
 
 def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
@@ -587,11 +598,8 @@ def _pair_sums_by_class(n: int, modulus: int, ws: np.ndarray,
     s2 fixes s3 = v - s2; the pairs of classes with s1, s2, s3 pairwise
     distinct add their convolutions, batched over all weight arrays and
     looped over the shorter of the class pairs and the class length."""
-    nz = np.flatnonzero(ws.any(axis=0))
-    classes = _distinct(nz % modulus)
-    span = n // modulus + 1
-    cw = np.zeros((len(ws), len(classes), span))
-    cw[:, np.searchsorted(classes, nz % modulus), nz // modulus] = ws[:, nz]
+    classes, cw = _class_matrix(ws, np.flatnonzero(ws.any(axis=0)), modulus)
+    span = cw.shape[-1]
     us = n - x1s
     r1s = x1s % modulus
     out = np.zeros((len(ws), len(x1s)))
@@ -622,101 +630,71 @@ def _pair_sums_by_class(n: int, modulus: int, ws: np.ndarray,
     return out
 
 
-def _expectation_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    q1, pair_sum = _loop_rows(n, modulus, q, q)
-    return math.fsum((q1 * pair_sum).tolist()) / 6.0
+def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
+    """What `_loop_rows` gives, by inclusion-exclusion on FFT convolutions:
+    at u = n - x1, all ordered pairs (C2) less those with x2 congruent to
+    x3 (G2) and twice those with x2 congruent to x1 (H; x3 congruent to
+    x1 weighs the same), plus twice those with all three congruent (K).
+    K is nonzero only where 3 x1 = n mod p, and there it is H itself, so
+    such rows take C2 - G2.
 
-
-def _expectation_transform(n: int, modulus: int, q: np.ndarray) -> float:
-    c2, g2 = _pair_sum_arrays(q, modulus, n)
-    qrev = q[::-1]
-    total = float(c2 @ qrev)        # ordered triples, no constraint
-    paired = float(g2 @ qrev)       # one congruent pair fixed
-    triple = 0.0                    # all three congruent
-    if modulus == 1:
-        if n % 3 == 0:
-            triple = float(q[n // 3] ** 3)
-    else:
-        for s in _live_classes(q, modulus):
-            if (n - 3 * s) % modulus:
-                continue
-            qs = q[s::modulus]
-            j3 = (n - 3 * s) // modulus
-            conv = _linconv(_linconv(qs, qs), qs)
-            if 0 <= j3 < len(conv):
-                triple += float(conv[j3])
-    return (total - 3 * paired + 2 * triple) / 6.0
-
-
-def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
-    """Clustering term for the triple family: sum over ordered pairs of
-    distinct intersecting triples of the probability that their union is
-    sampled. Two distinct triples with one total share exactly one
-    element, so the sum splits over the shared element."""
-    return _moment(n, cfg, engine, _delta_loop, _delta_transform)
-
-
-def _delta_loop(n: int, modulus: int, q: np.ndarray) -> float:
-    support = (q > 0).astype(np.float64)
-    q1, count, pair_sum, pair_sq = _loop_rows(n, modulus, q, support, q,
-                                              q * q)
-    rows = q1 * ((pair_sum / 2.0) ** 2 - pair_sq / 2.0)
-    # one unordered pair (two ordered ones) has no second pair to meet
-    rows[count <= 2] = 0.0
-    return math.fsum(rows.tolist())
-
-
-def _delta_inner_transform(n: int, modulus: int, q: np.ndarray, live):
-    """For every x1, the ordered weight of pairs (x2, x3), x2+x3 = n-x1,
-    with the triple pairwise incongruent: C2 - G2 - 2H + 2K at u = n-x1,
-    where H fixes x2 in x1's class and K fixes both. Only the rows of the
-    live classes of x1 are filled; the others stay 0."""
-    top = n
-    c2, g2 = _pair_sum_arrays(q, modulus, top)
-    x1s = np.arange(1, n - 2 + 1)
+    p is the modulus, or n + 1 when the modulus is 1. When p > n, every
+    class holds at most one x <= n, so congruent means equal and G2 and H
+    are products of single entries. Otherwise they come from one batched
+    FFT over the weights laid out by the classes of q's support. C2 is
+    summed directly below 128, where each entry stays exact to rounding
+    even when the weights span many magnitudes (large gamma)."""
+    x1s = np.flatnonzero(q[1:n - 2]) + 1
     us = n - x1s
-    ordered = np.zeros(len(x1s))
-    if modulus == 1:
-        free = c2[us]
-        eq23 = np.where(us % 2 == 0, q[us // 2] ** 2, 0.0)
-        idx3 = us - x1s
-        eq12 = np.where((idx3 >= 0) & (idx3 <= top),
-                        q[x1s] * q[np.clip(idx3, 0, top)], 0.0)
-        eq_all = np.where(us == 2 * x1s, q[x1s] ** 2, 0.0)
-        ordered = free - eq23 - 2 * eq12 + 2 * eq_all
-        return x1s, ordered
-    for s in live:
-        qs = q[s::modulus]
-        sel = np.nonzero(x1s % modulus == s)[0]
-        if not len(sel):
-            continue
-        c = (n - 2 * s) % modulus
-        conv_sc = _linconv(qs, q[c::modulus])
-        uu = us[sel]
-        hidx = (uu - s - c) // modulus
-        h = np.zeros(len(sel))
-        ok = (hidx >= 0) & (hidx < len(conv_sc))
-        h[ok] = conv_sc[hidx[ok]]
-        k = np.zeros(len(sel))
-        if (n - 3 * s) % modulus == 0:
-            conv_ss = _linconv(qs, qs)
-            kidx = (uu - 2 * s) // modulus
-            ok = (kidx >= 0) & (kidx < len(conv_ss))
-            k[ok] = conv_ss[kidx[ok]]
-        ordered[sel] = c2[uu] - g2[uu] - 2 * h + 2 * k
-    return x1s, ordered
+    ws = np.array(weights)
+    if n < 128:
+        c2 = np.array([np.convolve(w, w) for w in ws])
+    else:
+        c2 = _fft_products(ws[:, None], [0], [0])[:, 0]
+    p = modulus if modulus > 1 else n + 1
+    if p > n:
+        g2 = np.zeros_like(ws)
+        g2[:, ::2] = ws[:, :n // 2 + 1] ** 2      # u = 2 x2
+        x3 = np.maximum(n - 2 * x1s, 0)           # w[0] = 0
+        dropped = g2[:, us] + np.where(3 * x1s == n, 0.0,
+                                       2 * ws[:, x1s] * ws[:, x3])
+    else:
+        classes, cw = _class_matrix(ws, np.flatnonzero(q), p)
+        s1 = _distinct(x1s % p)
+        c = (n - 2 * s1) % p                      # x3's class for H
+        at = np.minimum(np.searchsorted(classes, c), len(classes) - 1)
+        h = (classes[at] == c) & (c != s1)
+        own = np.arange(len(classes))
+        conv = _fft_products(
+            cw, np.concatenate([own, np.searchsorted(classes, s1[h])]),
+            np.concatenate([own, at[h]]))
+        conv[:, len(classes):] *= 2
+        # the pair of classes (s, t) puts its j-th entry at u = s + t + j p
+        first = np.concatenate([2 * classes, s1[h] + c[h]])
+        u = first[:, None] + p * np.arange(conv.shape[-1])
+        ok = u <= n
+        dropped = np.array([np.bincount(u[ok], v[ok], n + 1)
+                            for v in conv])[:, us]
+    return q[x1s], *(c2[:, us] - dropped)
 
 
-def _delta_transform(n: int, modulus: int, q: np.ndarray) -> float:
-    # the classes where q vanishes add q[x1] = 0; q ** 2 may underflow to
-    # 0 on a class where q does not, so both passes take q's classes
-    live = _live_classes(q, modulus)
-    x1s, ordered = _delta_inner_transform(n, modulus, q, live)
-    _, ordered_sq = _delta_inner_transform(n, modulus, q ** 2, live)
-    pair_sum = ordered / 2.0
-    pair_sq = ordered_sq / 2.0
-    contrib = q[x1s] * (pair_sum ** 2 - pair_sq)
-    return math.fsum(contrib.tolist())
+def _fft_products(x: np.ndarray, a, b) -> np.ndarray:
+    """The linear convolutions of x[..., a[i], :] with x[..., b[i], :] along
+    the last axis, all by one batched rfft and irfft."""
+    nout = 2 * x.shape[-1] - 1
+    size = 1 << (nout - 1).bit_length()
+    f = np.fft.rfft(x, size)
+    return np.fft.irfft(f[..., a, :] * f[..., b, :], size)[..., :nout]
+
+
+def _class_matrix(ws: np.ndarray, nz: np.ndarray, modulus: int):
+    """The residue classes of the positions nz, ascending, and the weight
+    arrays at those positions laid out by class: cw[:, i, j] is the
+    weight at classes[i] + j modulus (0 off nz)."""
+    classes = _distinct(nz % modulus)
+    cw = np.zeros((len(ws), len(classes), (ws.shape[1] - 1) // modulus + 1))
+    cw[:, np.searchsorted(classes, nz % modulus), nz // modulus] = ws[:, nz]
+    return classes, cw
 
 
 def janson_threshold(cfg: SampleConfig, targets, engine: str = "auto"):

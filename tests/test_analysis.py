@@ -2,12 +2,16 @@
 brute-force and Monte Carlo oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -45,6 +49,8 @@ G = Fraction(7, 11)
 CFG5 = SampleConfig(gamma=G, m=2, modulus=5, residues=(1, 2, 3), seed=11)
 CFG1 = SampleConfig(gamma=G, m=3, modulus=1, residues=(0,), seed=7)
 CFG156 = SampleConfig.from_modset(ruzsa_set(13), gamma=G, m=100, seed=5)
+PLAIN100 = SampleConfig(gamma=G, m=100, modulus=1, residues=(0,))
+FAR = SampleConfig(gamma=G, m=0, modulus=1000, residues=(900, 950, 999))
 
 
 class TestSumSpec:
@@ -453,20 +459,29 @@ def _loop_grid():
 
 class TestLoopEngines:
     def test_match_the_per_x1_scan(self):
-        """Both loop engines against the scan they replaced: the same zero
-        pattern, nothing negative and relative error at most 1e-14."""
-        worst = 0.0
+        """Both engines' rows against the scan the loop replaced, finished
+        as the moments finish them. The loop: the scan's zero pattern,
+        nothing negative and relative error at most 1e-14. The transform:
+        the scan's zero pattern for Delta (its count rule), nothing
+        negative there, and both moments within 1e-9 relative or 1e-12
+        absolute (an E with no triple at all is rounding noise; the
+        public call returns 0 there first)."""
+        worst = {analysis._loop_rows: 0.0, analysis._transform_rows: 0.0}
         for cfg, n in _loop_grid():
             q = analysis._prob_array(cfg, n)
             want = brute.triple_moments(n, cfg.modulus, q)
-            got = (analysis._expectation_loop(n, cfg.modulus, q),
-                   analysis._delta_loop(n, cfg.modulus, q))
-            for name, w, v in zip(("E", "Delta"), want, got):
-                assert (v == 0.0) == (w == 0.0), (name, cfg, n, w, v)
-                assert v >= 0.0, (name, cfg, n, v)
-                if w:
-                    worst = max(worst, abs(v - w) / w)
-        assert worst <= 1e-14
+            for rows in worst:
+                got = (analysis._expectation(rows, n, cfg.modulus, q),
+                       analysis._delta(rows, n, cfg.modulus, q))
+                for name, w, v in zip(("E", "Delta"), want, got):
+                    if rows is analysis._loop_rows or name == "Delta":
+                        assert (v == 0.0) == (w == 0.0), (name, cfg, n, w, v)
+                        assert v >= 0.0, (name, cfg, n, v)
+                    assert v == pytest.approx(w, rel=1e-9, abs=1e-12)
+                    if w:
+                        worst[rows] = max(worst[rows], abs(v - w) / w)
+        assert worst[analysis._loop_rows] <= 1e-14
+        assert worst[analysis._transform_rows] <= 1e-9
 
     def test_class_and_exclusion_sums_agree(self):
         """The two ways of summing the kept pairs, whichever the moment
@@ -494,10 +509,32 @@ class TestLoopEngines:
         for n in range(6, 60):
             q = analysis._prob_array(cfg, n)
             want_e, want_d = brute.triple_moments(n, 1, q)
-            got_e = analysis._expectation_loop(n, 1, q)
-            got_d = analysis._delta_loop(n, 1, q)
+            got_e = analysis._expectation(analysis._loop_rows, n, 1, q)
+            got_d = analysis._delta(analysis._loop_rows, n, 1, q)
             assert got_e == pytest.approx(want_e, rel=1e-14, abs=0)
             assert (got_d == 0.0) == (want_d == 0.0) and got_d >= 0.0
+
+    def test_moments_leave_numpy_ma_unimported(self):
+        # np.unique would import numpy.ma, about 20 ms of every process
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from sidonlab.analysis import exact_delta_Q, exact_expectation_Q\n"
+            "from sidonlab.randommodel import SampleConfig\n"
+            "from sidonlab.sidoncore import ruzsa_set\n"
+            "g = Fraction(7, 11)\n"
+            "for cfg in (SampleConfig(gamma=g, m=100, modulus=1, residues=(0,)),\n"
+            "            SampleConfig.from_modset(ruzsa_set(13), gamma=g, m=100)):\n"
+            "    for engine in ('auto', 'loop', 'transform'):\n"
+            "        for n in (1990, 5000):\n"
+            "            exact_expectation_Q(n, cfg, engine)\n"
+            "            exact_delta_Q(n, cfg, engine)\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(analysis.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
 
 
 class TestUnreachableResidues:
@@ -505,9 +542,11 @@ class TestUnreachableResidues:
         sums = {sum(t) % CFG156.modulus
                 for t in combinations(CFG156.residues, 3)}
         assert 0 < len(sums) < CFG156.modulus
-        q = analysis._prob_array(CFG156, 1000)  # every residue above m
-        for r in range(CFG156.modulus):
-            assert analysis._residues_reach(r, 156, q) == (r in sums)
+        # every residue above m; the smallest members of any three
+        # classes lie in (100, 256] and sum to less than 845
+        q = analysis._prob_array(CFG156, 1000)
+        for n in range(1000 - CFG156.modulus + 1, 1001):
+            assert analysis._residues_reach(n, 156, q) == (n % 156 in sums)
         assert analysis._residues_reach(7, 1, analysis._prob_array(CFG1, 7))
         two = SampleConfig(gamma=G, m=0, modulus=2, residues=(0, 1))
         assert not analysis._residues_reach(101, 2,
@@ -522,12 +561,43 @@ class TestUnreachableResidues:
         assert analysis._residues_reach(1060, 1000,
                                         analysis._prob_array(cfg, 1060))
 
+    def test_smallest_members_must_fit(self):
+        # 1849 = 900 + 950 + 999 mod 1000, but those classes start at
+        # 900, 950 and 999, which sum to 2849
+        q = analysis._prob_array(FAR, 2849)
+        assert not analysis._residues_reach(1849, 1000, q)
+        assert analysis._residues_reach(2849, 1000, q)
+
     @pytest.mark.parametrize("n", [2000, 4184, 4340])
     def test_both_engines_give_exact_zero(self, n):
         # n = 128 mod 156: no three distinct Ruzsa residues sum to it
         for engine in ("auto", "loop", "transform"):
             assert exact_expectation_Q(n, CFG156, engine) == 0.0
             assert exact_delta_Q(n, CFG156, engine) == 0.0
+
+    @pytest.mark.parametrize("cfg,n", [
+        *((PLAIN100, n) for n in range(301, 306)),
+        (CFG1, 14),
+        (FAR, 1849),
+    ])
+    def test_no_admissible_triple_is_exact_zero(self, cfg, n):
+        # below 3m + 6 no three distinct x exceed m; at 1849 the classes
+        # reach n mod 1000 but their smallest members do not fit
+        for engine in ("auto", "loop", "transform"):
+            assert exact_expectation_Q(n, cfg, engine) == 0.0
+            assert exact_delta_Q(n, cfg, engine) == 0.0
+
+    @pytest.mark.parametrize("cfg,n", [
+        (SampleConfig(gamma=G, m=0, modulus=1, residues=(0,)), 6),
+        (SampleConfig(gamma=G, m=0, modulus=1, residues=(0,)), 7),
+        (SampleConfig(gamma=G, m=0, modulus=10 ** 6,
+                      residues=(1, 2, 4, 8, 16, 1000, 3000)), 4001),
+    ])
+    def test_single_pair_rows_are_exact_zero(self, cfg, n):
+        # triples exist, but no first element has two pairs
+        for engine in ("auto", "loop", "transform"):
+            assert exact_expectation_Q(n, cfg, engine) > 0.0
+            assert exact_delta_Q(n, cfg, engine) == 0.0
 
     def test_janson_row(self):
         threshold, rows = janson_threshold(CFG156, (4184, 4340))
