@@ -106,23 +106,26 @@ class QuadricSolutions(list):
         self.reducible = params.splits_into_lines
 
 
-def _sqrt_table(p: int) -> list[int]:
-    """root[v] = the square root of v mod p in [0, p/2]; -1 for non-residues."""
-    root = [-1] * p
-    for s in range(p // 2 + 1):
-        root[s * s % p] = s
+def _sqrt_table(p: int) -> np.ndarray:
+    """root[v] = the square root of v mod p in [0, p/2]; -1 for non-residues.
+    The squares of 0..p/2 are distinct mod an odd prime."""
+    root = np.full(p, -1, dtype=np.int64)
+    s = np.arange(p // 2 + 1, dtype=np.int64)
+    root[s * s % p] = s
     return root
 
 
 def curve_point_count(params: CurveParams) -> int:
-    """Number of (U, V) with V != 0 and U^2 = 4V^3 + (bV + lam)^2 mod p."""
+    """Number of (U, V) with V != 0 and U^2 = 4V^3 + (bV + lam)^2 mod p,
+    in one pass over V. Every product is reduced mod p at once, so int64
+    holds it for p < 2^31; larger p raise RangeError."""
     p, b, lam = params.p, params.b, params.lam
-    root = _sqrt_table(p)
-    count = 0
-    for v in range(1, p):
-        s = root[(4 * v * v * v + (b * v + lam) ** 2) % p]
-        count += (s >= 0) + (s > 0)  # U = s and U = -s
-    return count
+    if p >= 2 ** 31:
+        raise RangeError("curve point counts need p < 2^31")
+    v = np.arange(1, p, dtype=np.int64)
+    w = (b * v + lam) % p
+    s = _sqrt_table(p)[(4 * (v * v % p * v % p) + w * w) % p]
+    return int((s >= 0).sum() + (s > 0).sum())  # U = s and U = -s
 
 
 def triple_reps(p: int, g: int, a: int, b: int):
@@ -137,7 +140,7 @@ def triple_reps(p: int, g: int, a: int, b: int):
         raise RangeError("target (a, b) out of range")
     pw = power_table(p, g)
     log = dict(zip(pw, range(p - 1)))
-    root = _sqrt_table(p)
+    root = _sqrt_table(p).tolist()
     n, half = p - 1, (p + 1) // 2
 
     def solutions():
@@ -217,7 +220,7 @@ def enumerate_quadric(params: QuadricParams) -> QuadricSolutions:
     the search is O(p).
     """
     p, r1, r2 = params.p, params.r1, params.r2
-    root = _sqrt_table(p)
+    root = _sqrt_table(p).tolist()
     half = (p + 1) // 2
     points = []
     for x1 in range(p):

@@ -2,7 +2,8 @@
 
 These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
 the library used before its O(p) curve solver and vectorised Sidon check,
-the O(p^3) triple loop behind the old `triple_rep_table`, the full-range
+the O(p^3) triple loop behind the old `triple_rep_table`, a per-V curve
+point count against a table of squares, the full-range
 sampler that built every x in [1, horizon] before the streamed residue
 blocks, a literal reading of the deletion lifts' removal rule, and the
 per-x1 scan behind the triple family's moments before the loop engines
@@ -115,6 +116,16 @@ def triple_rep_table(p, g, distinct="none"):
                 key = ((x1 + x2 + x3) % (p - 1), (pw[x1] + pw[x2] + pw[x3]) % p)
                 table[key] = table.get(key, 0) + 1
     return table
+
+
+def curve_point_count(p, b, lam):
+    """Points (U, V), V != 0, of U^2 = 4V^3 + (bV + lam)^2 mod p, by
+    testing every V against every square."""
+    squares = {}
+    for u in range(p):
+        squares[u * u % p] = squares.get(u * u % p, 0) + 1
+    return sum(squares.get((4 * v ** 3 + (b * v + lam) ** 2) % p, 0)
+               for v in range(1, p))
 
 
 def enumerate_quadric(p, r1, r2):

@@ -26,6 +26,21 @@ def test_curve_point_count_example():
     assert curve_point_count(CurveParams(7, 0, 1)) == 6
 
 
+def test_curve_point_count_matches_brute_scan():
+    # every (b, lam) at the primes up to 31, seeded ones at 211 and 307
+    for p, g, a, b in brute.targets():
+        lam = pow(g, a, p)
+        assert curve_point_count(CurveParams(p, b, lam)) == \
+            brute.curve_point_count(p, b, lam), (p, b, lam)
+
+
+def test_curve_point_count_needs_p_below_2_31():
+    p = 2 ** 31 + 11
+    assert is_prime(p)
+    with pytest.raises(RangeError):
+        curve_point_count(CurveParams(p, 0, 1))
+
+
 def test_curve_params_validation():
     with pytest.raises(NotPrime):
         CurveParams(8, 0, 1)
