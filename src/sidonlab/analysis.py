@@ -470,14 +470,11 @@ def _moment(n: int, cfg: SampleConfig, engine: str, finish) -> float:
 
 def _residues_reach(n: int, modulus: int, q: np.ndarray) -> bool:
     """Whether three pairwise-distinct residue classes that meet the
-    support of q sum to n mod the modulus, with their smallest members of
-    the support summing to at most n (always, when the modulus is 1: the
-    caller checks n against the smallest three distinct admissible x).
-    Otherwise no triple exists and both moments are 0. The support is
-    every admissible x up to some point, so each class's smallest member
-    lies within a modulus of the smallest x of all; classes with no x in
-    (m, n] do not count, so a long residue list costs no more than its
-    support."""
+    support of q sum to n mod the modulus, with their smallest members
+    summing to at most n; otherwise no triple exists and both moments are
+    0. The support is every admissible x up to some point, so the smallest
+    members are its x below its first plus the modulus, one per class.
+    Always true for modulus 1, where the caller checks n >= 3m + 6."""
     if modulus == 1:
         return True
     nz = np.flatnonzero(q)
@@ -515,17 +512,16 @@ def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
     sampled. Two distinct triples with one total share exactly one
     element, so the sum splits over the shared element.
 
-    A row whose first element has a single unordered pair (two ordered
-    ones) has no second pair to meet, and is exactly 0. Kept ordered
-    counts are even (a pair and its swap are both kept, x2 = x3 never
-    is), so the rule is count < 3, and the transform's count needs an
-    error below 1 only. By Percival's bound (Math. Comp. 72, 2003), a
-    float64 FFT convolution of length 2^k errs in each entry by at most
-    |x| |y| ((1+u)^3k (1+u sqrt5)^(3k+1) (1+mu)^3k - 1), u = 2^-53, mu the
-    error of the twiddle factors. Assuming numpy's pocketfft keeps mu
-    below 4u, that is under 2.2e-15 (3k+1) n for 0/1 vectors of length
-    n + 1; C2, at most two class convolutions of G2 and twice one of H add
-    five such errors, below 1e-3 for every n <= 2^30, far beyond memory."""
+    A first element with a single unordered pair has no second pair to
+    meet, so its row is exactly 0. Kept ordered counts are even (a pair
+    and its swap), so the rule is count < 3 and a count error below 1 is
+    enough. Percival (Math. Comp. 72, 2003) bounds each entry of a float64
+    FFT convolution of length 2^k by |x| |y| ((1+u)^3k (1+u sqrt5)^(3k+1)
+    (1+mu)^3k - 1), u = 2^-53, mu the error of the twiddle factors.
+    Assuming numpy's pocketfft keeps mu <= 4u, that is below
+    8.2e-16 (3k+1)(n+1) for 0/1 vectors of length n + 1. The transform's
+    count adds at most five such errors (C2, two class convolutions of G2,
+    twice one of H): below 1e-3 for every n <= 2^30, far beyond memory."""
     return _moment(n, cfg, engine, _delta)
 
 

@@ -132,27 +132,34 @@ class Decomposition:
         return False
 
 
+def _ruzsa_generator(p: int, g: Optional[int]) -> int:
+    """g, or the smallest primitive root when it is None; p must be an odd
+    prime."""
+    if p == 2 or not is_prime(p):
+        raise NotPrime(f"{p} is not an odd prime")
+    return primitive_root(p) if g is None else g
+
+
+def _ruzsa(p: int, a: int, b: int, pairs, **certificate) -> Decomposition:
+    """The decomposition of (a, b) into the Ruzsa elements (x, g^x) of the
+    pairs."""
+    return Decomposition(target=[a, b], modulus=[p - 1, p],
+                         parts=[crt_flatten(x, v, p) for x, v in pairs],
+                         construction="ruzsa", p=p, certificate=certificate)
+
+
 def decompose3_ruzsa(p: int, a: int, b: int, g: Optional[int] = None,
                      require_distinct: bool = False) -> Decomposition:
     """First (x1, x2) in lexicographic order with x3 = a - x1 - x2 mod p-1
     and g^x1 + g^x2 + g^x3 = b mod p; parts are the flattened set elements.
     O(p) per target."""
-    if p == 2 or not is_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
-    if g is None:
-        g = primitive_root(p)
+    g = _ruzsa_generator(p, g)
     for logs in triple_reps(p, g, a, b):
         if require_distinct and len(set(logs)) < 3:
             continue
         powers = [pow(g, x, p) for x in logs]
-        return Decomposition(
-            target=[a, b],
-            modulus=[p - 1, p],
-            parts=[crt_flatten(x, v, p) for x, v in zip(logs, powers)],
-            construction="ruzsa",
-            p=p,
-            certificate={"g": g, "logs": list(logs), "powers": powers},
-        )
+        return _ruzsa(p, a, b, zip(logs, powers), g=g, logs=list(logs),
+                      powers=powers)
     raise NoRepresentation(f"no 3-term representation of ({a}, {b}) mod ({p - 1}, {p})")
 
 
@@ -160,26 +167,16 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
     """Four pairwise-distinct parts for (a, b): fix the part (0, 1), then
     write the shifted target (a, b-1) as three distinct parts avoiding
     exponent 0. Falls back to an exhaustive distinct 4-tuple search."""
-    if p == 2 or not is_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
-    if g is None:
-        g = primitive_root(p)
+    g = _ruzsa_generator(p, g)
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
     bb = (b - 1) % p
     for logs in triple_reps(p, g, a, bb):
         if 0 in logs or len(set(logs)) < 3:
             continue
-        parts = [crt_flatten(x, pow(g, x, p), p) for x in logs]
-        return Decomposition(
-            target=[a, b],
-            modulus=[p - 1, p],
-            parts=parts + [crt_flatten(0, 1, p)],
-            construction="ruzsa",
-            p=p,
-            certificate={"g": g, "logs": list(logs), "fixed_part": [0, 1],
-                         "shifted_target": [a, bb]},
-        )
+        return _ruzsa(p, a, b, [(x, pow(g, x, p)) for x in logs] + [(0, 1)],
+                      g=g, logs=list(logs), fixed_part=[0, 1],
+                      shifted_target=[a, bb])
     # exhaustive pairwise-distinct 4-tuple search
     pw = power_table(p, g)
     for x1 in range(p - 1):
@@ -191,15 +188,8 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
                 if (pw[x1] + pw[x2] + pw[x3] + pw[x4]) % p != b:
                     continue
                 logs = [x1, x2, x3, x4]
-                parts = [crt_flatten(x, pw[x], p) for x in logs]
-                return Decomposition(
-                    target=[a, b],
-                    modulus=[p - 1, p],
-                    parts=parts,
-                    construction="ruzsa",
-                    p=p,
-                    certificate={"g": g, "logs": logs},
-                )
+                return _ruzsa(p, a, b, [(x, pw[x]) for x in logs], g=g,
+                              logs=logs)
     raise NoRepresentation(
         f"no 4-term pairwise-distinct representation of ({a}, {b})"
     )
