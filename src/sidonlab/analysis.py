@@ -24,14 +24,16 @@ stored with the package. The pins are measurements, not theorems.
 
 Expected counts of the triple family used by the deletion audit, and the
 clustering term controlling lower-tail concentration, are computed exactly
-by two engines. The loop sums each first element's kept pairs by direct
-convolutions, either class pair by class pair or as all pairs less the
-dropped ones (a row that cancels is summed directly), with exact zeros
-where no pair (for the clustering term, no second pair) is kept; the
-transform is inclusion-exclusion over forbidden congruences on FFT
-convolutions. "auto" picks the loop up to n = 4096, and both give exactly
-0 at a target that no three distinct residue classes of admissible
-x <= n reach.
+by two engines that return the same rows: for each first element, the
+weight of its kept pairs (and, for the clustering term, their count and
+squared weight). The loop sums them by direct convolutions, class pair by
+class pair or as all pairs less the dropped ones (a row that cancels is
+summed directly); the transform by inclusion-exclusion over forbidden
+congruences on FFT convolutions. Each moment is finished from the rows in
+one place, with exact zeros where no second pair is kept. "auto" picks the
+loop up to n = 4096; both give exactly 0 where no admissible triple
+exists: below 3m + 6, or where no three distinct residue classes reach n
+with members that fit.
 Monte Carlo shadows of the remaining families reuse the counter-based
 sampler, so every table is reproducible from a seed.
 """
@@ -477,10 +479,7 @@ def _residues_reach(n: int, modulus: int, q: np.ndarray) -> bool:
     Always true for modulus 1, where the caller checks n >= 3m + 6."""
     if modulus == 1:
         return True
-    nz = np.flatnonzero(q)
-    if not len(nz):
-        return False
-    low = nz[nz < nz[0] + modulus]
+    low = np.flatnonzero(q[:np.argmax(q > 0) + modulus])
     order = np.argsort(low % modulus)
     res, low = low[order] % modulus, low[order]
     for i, (r1, x1) in enumerate(zip(res.tolist(), low.tolist())):
@@ -637,23 +636,16 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
     p is the modulus, or n + 1 when the modulus is 1. When p > n, every
     class holds at most one x <= n, so congruent means equal and G2 and H
     are products of single entries. Otherwise they come from one batched
-    FFT over the weights laid out by the classes of q's support. C2 is
-    summed directly below 128, where each entry stays exact to rounding
-    even when the weights span many magnitudes (large gamma)."""
+    FFT over the weights laid out by the classes of q's support."""
     x1s = np.flatnonzero(q[1:n - 2]) + 1
     us = n - x1s
     ws = np.array(weights)
-    if n < 128:
-        c2 = np.array([np.convolve(w, w) for w in ws])
-    else:
-        c2 = _fft_products(ws[:, None], [0], [0])[:, 0]
     p = modulus if modulus > 1 else n + 1
     if p > n:
-        g2 = np.zeros_like(ws)
-        g2[:, ::2] = ws[:, :n // 2 + 1] ** 2      # u = 2 x2
+        even, single = us % 2 == 0, 3 * x1s != n
         x3 = np.maximum(n - 2 * x1s, 0)           # w[0] = 0
-        dropped = g2[:, us] + np.where(3 * x1s == n, 0.0,
-                                       2 * ws[:, x1s] * ws[:, x3])
+        dropped = [w[us // 2] ** 2 * even + 2 * w[x1s] * w[x3] * single
+                   for w in ws]
     else:
         classes, cw = _class_matrix(ws, np.flatnonzero(q), p)
         s1 = _distinct(x1s % p)
@@ -661,9 +653,12 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
         at = np.minimum(np.searchsorted(classes, c), len(classes) - 1)
         h = (classes[at] == c) & (c != s1)
         own = np.arange(len(classes))
-        conv = _fft_products(
-            cw, np.concatenate([own, np.searchsorted(classes, s1[h])]),
-            np.concatenate([own, at[h]]))
+        a = np.concatenate([own, np.searchsorted(classes, s1[h])])
+        b = np.concatenate([own, at[h]])
+        nout = 2 * cw.shape[-1] - 1
+        size = 1 << (nout - 1).bit_length()
+        f = np.fft.rfft(cw, size)           # one batch: all pairs, weights
+        conv = np.fft.irfft(f[:, a] * f[:, b], size)[..., :nout]
         conv[:, len(classes):] *= 2
         # the pair of classes (s, t) puts its j-th entry at u = s + t + j p
         first = np.concatenate([2 * classes, s1[h] + c[h]])
@@ -671,16 +666,22 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
         ok = u <= n
         dropped = np.array([np.bincount(u[ok], v[ok], n + 1)
                             for v in conv])[:, us]
-    return q[x1s], *(c2[:, us] - dropped)
+    return q[x1s], *(_self_convolution(w)[us] - d
+                     for w, d in zip(ws, dropped))
 
 
-def _fft_products(x: np.ndarray, a, b) -> np.ndarray:
-    """The linear convolutions of x[..., a[i], :] with x[..., b[i], :] along
-    the last axis, all by one batched rfft and irfft."""
-    nout = 2 * x.shape[-1] - 1
+def _self_convolution(w: np.ndarray) -> np.ndarray:
+    """np.convolve(w, w): directly below 256 entries, where each entry
+    stays exact to rounding even when w spans many magnitudes (large
+    gamma), else by one FFT. Taking one weight array at a time keeps the
+    transient memory to that of one array."""
+    nout = 2 * len(w) - 1
+    if nout < 256:
+        return np.convolve(w, w)
     size = 1 << (nout - 1).bit_length()
-    f = np.fft.rfft(x, size)
-    return np.fft.irfft(f[..., a, :] * f[..., b, :], size)[..., :nout]
+    f = np.fft.rfft(w, size)
+    f *= f
+    return np.fft.irfft(f, size)[:nout]
 
 
 def _class_matrix(ws: np.ndarray, nz: np.ndarray, modulus: int):
