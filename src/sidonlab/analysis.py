@@ -657,7 +657,7 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
         b = np.concatenate([own, at[h]])
         nout = 2 * cw.shape[-1] - 1
         size = 1 << (nout - 1).bit_length()
-        f = np.fft.rfft(cw, size)           # one batch: all pairs, weights
+        f = np.fft.rfft(cw, size)       # one batch over weights and pairs
         conv = np.fft.irfft(f[:, a] * f[:, b], size)[..., :nout]
         conv[:, len(classes):] *= 2
         # the pair of classes (s, t) puts its j-th entry at u = s + t + j p
