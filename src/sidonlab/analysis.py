@@ -643,7 +643,7 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
     p = modulus if modulus > 1 else n + 1
     if p > n:
         even, single = us % 2 == 0, 3 * x1s != n
-        x3 = np.maximum(n - 2 * x1s, 0)           # w[0] = 0
+        x3 = np.maximum(n - 2 * x1s, 0)     # w[0] = 0 where n - 2 x1 < 1
         dropped = [w[us // 2] ** 2 * even + 2 * w[x1s] * w[x3] * single
                    for w in ws]
     else:
@@ -651,17 +651,17 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
         s1 = _distinct(x1s % p)
         c = (n - 2 * s1) % p                      # x3's class for H
         at = np.minimum(np.searchsorted(classes, c), len(classes) - 1)
-        h = (classes[at] == c) & (c != s1)
+        with_h = (classes[at] == c) & (c != s1)
         own = np.arange(len(classes))
-        a = np.concatenate([own, np.searchsorted(classes, s1[h])])
-        b = np.concatenate([own, at[h]])
+        a = np.concatenate([own, np.searchsorted(classes, s1[with_h])])
+        b = np.concatenate([own, at[with_h]])
         nout = 2 * cw.shape[-1] - 1
         size = 1 << (nout - 1).bit_length()
         f = np.fft.rfft(cw, size)       # one batch over weights and pairs
         conv = np.fft.irfft(f[:, a] * f[:, b], size)[..., :nout]
         conv[:, len(classes):] *= 2
         # the pair of classes (s, t) puts its j-th entry at u = s + t + j p
-        first = np.concatenate([2 * classes, s1[h] + c[h]])
+        first = np.concatenate([2 * classes, s1[with_h] + c[with_h]])
         u = first[:, None] + p * np.arange(conv.shape[-1])
         ok = u <= n
         dropped = np.array([np.bincount(u[ok], v[ok], n + 1)
