@@ -633,48 +633,49 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
     K is nonzero only where 3 x1 = n mod p, and there it is H itself, so
     such rows take C2 - G2.
 
-    p is the modulus, or n + 1 when the modulus is 1. When p > n, every
-    class holds at most one x <= n, so congruent means equal and G2 and H
-    are products of single entries. Otherwise they come from one batched
-    FFT over the weights laid out by the classes of q's support."""
+    p is the modulus, or n + 1 when the modulus is 1. When p > n, congruent
+    means equal, and G2 and H are products of single entries (an FFT of
+    length 1 takes twice as long). Otherwise each weight array, laid out
+    by the classes of q's support, takes one FFT: G2 squares its classes
+    in place and H multiplies the pairs (s1, c), so the transient memory
+    is about three transforms of one array's classes."""
     x1s = np.flatnonzero(q[1:n - 2]) + 1
     us = n - x1s
-    ws = np.array(weights)
     p = modulus if modulus > 1 else n + 1
     if p > n:
         even, single = us % 2 == 0, 3 * x1s != n
         x3 = np.maximum(n - 2 * x1s, 0)     # w[0] = 0 where n - 2 x1 < 1
-        dropped = [w[us // 2] ** 2 * even + 2 * w[x1s] * w[x3] * single
-                   for w in ws]
-    else:
-        classes, cw = _class_matrix(ws, np.flatnonzero(q), p)
-        s1 = _distinct(x1s % p)
-        c = (n - 2 * s1) % p                      # x3's class for H
-        at = np.minimum(np.searchsorted(classes, c), len(classes) - 1)
-        with_h = (classes[at] == c) & (c != s1)
-        own = np.arange(len(classes))
-        a = np.concatenate([own, np.searchsorted(classes, s1[with_h])])
-        b = np.concatenate([own, at[with_h]])
-        nout = 2 * cw.shape[-1] - 1
-        size = 1 << (nout - 1).bit_length()
-        f = np.fft.rfft(cw, size)       # one batch over weights and pairs
-        conv = np.fft.irfft(f[:, a] * f[:, b], size)[..., :nout]
-        conv[:, len(classes):] *= 2
-        # the pair of classes (s, t) puts its j-th entry at u = s + t + j p
-        first = np.concatenate([2 * classes, s1[with_h] + c[with_h]])
-        u = first[:, None] + p * np.arange(conv.shape[-1])
-        ok = u <= n
-        dropped = np.array([np.bincount(u[ok], v[ok], n + 1)
-                            for v in conv])[:, us]
-    return q[x1s], *(_self_convolution(w)[us] - d
-                     for w, d in zip(ws, dropped))
+        return q[x1s], *(_self_convolution(w)[us] - w[us // 2] ** 2 * even
+                         - 2 * w[x1s] * w[x3] * single for w in weights)
+    classes, cw = _class_matrix(np.array(weights), np.flatnonzero(q), p)
+    s1 = _distinct(x1s % p)
+    c = (n - 2 * s1) % p                          # x3's class for H
+    at = np.minimum(np.searchsorted(classes, c), len(classes) - 1)
+    with_h = (classes[at] == c) & (c != s1)
+    h1, h3 = np.searchsorted(classes, s1[with_h]), at[with_h]
+    span = cw.shape[-1]
+    size = 1 << (2 * span - 2).bit_length()
+    # the pair of classes (s, t) puts its j-th entry at u = s + t + j p
+    first = np.concatenate([2 * classes, (s1 + c)[with_h]])
+    u = (first[:, None] + p * np.arange(span)).ravel()
+    rows = []
+    for w, g2 in zip(weights, cw):
+        c2 = _self_convolution(w)[us]
+        g2 = np.fft.rfft(g2, size)
+        h = g2[h1]
+        h *= g2[h3]
+        g2 *= g2
+        g2 = np.fft.irfft(g2, size)[:, :span]
+        h = np.fft.irfft(h, size)[:, :span]
+        pairs = np.concatenate([g2, 2 * h]).ravel()
+        rows.append(c2 - np.bincount(u, pairs, n + 1)[us])
+    return q[x1s], *rows
 
 
 def _self_convolution(w: np.ndarray) -> np.ndarray:
     """np.convolve(w, w): directly below 256 entries, where each entry
     stays exact to rounding even when w spans many magnitudes (large
-    gamma), else by one FFT. Taking one weight array at a time keeps the
-    transient memory to that of one array."""
+    gamma), else by one FFT of w alone."""
     nout = 2 * len(w) - 1
     if nout < 256:
         return np.convolve(w, w)
