@@ -34,9 +34,10 @@ from pathlib import Path
 from .analysis import (NonConvergent, SumSpec, check_lemma_ab,
                        check_lemma_abab, exact_delta_Q, exact_expectation_Q,
                        monte_carlo_family_mean, sigma, tau)
-from .curveoracle import (CurveParams, QuadricParams, curve_point_count,
-                          dyadic_box_coverage, enumerate_quadric, hasse_slack,
-                          torus_points, triple_rep_count, triple_rep_table)
+from .curveoracle import (CurveParams, QuadricParams, _point_counts,
+                          _sqrt_table, curve_point_count, dyadic_box_coverage,
+                          enumerate_quadric, hasse_slack, torus_points,
+                          triple_rep_count, triple_rep_table)
 from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
                          decompose4_ruzsa)
 from .deletionlab import (_FAMILIES, FamilySpec, UnsupportedKind, b2_2_lift,
@@ -287,20 +288,19 @@ def _cmd_curve_identity(args) -> int:
         payload = {"a": args.a, "b": args.b, "tripleReps": reps,
                    "curvePoints": points, "match": reps == points}
         return _ok(args, payload)
-    # the Ruzsa set's 3-fold sum counts against the curve, target by target
+    # the Ruzsa set's 3-fold sum counts against the curve, one lam at a time
     table = triple_rep_table(p, gen)
+    CurveParams(p, 0, 1)  # validates p once for every target
+    root = _sqrt_table(p)
     mismatches = []
-    checked = 0
     for a in range(p - 1):
-        lam = pow(gen, a, p)
-        for b in range(p):
+        counts = _point_counts(p, range(p), pow(gen, a, p), root).tolist()
+        for b, points in enumerate(counts):
             reps = table.get((a, b), 0)
-            points = curve_point_count(CurveParams(p, b, lam))
-            checked += 1
             if reps != points:
                 mismatches.append({"a": a, "b": b, "tripleReps": reps,
                                    "curvePoints": points})
-    payload = {"p": p, "g": gen, "checked": checked,
+    payload = {"p": p, "g": gen, "checked": (p - 1) * p,
                "mismatches": mismatches, "ok": not mismatches}
     return _ok(args, payload)
 
@@ -408,11 +408,15 @@ def _cmd_sunflower_check(args) -> int:
     if isinstance(raw, dict) and "certificate" in raw:
         raw = raw["certificate"]
     try:
-        cert = SunflowerCert(tuple(raw["petalIndices"]),
-                             tuple(raw["typeSet"]),
-                             tuple(raw["coreValues"]))
+        lists = [tuple(raw[key])
+                 for key in ("petalIndices", "typeSet", "coreValues")]
     except (TypeError, KeyError):
-        raise _UsageError("--cert: expected petalIndices/typeSet/coreValues")
+        lists = None
+    # JSON integers only: int() would truncate 2.9 and read true as 1
+    if lists is None or any(type(x) is not int for xs in lists for x in xs):
+        raise _UsageError("--cert: expected integer lists petalIndices/"
+                          "typeSet/coreValues")
+    cert = SunflowerCert(*lists)
     _resolved(args, members=members, certificate=_jsonable(dict(raw)))
     return _ok(args, {"valid": cert.verify(members)})
 

@@ -119,13 +119,20 @@ def curve_point_count(params: CurveParams) -> int:
     """Number of (U, V) with V != 0 and U^2 = 4V^3 + (bV + lam)^2 mod p,
     in one pass over V. Every product is reduced mod p at once, so int64
     holds it for p < 2^31; larger p raise RangeError."""
-    p, b, lam = params.p, params.b, params.lam
-    if p >= 2 ** 31:
+    if params.p >= 2 ** 31:
         raise RangeError("curve point counts need p < 2^31")
+    return int(_point_counts(params.p, params.b, params.lam,
+                             _sqrt_table(params.p)))
+
+
+def _point_counts(p: int, b, lam: int, root: np.ndarray):
+    """curve_point_count for one b, or an array of counts for a sequence of
+    b at one lam, with root = _sqrt_table(p). A sequence takes
+    len(b) * (p - 1) int64 entries per temporary."""
     v = np.arange(1, p, dtype=np.int64)
-    w = (b * v + lam) % p
-    s = _sqrt_table(p)[(4 * (v * v % p * v % p) + w * w) % p]
-    return int((s >= 0).sum() + (s > 0).sum())  # U = s and U = -s
+    w = (np.multiply.outer(b, v) + lam) % p
+    s = root[(4 * (v * v % p * v % p) + w * w) % p]
+    return (s >= 0).sum(axis=-1) + (s > 0).sum(axis=-1)  # U = s and U = -s
 
 
 def triple_reps(p: int, g: int, a: int, b: int):

@@ -5,18 +5,18 @@ core. k vectors form a vectorial sunflower of type I when they agree on
 every coordinate in I and, after deleting those coordinates, their
 coordinate sets are pairwise disjoint (a disjoint set of vectors, d.s.v.).
 
-The vectorial finder runs the constructive argument: tag each coordinate
-by position via x -> h*x + i so tuples become h-sets, find a classical
-sunflower of (h^2-h+1)(k-1)+1 petals among the tagged sets, read the type
-I off its core, then select petals in ascending order, discarding after
-each selection the at most h(h-1) vectors that collide with it across
-distinct free coordinates. When the pipeline finds nothing (small or
-adversarial families below the counting bound), an exhaustive search over
-types and petal subsets settles the verdict, so "none" is always exact.
+The vectorial finder is one exact search, so "none" is always exact. It
+returns the first certificate in this order:
+  - types I by size, then by position (combinations of 1..h);
+  - for each type, cores (the values on I) ascending;
+  - within a core, the lexicographically first k-combination of its
+    members (taken in lexicographic member order) whose coordinate sets
+    off I are pairwise disjoint, found by backtracking.
 
-Size guarantees, checked in tests: a family of h-sets larger than
-h!(k-1)^h always yields a classical sunflower, and a family of h-tuples
-larger than h!((h^2-h+1)k)^h always yields a vectorial one.
+Size guarantees, checked in tests through that search: a family of h-sets
+larger than h!(k-1)^h always yields a classical sunflower (Erdos-Rado), and
+a family of h-tuples larger than h!((h^2-h+1)k)^h always yields a
+vectorial one.
 """
 
 from __future__ import annotations
@@ -56,17 +56,24 @@ class SunflowerCert:
         )
 
     def verify(self, members) -> bool:
+        """True when the petals are distinct in-range members, the type is
+        strictly increasing within 1..h with one core value per position,
+        and the petals form a vectorial sunflower with those core values."""
         members = [tuple(t) for t in getattr(members, "members", members)]
-        idxs = self.petal_indices
-        if len(set(idxs)) != len(idxs):
+        idxs, I = self.petal_indices, self.type_set
+        if not idxs or len(set(idxs)) != len(idxs):
             return False
         if not all(0 <= i < len(members) for i in idxs):
             return False
         petals = [members[i] for i in idxs]
-        for pos, val in zip(self.type_set, self.core_values):
+        h = len(petals[0])
+        if len(self.core_values) != len(I) or list(I) != sorted(set(I)) \
+                or not all(1 <= i <= h for i in I):
+            return False
+        for pos, val in zip(I, self.core_values):
             if any(p[pos - 1] != val for p in petals):
                 return False
-        return is_vectorial_sunflower(petals, self.type_set)
+        return is_vectorial_sunflower(petals, I)
 
 
 def _uniform_arity(members) -> int:
@@ -111,10 +118,6 @@ def set_h_embed(vector) -> frozenset[int]:
     return frozenset(h * x + i for i, x in enumerate(t, 1))
 
 
-def _embed_position(value: int, h: int) -> int:
-    return value % h or h
-
-
 def find_classical_sunflower(sets, k: int):
     """(core, k petal sets) with pairwise intersections exactly the core,
     or None; never None for families larger than h!(k-1)^h."""
@@ -157,30 +160,6 @@ def _coerce_members(family):
     return members
 
 
-def _prune_to_sunflower(members, idxs, type_set, k):
-    """Ascending-lex selection, discarding cross-coordinate colliders."""
-    h = len(members[idxs[0]])
-    free = [i for i in range(1, h + 1) if i not in set(type_set)]
-    alive = sorted(idxs, key=lambda i: members[i])
-    selected = []
-    while alive and len(selected) < k:
-        cur = alive.pop(0)
-        selected.append(cur)
-        cvals = members[cur]
-        alive = [
-            j for j in alive
-            if not any(members[j][ip - 1] == cvals[i - 1]
-                       for i in free for ip in free if ip != i)
-        ]
-    if len(selected) < k:
-        return None
-    core_values = tuple(members[selected[0]][i - 1] for i in type_set)
-    cert = SunflowerCert(petal_indices=tuple(selected),
-                         type_set=tuple(type_set),
-                         core_values=core_values)
-    return cert if cert.verify(members) else None
-
-
 def _disjoint_index_pick(cands, k):
     """cands: list of (index, coordinate set); exact backtracking."""
     chosen = []
@@ -204,12 +183,9 @@ def _disjoint_index_pick(cands, k):
 def _complete_search(members, k):
     h = len(members[0])
     order = sorted(range(len(members)), key=lambda i: members[i])
-    positions = range(1, h + 1)
-    subsets = sorted(
-        (tuple(c) for size in range(h + 1)
-         for c in combinations(positions, size)),
-        key=lambda I: (len(I), I))
-    for I in subsets:
+    types = (I for size in range(h + 1)
+             for I in combinations(range(1, h + 1), size))
+    for I in types:
         drop = set(I)
         groups = defaultdict(list)
         for i in order:
@@ -235,27 +211,12 @@ def _complete_search(members, k):
 
 
 def find_vectorial_sunflower(family, k: int):
-    """SunflowerCert or None; never None for families larger than
-    h!((h^2-h+1)k)^h. Pipeline first, exhaustive fallback second."""
+    """SunflowerCert or None, from the exact search in the order the module
+    docstring gives; never None for families larger than h!((h^2-h+1)k)^h."""
     if k < 1:
         raise RangeError("k must be >= 1")
     members = _coerce_members(family)
     if not members:
         return None
-    h = _uniform_arity(members)
-    if k == 1:
-        first = min(range(len(members)), key=lambda i: members[i])
-        return SunflowerCert(petal_indices=(first,), type_set=(),
-                             core_values=())
-    if len(members) >= k:
-        embeds = {set_h_embed(t): i for i, t in enumerate(members)}
-        target = (h * h - h + 1) * (k - 1) + 1
-        got = find_classical_sunflower(embeds.keys(), target)
-        if got is not None:
-            core, petals = got
-            idxs = [embeds[p] for p in petals]
-            type_set = tuple(sorted(_embed_position(v, h) for v in core))
-            cert = _prune_to_sunflower(members, idxs, type_set, k)
-            if cert is not None:
-                return cert
+    _uniform_arity(members)
     return _complete_search(members, k)

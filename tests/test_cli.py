@@ -392,6 +392,36 @@ class TestSunflower:
                               "--cert", str(cert_path)])
         assert "--cert" in err
 
+    @pytest.mark.parametrize("cert, code", [
+        ({"typeSet": [2], "coreValues": []}, 0),
+        ({"typeSet": [2, 2], "coreValues": [7, 7]}, 0),
+        ({"typeSet": [4], "coreValues": [7]}, 0),
+        ({"typeSet": ["x"], "coreValues": [7]}, 2),
+        ({"typeSet": [2.9], "coreValues": [7]}, 2),
+        ({"typeSet": [2], "coreValues": [True]}, 2),
+    ])
+    def test_check_malformed_type(self, capsys, tmp_path, cert, code):
+        fam_path = tmp_path / "m.json"
+        fam_path.write_text("[[1, 7, 2], [3, 7, 4]]")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"petalIndices": [0, 1], **cert}))
+        argv = ["sunflower", "check", "--in", str(fam_path),
+                "--cert", str(cert_path)]
+        if code == 0:
+            assert _ok(capsys, argv)["payload"] == {"valid": False}
+        else:
+            assert "--cert" in _usage(capsys, argv)
+
+    def test_check_mixed_arity_is_domain_error(self, capsys, tmp_path):
+        fam_path = tmp_path / "m.json"
+        fam_path.write_text("[[1, 7, 2], [3, 7]]")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(
+            {"petalIndices": [0, 1], "typeSet": [2], "coreValues": [7]}))
+        env = _err(capsys, ["sunflower", "check", "--in", str(fam_path),
+                            "--cert", str(cert_path)])
+        assert env["payload"]["error"] == "RangeError"
+
 
 class TestAnalyze:
     def test_sigma_example_value(self, capsys):

@@ -6,6 +6,8 @@ import brute_scans as brute
 from sidonlab.curveoracle import (
     CurveParams,
     QuadricParams,
+    _point_counts,
+    _sqrt_table,
     curve_point_count,
     dyadic_box_coverage,
     enumerate_quadric,
@@ -32,6 +34,15 @@ def test_curve_point_count_matches_brute_scan():
         lam = pow(g, a, p)
         assert curve_point_count(CurveParams(p, b, lam)) == \
             brute.curve_point_count(p, b, lam), (p, b, lam)
+
+
+@pytest.mark.parametrize("p", [3, 13, 31, 101])
+def test_point_counts_for_every_b_at_once(p):
+    # the sweep's path: one call counts every b at one lam
+    root = _sqrt_table(p)
+    for lam in range(1, p):
+        assert _point_counts(p, range(p), lam, root).tolist() == \
+            [brute.curve_point_count(p, b, lam) for b in range(p)], lam
 
 
 def test_curve_point_count_needs_p_below_2_31():

@@ -3,7 +3,7 @@ and equivalence with an exhaustive oracle on tiny families."""
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -188,6 +188,27 @@ def _oracle_exists(members, k):
     return False
 
 
+def _oracle_first(members, k):
+    """The documented order, walked literally: types by size then position,
+    cores ascending, then the first k-combination of the core's members in
+    lexicographic order whose coordinates off the type are pairwise
+    disjoint."""
+    h = len(members[0])
+    order = sorted(range(len(members)), key=lambda i: members[i])
+    for size in range(h + 1):
+        for I in combinations(range(1, h + 1), size):
+            free = [p for p in range(1, h + 1) if p not in I]
+            cores = sorted({tuple(members[i][p - 1] for p in I) for i in order})
+            for core in cores:
+                group = [i for i in order
+                         if tuple(members[i][p - 1] for p in I) == core]
+                for combo in combinations(group, k):
+                    offs = [{members[i][p - 1] for p in free} for i in combo]
+                    if all(not (a & b) for a, b in combinations(offs, 2)):
+                        return SunflowerCert(combo, I, core)
+    return None
+
+
 class TestVectorial:
     def test_display(self):
         cert = find_vectorial_sunflower(DISPLAY, 4)
@@ -231,6 +252,12 @@ class TestVectorial:
         with pytest.raises(RangeError):
             find_vectorial_sunflower([(1, 2)], 0)
 
+    def test_any_integer_coordinates(self):
+        members = [(0, -3), (5, -3), (-1, 2)]
+        cert = find_vectorial_sunflower(members, 2)
+        assert cert == SunflowerCert((2, 0), (), ())
+        assert cert.verify(members)
+
     def test_duplicate_members(self):
         with pytest.raises(RangeError):
             find_vectorial_sunflower([(1, 2), (1, 2)], 1)
@@ -246,7 +273,7 @@ class TestVectorial:
             assert cert.verify(members)
 
     def test_guarantee_triples_16465(self):
-        # 16465 > 3!*(7*2)^3 = 16464: the pipeline bound for k=2
+        # 16465 > 3!*(7*2)^3 = 16464: the counting bound for k=2
         rng = random.Random(424242)
         size = 6 * (7 * 2) ** 3 + 1
         for _ in range(20):
@@ -268,6 +295,18 @@ class TestVectorial:
             if cert is not None:
                 assert cert.verify(members)
                 assert len(cert.petal_indices) == k
+
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_returns_the_first_certificate_in_documented_order(self, h, k):
+        rng = random.Random(1000 * h + k)
+        for _ in range(120):
+            vmax = rng.choice((3, 4, 6))
+            size = rng.randint(1, min(14, vmax ** h))
+            members = rng.sample(
+                list(product(range(1, vmax + 1), repeat=h)), size)
+            assert find_vectorial_sunflower(members, k) == \
+                _oracle_first(members, k), members
 
     def test_accepts_family_object(self):
         class Bag:
@@ -296,6 +335,25 @@ class TestCert:
         cert = SunflowerCert(petal_indices=(0, 5), type_set=(),
                              core_values=())
         assert not cert.verify([(1, 2), (3, 4)])
+
+    @pytest.mark.parametrize("type_set, core_values", [
+        ((2,), ()),          # a type position without its core value
+        ((2, 2), (7, 7)),    # a repeated type position
+        ((4,), (7,)),        # a type position past the arity
+        ((0,), (1,)),        # a type position below 1
+    ])
+    def test_verify_rejects_malformed_type(self, type_set, core_values):
+        members = [(1, 7, 2), (3, 7, 4)]
+        assert SunflowerCert((0, 1), (2,), (7,)).verify(members)
+        assert not SunflowerCert((0, 1), type_set, core_values).verify(members)
+
+    def test_verify_rejects_unordered_type(self):
+        members = [(1, 7, 2), (3, 7, 2)]
+        assert SunflowerCert((0, 1), (2, 3), (7, 2)).verify(members)
+        assert not SunflowerCert((0, 1), (3, 2), (2, 7)).verify(members)
+
+    def test_verify_rejects_no_petals(self):
+        assert not SunflowerCert((), (), ()).verify([(1, 2)])
 
     def test_verify_rejects_repeated_index(self):
         cert = SunflowerCert(petal_indices=(0, 0), type_set=(),
