@@ -5,18 +5,26 @@ calls exactly one library entry point, and prints a JSON envelope
 
     {"status": "ok"|"error", "payload": ..., "configHash": ...}
 
-on stdout (or to ``--out``). The configHash is a SHA-256 over the fully
-resolved parameters, so identical invocations hash identically and the
+on stdout (or to ``--out``). Handlers only read inputs and build payloads;
+`run` alone renders and delivers every envelope, ok and error alike. The
+configHash is a SHA-256 over the fully resolved parameters: the parsed
+flags plus what the input readers resolved (elements, modulus, members,
+certificate, model config, generator), each recorded on the namespace as
+soon as it is known. So identical invocations hash identically and the
 payload can be replayed from the library with the same config. Numeric
 rate parameters (gamma, epsilon, alpha, beta, tolerances) are exact
 "p/q" rationals on the command line for the same reason.
 
+Input files hold JSON integers only: a float, a string or a boolean where
+an integer belongs is a usage error, never truncated or read as 0/1.
+
 Exit codes: 0 on success, 1 when the library rejects the inputs on
 mathematical grounds (no decomposition, divergent series, composite
-where a prime is needed, ...), 2 for bad flags or unreadable input.
-``--threads`` is accepted everywhere and deliberately ignored: results
-never depend on it. ``--format csv`` renders the payload as a table;
-commands without a natural table fall back to key,value rows.
+where a prime is needed, ...), 2 for bad flags, unreadable input or an
+unwritable ``--out``. ``--threads`` is accepted everywhere and
+deliberately ignored: results never depend on it. ``--format csv``
+renders an ok payload as a table; commands without a natural table fall
+back to key,value rows, and error envelopes stay JSON.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from pathlib import Path
 from .analysis import (NonConvergent, SumSpec, check_lemma_ab,
                        check_lemma_abab, exact_delta_Q, exact_expectation_Q,
                        monte_carlo_family_mean, sigma, tau)
-from .curveoracle import (CurveParams, QuadricParams, _point_counts,
-                          _sqrt_table, curve_point_count, dyadic_box_coverage,
+from .curveoracle import (CurveParams, QuadricParams, curve_point_count,
+                          curve_point_table, dyadic_box_coverage,
                           enumerate_quadric, hasse_slack, torus_points,
                           triple_rep_count, triple_rep_table)
 from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
@@ -99,7 +107,7 @@ def _pair_list(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-# ------------------------------------------------------- envelope machinery
+# ------------------------------------------------------------------ envelope
 
 def _jsonable(value):
     if isinstance(value, Fraction):
@@ -111,19 +119,10 @@ def _jsonable(value):
     return value
 
 
-def _resolved(args, **extra) -> dict:
-    found = {"command": args._cmd}
-    for key, val in vars(args).items():
-        if key.startswith("_") or key in _PLUMBING:
-            continue
-        found[key] = _jsonable(val)
-    for key, val in extra.items():
-        found[key] = _jsonable(val)
-    args._resolved = found
-    return found
-
-
-def _config_hash(resolved: dict) -> str:
+def _config_hash(args) -> str:
+    resolved = {key: _jsonable(val) for key, val in vars(args).items()
+                if not key.startswith("_") and key not in _PLUMBING}
+    resolved["command"] = args._cmd
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -136,6 +135,10 @@ def _rows_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _elements_csv(elements) -> str:
+    return _rows_csv(("element",), [(x,) for x in elements])
+
+
 def _payload_csv(payload: dict) -> str:
     rows = []
     for key in sorted(payload):
@@ -146,25 +149,10 @@ def _payload_csv(payload: dict) -> str:
     return _rows_csv(("key", "value"), rows)
 
 
-def _deliver(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _ok(args, payload: dict, csv_text: str | None = None) -> int:
-    if args.format == "csv":
-        text = csv_text if csv_text is not None else _payload_csv(payload)
-    else:
-        envelope = {"status": "ok", "payload": payload,
-                    "configHash": _config_hash(args._resolved)}
-        text = json.dumps(envelope, sort_keys=True) + "\n"
-    _deliver(args, text)
-    return 0
-
-
 # ------------------------------------------------------------- input files
+# Readers record what they resolve on the namespace (args.elements,
+# args.modulus, args.members, args.certificate, args.config), where the
+# configHash finds it, even if the library call then fails.
 
 def _load_json(path: str, flag: str = "--in"):
     try:
@@ -177,29 +165,52 @@ def _load_json(path: str, flag: str = "--in"):
         raise _UsageError(f"{flag}: {path} is not valid JSON: {exc}")
 
 
-def _coerce_elements(data, flag: str = "--in"):
-    """Accept a bare list, an object with "elements", or a whole ok-envelope
-    from an earlier run (so commands pipe into each other via --out)."""
+def _json_ints(values, message: str) -> list:
+    """A JSON list of integers as it is: int() would truncate 2.9 and read
+    true as 1, so anything but an int is a usage error."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise _UsageError(message)
+    return values
+
+
+def _read_elements(args):
+    """Set args.elements from --in: a bare list, an object with "elements",
+    or a whole ok-envelope from an earlier run (so commands pipe into each
+    other via --out). Returns the modulus the file carries, or None."""
+    data = _load_json(args.src)
     if isinstance(data, dict) and "payload" in data:
         data = data["payload"]
     if isinstance(data, dict) and "elements" in data:
-        try:
-            return [int(x) for x in data["elements"]], data.get("modulus")
-        except (TypeError, ValueError):
-            raise _UsageError(f"{flag}: \"elements\" must be integers")
+        modulus = data.get("modulus")
+        if modulus is not None:
+            _json_ints([modulus], "--in: \"modulus\" must be an integer")
+        args.elements = _json_ints(data["elements"],
+                                   "--in: \"elements\" must be integers")
+        return modulus
     if isinstance(data, list):
-        try:
-            return [int(x) for x in data], None
-        except (TypeError, ValueError):
-            raise _UsageError(f"{flag}: list entries must be integers")
+        args.elements = _json_ints(data, "--in: list entries must be integers")
+        return None
     raise _UsageError(
-        f"{flag}: expected a JSON list or an object with \"elements\"")
+        "--in: expected a JSON list or an object with \"elements\"")
 
 
-def _read_elements(args, flag: str = "--in"):
-    if args.src is None:
-        raise _UsageError(f"{flag} is required")
-    return _coerce_elements(_load_json(args.src, flag), flag)
+def _read_set(args, cyclic_only: bool = True) -> None:
+    """--in elements and the modulus, from --modulus or else the file."""
+    file_modulus = _read_elements(args)
+    if args.modulus is None:
+        args.modulus = file_modulus
+    if args.modulus is None and (args.mode == "cyclic" or not cyclic_only):
+        raise _UsageError("--modulus is required"
+                          + (" in cyclic mode" if cyclic_only else "")
+                          + " (or supply a file that carries one)")
+
+
+def _read_members(args) -> None:
+    data = _load_json(args.src)
+    if not isinstance(data, list):
+        raise _UsageError("--in: expected a JSON list of coordinate tuples")
+    args.members = [tuple(_json_ints(row, "--in: rows must be integer tuples"))
+                    for row in data]
 
 
 def _model_config(args) -> SampleConfig:
@@ -219,279 +230,210 @@ def _model_config(args) -> SampleConfig:
             residues = (0,)
         else:
             raise _UsageError("--residues is required when --modulus exceeds 1")
-    return SampleConfig(gamma=args.gamma, m=args.m, modulus=modulus,
-                        residues=residues, seed=args.seed)
+    config = SampleConfig(gamma=args.gamma, m=args.m, modulus=modulus,
+                          residues=residues, seed=args.seed)
+    args.config = json.loads(config.to_json())
+    return config
 
 
 # ------------------------------------------------------------------ handlers
+# Each returns its payload, or (payload, csv_text) where a table exists.
 
-def _cmd_construct(args) -> int:
-    _resolved(args)
+def _cmd_construct(args):
     made = (ruzsa_set(args.p, args.g) if args._cmd == "construct.ruzsa"
             else erdos_turan_set(args.p))
-    payload = json.loads(made.to_json())
-    return _ok(args, payload,
-               _rows_csv(("element",), [(x,) for x in made.elements]))
+    return json.loads(made.to_json()), _elements_csv(made.elements)
 
 
-def _read_set(args, cyclic_only: bool = True):
-    """--in elements and the modulus, from --modulus or else the file."""
-    elements, file_modulus = _read_elements(args)
-    modulus = args.modulus if args.modulus is not None else file_modulus
-    if modulus is None and (args.mode == "cyclic" or not cyclic_only):
-        raise _UsageError("--modulus is required"
-                          + (" in cyclic mode" if cyclic_only else "")
-                          + " (or supply a file that carries one)")
-    _resolved(args, elements=elements, modulus=modulus)
-    return elements, modulus
+def _cmd_verify_sidon(args):
+    _read_set(args)
+    witness = is_sidon(args.elements, mode=args.mode, modulus=args.modulus)
+    return {"sidon": witness.is_sidon,
+            "witness": list(witness.collision) if witness.collision else None}
 
 
-def _cmd_verify_sidon(args) -> int:
-    elements, modulus = _read_set(args)
-    witness = is_sidon(elements, mode=args.mode, modulus=modulus)
-    payload = {"sidon": witness.is_sidon,
-               "witness": list(witness.collision) if witness.collision else None}
-    return _ok(args, payload)
+def _cmd_verify_b2g(args):
+    _read_set(args)
+    return {"b2g": b2g_bound(args.elements, mode=args.mode,
+                             modulus=args.modulus)}
 
 
-def _cmd_verify_b2g(args) -> int:
-    elements, modulus = _read_set(args)
-    bound = b2g_bound(elements, mode=args.mode, modulus=modulus)
-    return _ok(args, {"b2g": bound})
+def _cmd_verify_basis(args):
+    _read_set(args, cyclic_only=False)
+    covered, missing = basis_order_check(
+        ModSet(args.modulus, tuple(args.elements)), args.order,
+        repetition=args.repetition)
+    return {"basis": covered, "missing": missing}
 
 
-def _cmd_verify_basis(args) -> int:
-    elements, modulus = _read_set(args, cyclic_only=False)
-    covered, missing = basis_order_check(ModSet(modulus, tuple(elements)),
-                                         args.order,
-                                         repetition=args.repetition)
-    return _ok(args, {"basis": covered, "missing": missing})
-
-
-def _cmd_curve_count(args) -> int:
-    _resolved(args)
+def _cmd_curve_count(args):
     points = curve_point_count(CurveParams(args.p, args.b, args.lam))
-    payload = {"p": args.p, "b": args.b, "lam": args.lam, "points": points,
-               "gap": points - args.p, "slack": hasse_slack(args.p)}
-    return _ok(args, payload)
+    return {"p": args.p, "b": args.b, "lam": args.lam, "points": points,
+            "gap": points - args.p, "slack": hasse_slack(args.p)}
 
 
-def _cmd_curve_identity(args) -> int:
+def _cmd_curve_identity(args):
     if (args.a is None) != (args.b is None):
         raise _UsageError("give both -a and -b, or neither for a full sweep")
-    gen = args.g if args.g is not None else primitive_root(args.p)
-    _resolved(args, g=gen)
-    p = args.p
+    if args.g is None:
+        args.g = primitive_root(args.p)
+    p, gen = args.p, args.g
     if args.a is not None:
         reps = triple_rep_count(p, gen, args.a, args.b)
         points = curve_point_count(CurveParams(p, args.b % p, pow(gen, args.a, p)))
-        payload = {"a": args.a, "b": args.b, "tripleReps": reps,
-                   "curvePoints": points, "match": reps == points}
-        return _ok(args, payload)
-    # the Ruzsa set's 3-fold sum counts against the curve, one lam at a time
-    table = triple_rep_table(p, gen)
-    CurveParams(p, 0, 1)  # validates p once for every target
-    root = _sqrt_table(p)
-    mismatches = []
-    for a in range(p - 1):
-        counts = _point_counts(p, range(p), pow(gen, a, p), root).tolist()
-        for b, points in enumerate(counts):
-            reps = table.get((a, b), 0)
-            if reps != points:
-                mismatches.append({"a": a, "b": b, "tripleReps": reps,
-                                   "curvePoints": points})
-    payload = {"p": p, "g": gen, "checked": (p - 1) * p,
-               "mismatches": mismatches, "ok": not mismatches}
-    return _ok(args, payload)
+        return {"a": args.a, "b": args.b, "tripleReps": reps,
+                "curvePoints": points, "match": reps == points}
+    # the Ruzsa set's 3-fold sum counts against the curve, target by target
+    reps, points = triple_rep_table(p, gen), curve_point_table(p, gen)
+    differ = sorted({key for key, _ in reps.items() ^ points.items()})
+    mismatches = [{"a": a, "b": b, "tripleReps": reps.get((a, b), 0),
+                   "curvePoints": points.get((a, b), 0)} for a, b in differ]
+    return {"p": p, "g": gen, "checked": (p - 1) * p,
+            "mismatches": mismatches, "ok": not mismatches}
 
 
-def _cmd_curve_quadric(args) -> int:
-    _resolved(args)
+def _cmd_curve_quadric(args):
     sols = enumerate_quadric(QuadricParams(args.p, args.r1, args.r2))
     payload = {"p": args.p, "r1": args.r1, "r2": args.r2,
                "reducible": sols.reducible, "count": len(sols),
                "solutions": [list(pt) for pt in sols]}
-    return _ok(args, payload, _rows_csv(("u", "v"), list(sols)))
+    return payload, _rows_csv(("u", "v"), list(sols))
 
 
-def _cmd_curve_coverage(args) -> int:
-    _resolved(args)
+def _cmd_curve_coverage(args):
     cloud = torus_points(QuadricParams(args.p, args.r1, args.r2))
     covered, total = dyadic_box_coverage(cloud, args.k)
-    payload = {"p": args.p, "r1": args.r1, "r2": args.r2, "k": args.k,
-               "covered": covered, "total": total,
-               "fraction": covered / total}
-    return _ok(args, payload)
+    return {"p": args.p, "r1": args.r1, "r2": args.r2, "k": args.k,
+            "covered": covered, "total": total, "fraction": covered / total}
 
 
-def _cmd_decompose_ruzsa3(args) -> int:
-    _resolved(args)
+def _cmd_decompose_ruzsa3(args):
     found = decompose3_ruzsa(args.p, args.a, args.b, g=args.g,
                              require_distinct=args.distinct)
-    return _ok(args, json.loads(found.to_json()))
+    return json.loads(found.to_json())
 
 
-def _cmd_decompose_ruzsa4(args) -> int:
-    _resolved(args)
+def _cmd_decompose_ruzsa4(args):
     found = decompose4_ruzsa(args.p, args.a, args.b, g=args.g)
-    return _ok(args, json.loads(found.to_json()))
+    return json.loads(found.to_json())
 
 
-def _cmd_decompose_zn(args) -> int:
-    _resolved(args)
+def _cmd_decompose_zn(args):
     found = decompose3_zn(args.n, args.N, mode=args.search)
-    return _ok(args, json.loads(found.to_json()))
+    return json.loads(found.to_json())
 
 
-def _cmd_sample(args) -> int:
-    config = _model_config(args)
-    _resolved(args, config=json.loads(config.to_json()))
-    seq = sample_sequence(config, args.horizon)
-    payload = {"config": json.loads(config.to_json()),
-               "horizon": args.horizon, "count": len(seq.elements),
-               "elements": list(seq.elements)}
-    return _ok(args, payload,
-               _rows_csv(("element",), [(x,) for x in seq.elements]))
+def _cmd_sample(args):
+    seq = sample_sequence(_model_config(args), args.horizon)
+    payload = {"config": args.config, "horizon": args.horizon,
+               "count": len(seq.elements), "elements": list(seq.elements)}
+    return payload, _elements_csv(seq.elements)
 
 
-def _cmd_lift(args) -> int:
-    elements, _ = _read_elements(args)
-    _resolved(args, elements=elements)
+def _cmd_lift(args):
+    _read_elements(args)
     lifter = sidon_lift if args._cmd == "lift.sidon" else b2_2_lift
-    kept = lifter(elements)
-    payload = {"inputSize": len(elements), "outputSize": len(kept),
-               "removedCount": len(elements) - len(kept),
-               "elements": list(kept)}
-    return _ok(args, payload,
-               _rows_csv(("element",), [(x,) for x in kept]))
+    kept = lifter(args.elements)
+    # the lifts read the input as a set: duplicates are not removals
+    size = len(set(args.elements))
+    payload = {"inputSize": size, "outputSize": len(kept),
+               "removedCount": size - len(kept), "elements": list(kept)}
+    return payload, _elements_csv(kept)
 
 
-def _cmd_family_enumerate(args) -> int:
-    elements, _ = _read_elements(args)
-    _resolved(args, elements=elements)
+def _cmd_family_enumerate(args):
+    _read_elements(args)
     spec = FamilySpec(kind=args.kind, target=args.target,
                       modulus=args.modulus, epsilon=args.epsilon)
-    fam = enumerate_family(elements, spec)
+    fam = enumerate_family(args.elements, spec)
     members = [list(member) for member in fam.members]
     payload = {"kind": spec.kind, "target": spec.target,
                "modulus": spec.modulus,
                "epsilon": str(spec.epsilon) if spec.epsilon is not None else None,
                "count": len(members), "members": members}
     header = tuple(f"x{i}" for i in range(1, fam.arity + 1))
-    return _ok(args, payload, _rows_csv(header, fam.members))
+    return payload, _rows_csv(header, fam.members)
 
 
-def _read_members(args):
-    data = _load_json(args.src)
-    if not isinstance(data, list):
-        raise _UsageError("--in: expected a JSON list of coordinate tuples")
-    try:
-        return [tuple(int(x) for x in row) for row in data]
-    except (TypeError, ValueError):
-        raise _UsageError("--in: rows must be integer tuples")
+def _cmd_sunflower_find(args):
+    _read_members(args)
+    cert = find_vectorial_sunflower(args.members, args.k)
+    return {"k": args.k, "found": cert is not None,
+            "certificate": json.loads(cert.to_json()) if cert else None}
 
 
-def _cmd_sunflower_find(args) -> int:
-    members = _read_members(args)
-    _resolved(args, members=members)
-    cert = find_vectorial_sunflower(members, args.k)
-    payload = {"k": args.k, "found": cert is not None,
-               "certificate": json.loads(cert.to_json()) if cert else None}
-    return _ok(args, payload)
-
-
-def _cmd_sunflower_check(args) -> int:
-    members = _read_members(args)
+def _cmd_sunflower_check(args):
+    _read_members(args)
     raw = _load_json(args.cert_src, "--cert")
     if isinstance(raw, dict) and "payload" in raw:
         raw = raw["payload"]
     if isinstance(raw, dict) and "certificate" in raw:
         raw = raw["certificate"]
+    message = "--cert: expected integer lists petalIndices/typeSet/coreValues"
     try:
-        lists = [tuple(raw[key])
+        lists = [tuple(_json_ints(raw[key], message))
                  for key in ("petalIndices", "typeSet", "coreValues")]
     except (TypeError, KeyError):
-        lists = None
-    # JSON integers only: int() would truncate 2.9 and read true as 1
-    if lists is None or any(type(x) is not int for xs in lists for x in xs):
-        raise _UsageError("--cert: expected integer lists petalIndices/"
-                          "typeSet/coreValues")
-    cert = SunflowerCert(*lists)
-    _resolved(args, members=members, certificate=_jsonable(dict(raw)))
-    return _ok(args, {"valid": cert.verify(members)})
+        raise _UsageError(message)
+    args.certificate = raw
+    return {"valid": SunflowerCert(*lists).verify(args.members)}
 
 
-def _cmd_analyze_sigma(args) -> int:
-    _resolved(args)
+def _cmd_analyze_sigma(args):
     spec = SumSpec(args.alpha, args.beta, args.n, args.m)
-    value = sigma(spec)
-    payload = {"alpha": str(spec.alpha), "beta": str(spec.beta),
-               "n": args.n, "m": args.m, "value": value}
-    return _ok(args, payload)
+    return {"alpha": str(spec.alpha), "beta": str(spec.beta),
+            "n": args.n, "m": args.m, "value": sigma(spec)}
 
 
-def _cmd_analyze_tau(args) -> int:
-    _resolved(args)
+def _cmd_analyze_tau(args):
     spec = SumSpec(args.alpha, args.beta, args.n, args.m,
                    tail_tolerance=args.tol)
     result = tau(spec)
-    payload = {"alpha": str(spec.alpha), "beta": str(spec.beta),
-               "n": args.n, "m": args.m, "value": result.value,
-               "errorBound": result.error_bound,
-               "majorantBound": result.majorant_bound,
-               "cutoff": result.cutoff}
-    return _ok(args, payload)
+    return {"alpha": str(spec.alpha), "beta": str(spec.beta),
+            "n": args.n, "m": args.m, "value": result.value,
+            "errorBound": result.error_bound,
+            "majorantBound": result.majorant_bound, "cutoff": result.cutoff}
 
 
-def _cmd_analyze_lemma_ab(args) -> int:
-    _resolved(args)
+def _cmd_analyze_lemma_ab(args):
     report = check_lemma_ab(args.alpha, args.beta, args.grid,
                             tail_tolerance=args.tol)
-    return _ok(args, json.loads(report.to_json()), report.to_csv())
+    return json.loads(report.to_json()), report.to_csv()
 
 
-def _cmd_analyze_lemma_abab(args) -> int:
-    _resolved(args)
-    report = check_lemma_abab(args.gamma, args.pairs,
-                              tail_tolerance=args.tol)
-    return _ok(args, json.loads(report.to_json()), report.to_csv())
+def _cmd_analyze_lemma_abab(args):
+    report = check_lemma_abab(args.gamma, args.pairs, tail_tolerance=args.tol)
+    return json.loads(report.to_json()), report.to_csv()
 
 
-def _cmd_analyze_moment(args) -> int:
-    config = _model_config(args)
-    _resolved(args, config=json.loads(config.to_json()))
+def _cmd_analyze_moment(args):
     moment = (exact_delta_Q if args._cmd == "analyze.delta"
               else exact_expectation_Q)
-    value = moment(args.n, config, args.engine)
-    payload = {"config": json.loads(config.to_json()), "n": args.n,
-               "engine": args.engine, "value": value}
-    return _ok(args, payload)
+    value = moment(args.n, _model_config(args), args.engine)
+    return {"config": args.config, "n": args.n, "engine": args.engine,
+            "value": value}
 
 
-def _cmd_analyze_montecarlo(args) -> int:
-    config = _model_config(args)
-    _resolved(args, config=json.loads(config.to_json()))
-    table = monte_carlo_family_mean(args.kind, args.targets, config,
-                                    args.horizon, trials=args.trials,
+def _cmd_analyze_montecarlo(args):
+    table = monte_carlo_family_mean(args.kind, args.targets,
+                                    _model_config(args), args.horizon,
+                                    trials=args.trials,
                                     master_seed=args.master_seed,
                                     epsilon=args.epsilon)
     rows = [{"target": t, "mean": mean, "stderr": err}
             for t, mean, err in table]
     payload = {"kind": args.kind.upper(), "horizon": args.horizon,
                "trials": args.trials, "rows": rows}
-    return _ok(args, payload,
-               _rows_csv(("target", "mean", "stderr"), list(table)))
+    return payload, _rows_csv(("target", "mean", "stderr"), list(table))
 
 
-def _cmd_audit_destruction(args) -> int:
-    elements, _ = _read_elements(args)
-    _resolved(args, elements=elements)
-    result = destruction_audit(elements, args.n, N=args.N, mode=args.mode,
-                               epsilon=args.epsilon)
-    payload = {"n": args.n, "N": args.N, "mode": args.mode,
-               "qBefore": result.q_before, "qAfter": result.q_after,
-               "obstructions": result.obstructions, "holds": result.holds}
-    return _ok(args, payload)
+def _cmd_audit_destruction(args):
+    _read_elements(args)
+    result = destruction_audit(args.elements, args.n, N=args.N,
+                               mode=args.mode, epsilon=args.epsilon)
+    return {"n": args.n, "N": args.N, "mode": args.mode,
+            "qBefore": result.q_before, "qAfter": result.q_after,
+            "obstructions": result.obstructions, "holds": result.holds}
 
 
 # -------------------------------------------------------------- parser tree
@@ -520,12 +462,33 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("--seed", type=int, default=0)
 
     setfile = argparse.ArgumentParser(add_help=False)
-    setfile.add_argument("--in", dest="src", metavar="PATH",
+    setfile.add_argument("--in", dest="src", metavar="PATH", required=True,
                          help="JSON input: a list of integers, an object "
                               "with \"elements\", or a previous ok-envelope")
     setfile.add_argument("--mode", choices=("integer", "cyclic"),
                          default="integer")
     setfile.add_argument("--modulus", type=int, default=None, metavar="N")
+
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="src", metavar="PATH", required=True,
+                        help="JSON input file")
+
+    quadric = argparse.ArgumentParser(add_help=False)
+    quadric.add_argument("-p", type=int, required=True)
+    quadric.add_argument("--r1", type=int, required=True)
+    quadric.add_argument("--r2", type=int, required=True)
+
+    ruzsa_target = argparse.ArgumentParser(add_help=False)
+    ruzsa_target.add_argument("-p", type=int, required=True)
+    ruzsa_target.add_argument("-a", type=int, required=True)
+    ruzsa_target.add_argument("-b", type=int, required=True)
+    ruzsa_target.add_argument("-g", type=int, default=None)
+
+    sums = argparse.ArgumentParser(add_help=False)
+    sums.add_argument("--alpha", type=_rational, required=True, metavar="P/Q")
+    sums.add_argument("--beta", type=_rational, required=True, metavar="P/Q")
+    sums.add_argument("-n", type=int, required=True)
+    sums.add_argument("--m", type=int, default=0)
 
     top = argparse.ArgumentParser(
         prog="sidonlab", allow_abbrev=False,
@@ -533,16 +496,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "constructions, certificates, exact counts, audits.")
     groups = top.add_subparsers(metavar="COMMAND")
 
+    def group(name, metavar, help):
+        return groups.add_parser(name, allow_abbrev=False,
+                                 help=help).add_subparsers(metavar=metavar)
+
     def leaf(sub, name, handler, cmd, parents=(), **kwargs):
         parser = sub.add_parser(name, parents=[*parents, common],
                                 allow_abbrev=False, **kwargs)
         parser.set_defaults(_func=handler, _cmd=cmd)
         return parser
 
-    construct = groups.add_parser(
-        "construct", allow_abbrev=False,
-        help="build the two explicit Sidon sets").add_subparsers(
-        metavar="KIND")
+    construct = group("construct", "KIND", "build the two explicit Sidon sets")
     par = leaf(construct, "erdos-turan", _cmd_construct,
                "construct.erdos-turan",
                help="p-element integer Sidon set below 2p^2")
@@ -553,10 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("-g", type=int, default=None,
                      help="primitive root mod p (default: smallest)")
 
-    verify = groups.add_parser(
-        "verify", allow_abbrev=False,
-        help="check Sidon/B2[g]/basis properties of a set").add_subparsers(
-        metavar="PROPERTY")
+    verify = group("verify", "PROPERTY",
+                     "check Sidon/B2[g]/basis properties of a set")
     leaf(verify, "sidon", _cmd_verify_sidon, "verify.sidon",
          parents=[setfile], help="all pairwise sums distinct")
     leaf(verify, "b2g", _cmd_verify_b2g, "verify.b2g", parents=[setfile],
@@ -568,10 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("--repetition", choices=("allowed", "forbidden"),
                      default="allowed")
 
-    curve = groups.add_parser(
-        "curve", allow_abbrev=False,
-        help="point counts on y^2 = quartic, and quadric clouds").add_subparsers(
-        metavar="TASK")
+    curve = group("curve", "TASK",
+                    "point counts on y^2 = quartic, and quadric clouds")
     par = leaf(curve, "count", _cmd_curve_count, "curve.count",
                help="points with V != 0 on the counting curve")
     par.add_argument("-p", type=int, required=True)
@@ -583,37 +543,24 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("-g", type=int, default=None)
     par.add_argument("-a", type=int, default=None)
     par.add_argument("-b", type=int, default=None)
-    par = leaf(curve, "quadric", _cmd_curve_quadric, "curve.quadric",
-               help="solutions of the two-residue quadric")
-    par.add_argument("-p", type=int, required=True)
-    par.add_argument("--r1", type=int, required=True)
-    par.add_argument("--r2", type=int, required=True)
+    leaf(curve, "quadric", _cmd_curve_quadric, "curve.quadric",
+         parents=[quadric], help="solutions of the two-residue quadric")
     par = leaf(curve, "coverage", _cmd_curve_coverage, "curve.coverage",
+               parents=[quadric],
                help="dyadic box coverage of the scaled solution cloud")
-    par.add_argument("-p", type=int, required=True)
-    par.add_argument("--r1", type=int, required=True)
-    par.add_argument("--r2", type=int, required=True)
     par.add_argument("-k", type=int, required=True,
                      help="boxes per axis: 2^k")
 
-    decompose = groups.add_parser(
-        "decompose", allow_abbrev=False,
-        help="write targets as short sums over the constructions").add_subparsers(
-        metavar="SCHEME")
+    decompose = group("decompose", "SCHEME",
+                        "write targets as short sums over the constructions")
     par = leaf(decompose, "ruzsa3", _cmd_decompose_ruzsa3, "decompose.ruzsa3",
+               parents=[ruzsa_target],
                help="three Ruzsa elements hitting (a, b)")
-    par.add_argument("-p", type=int, required=True)
-    par.add_argument("-a", type=int, required=True)
-    par.add_argument("-b", type=int, required=True)
-    par.add_argument("-g", type=int, default=None)
     par.add_argument("--distinct", action="store_true",
                      help="require pairwise distinct parts")
-    par = leaf(decompose, "ruzsa4", _cmd_decompose_ruzsa4, "decompose.ruzsa4",
-               help="four Ruzsa elements, one below the epsilon threshold")
-    par.add_argument("-p", type=int, required=True)
-    par.add_argument("-a", type=int, required=True)
-    par.add_argument("-b", type=int, required=True)
-    par.add_argument("-g", type=int, default=None)
+    leaf(decompose, "ruzsa4", _cmd_decompose_ruzsa4, "decompose.ruzsa4",
+         parents=[ruzsa_target],
+         help="four Ruzsa elements, one below the epsilon threshold")
     par = leaf(decompose, "zn", _cmd_decompose_zn, "decompose.zn",
                help="three Erdos-Turan elements mod N")
     par.add_argument("-N", type=int, required=True)
@@ -625,53 +572,33 @@ def _build_parser() -> argparse.ArgumentParser:
                help="draw one sequence from the counter-based random model")
     par.add_argument("--horizon", type=int, required=True)
 
-    lift = groups.add_parser(
-        "lift", allow_abbrev=False,
-        help="delete collisions to reach a Sidon or B2[2] subsequence").add_subparsers(
-        metavar="TARGET")
+    lift = group("lift", "TARGET",
+                   "delete collisions to reach a Sidon or B2[2] subsequence")
     for name in ("sidon", "b22"):
-        par = leaf(lift, name, _cmd_lift, f"lift.{name}")
-        par.add_argument("--in", dest="src", metavar="PATH", required=True)
+        leaf(lift, name, _cmd_lift, f"lift.{name}", parents=[infile])
 
-    family = groups.add_parser(
-        "family", allow_abbrev=False,
-        help="representation and obstruction families").add_subparsers(
-        metavar="TASK")
-    par = leaf(family, "enumerate", _cmd_family_enumerate, "family.enumerate")
-    par.add_argument("--in", dest="src", metavar="PATH", required=True)
+    family = group("family", "TASK", "representation and obstruction families")
+    par = leaf(family, "enumerate", _cmd_family_enumerate, "family.enumerate",
+               parents=[infile])
     par.add_argument("--kind", required=True, choices=tuple(_FAMILIES))
     par.add_argument("--target", type=int, required=True)
     par.add_argument("--modulus", type=int, default=1)
     par.add_argument("--epsilon", type=_rational, default=None, metavar="P/Q")
 
-    sunflower = groups.add_parser(
-        "sunflower", allow_abbrev=False,
-        help="vectorial sunflower certificates").add_subparsers(
-        metavar="TASK")
-    par = leaf(sunflower, "find", _cmd_sunflower_find, "sunflower.find")
-    par.add_argument("--in", dest="src", metavar="PATH", required=True,
-                     help="JSON list of coordinate tuples")
+    sunflower = group("sunflower", "TASK", "vectorial sunflower certificates")
+    par = leaf(sunflower, "find", _cmd_sunflower_find, "sunflower.find",
+               parents=[infile])
     par.add_argument("-k", type=int, required=True, help="petal count")
-    par = leaf(sunflower, "check", _cmd_sunflower_check, "sunflower.check")
-    par.add_argument("--in", dest="src", metavar="PATH", required=True)
+    par = leaf(sunflower, "check", _cmd_sunflower_check, "sunflower.check",
+               parents=[infile])
     par.add_argument("--cert", dest="cert_src", metavar="PATH", required=True)
 
-    analyze = groups.add_parser(
-        "analyze", allow_abbrev=False,
-        help="certified sums, ratio reports, exact and sampled moments").add_subparsers(
-        metavar="TASK")
-    par = leaf(analyze, "sigma", _cmd_analyze_sigma, "analyze.sigma",
-               help="finite two-power sum along x + y = n")
-    par.add_argument("--alpha", type=_rational, required=True, metavar="P/Q")
-    par.add_argument("--beta", type=_rational, required=True, metavar="P/Q")
-    par.add_argument("-n", type=int, required=True)
-    par.add_argument("--m", type=int, default=0)
+    analyze = group("analyze", "TASK",
+                      "certified sums, ratio reports, exact and sampled moments")
+    leaf(analyze, "sigma", _cmd_analyze_sigma, "analyze.sigma",
+         parents=[sums], help="finite two-power sum along x + y = n")
     par = leaf(analyze, "tau", _cmd_analyze_tau, "analyze.tau",
-               help="certified infinite sum along x - y = n")
-    par.add_argument("--alpha", type=_rational, required=True, metavar="P/Q")
-    par.add_argument("--beta", type=_rational, required=True, metavar="P/Q")
-    par.add_argument("-n", type=int, required=True)
-    par.add_argument("--m", type=int, default=0)
+               parents=[sums], help="certified infinite sum along x - y = n")
     par.add_argument("--tol", type=_rational, default=None, metavar="P/Q")
     par = leaf(analyze, "lemma-ab", _cmd_analyze_lemma_ab, "analyze.lemma-ab",
                help="sigma and tau against the (n+m)^(1-alpha-beta) envelope")
@@ -707,14 +634,12 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("--master-seed", type=int, default=None)
     par.add_argument("--epsilon", type=_rational, default=None, metavar="P/Q")
 
-    audit = groups.add_parser(
-        "audit", allow_abbrev=False,
-        help="inequalities tying lifts to obstruction counts").add_subparsers(
-        metavar="TASK")
+    audit = group("audit", "TASK",
+                    "inequalities tying lifts to obstruction counts")
     par = leaf(audit, "destruction", _cmd_audit_destruction,
                "audit.destruction",
+               parents=[infile],
                help="representations destroyed by a lift vs obstructions")
-    par.add_argument("--in", dest="src", metavar="PATH", required=True)
     par.add_argument("-n", type=int, required=True)
     par.add_argument("-N", type=int, default=1)
     par.add_argument("--mode", choices=("b22", "sidon"), default="b22")
@@ -733,19 +658,31 @@ def run(argv=None) -> int:
     if handler is None:
         parser.print_usage(sys.stderr)
         return 2
+    code, csv_text = 0, None
     try:
-        return handler(args)
+        payload = handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
-        resolved = getattr(args, "_resolved", None) or _resolved(args)
-        envelope = {"status": "error",
-                    "payload": {"error": type(exc).__name__,
-                                "message": str(exc)},
-                    "configHash": _config_hash(resolved)}
-        _deliver(args, json.dumps(envelope, sort_keys=True) + "\n")
-        return 1
+        code, payload = 1, {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(payload, tuple):
+        payload, csv_text = payload
+    if code == 0 and args.format == "csv":
+        text = csv_text if csv_text is not None else _payload_csv(payload)
+    else:
+        envelope = {"status": "error" if code else "ok", "payload": payload,
+                    "configHash": _config_hash(args)}
+        text = json.dumps(envelope, sort_keys=True) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: --out: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main() -> None:

@@ -10,10 +10,11 @@ are in bijection with the points (U, V), V != 0, of the curve
 
 so their number is p + O(sqrt(p)). The counts for every target at once are
 the 3-fold sum profile of the Ruzsa set (`triple_rep_table`), which makes
-the identity a statement about that set. Solutions with a repeated coordinate
-reduce to a cubic and number at most 9 per target, which keeps
-pairwise-distinct representations plentiful for every target once p is
-moderately large.
+the identity a statement about that set: it reads
+curve_point_table(p, g) == triple_rep_table(p, g). Solutions with a
+repeated coordinate reduce to a cubic and number at most 9 per target,
+which keeps pairwise-distinct representations plentiful for every target
+once p is moderately large.
 
 The module also enumerates the quadric x1^2 + x2^2 + (x1 + x2 - r1)^2 = r2
 used by the integer decomposition pipeline, maps its solutions to the unit
@@ -39,6 +40,7 @@ __all__ = [
     "QuadricSolutions",
     "TorusCloud",
     "curve_point_count",
+    "curve_point_table",
     "triple_reps",
     "triple_rep_count",
     "triple_rep_table",
@@ -133,6 +135,20 @@ def _point_counts(p: int, b, lam: int, root: np.ndarray):
     w = (np.multiply.outer(b, v) + lam) % p
     s = root[(4 * (v * v % p * v % p) + w * w) % p]
     return (s >= 0).sum(axis=-1) + (s > 0).sum(axis=-1)  # U = s and U = -s
+
+
+def curve_point_table(p: int, g: int) -> dict:
+    """curve_point_count for every target (a, b) at lam = g^a, keyed and
+    zero-free like triple_rep_table, so the identity reads
+    curve_point_table(p, g) == triple_rep_table(p, g). One _point_counts
+    call per lam counts every b at once, with p (p - 1) int64 entries per
+    temporary; p is checked once for every target."""
+    CurveParams(p, 0, 1)
+    root = _sqrt_table(p)
+    counts = np.array([_point_counts(p, range(p), lam, root)
+                       for lam in power_table(p, g)])
+    a, b = np.nonzero(counts)
+    return dict(zip(zip(a.tolist(), b.tolist()), counts[a, b].tolist()))
 
 
 def triple_reps(p: int, g: int, a: int, b: int):

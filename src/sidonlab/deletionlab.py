@@ -37,7 +37,7 @@ from functools import cache, cached_property, partial
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional
 
-from .numbertheory import RangeError
+from .numbertheory import RangeError, _as_ints
 from .randommodel import _as_fraction
 
 __all__ = [
@@ -61,7 +61,7 @@ class UnsupportedKind(ValueError):
 
 
 def _coerce(A) -> tuple[int, ...]:
-    xs = sorted(set(int(x) for x in getattr(A, "elements", A)))
+    xs = sorted(set(_as_ints(getattr(A, "elements", A), "sequence elements")))
     if xs and xs[0] < 1:
         raise RangeError("sequence elements must be positive integers")
     return tuple(xs)

@@ -6,6 +6,8 @@ All functions are pure, so they are safe under concurrent callers.
 
 from __future__ import annotations
 
+from operator import index
+
 __all__ = [
     "NotPrime",
     "NotGenerator",
@@ -35,6 +37,15 @@ class PrimeNotFound(LookupError):
 
 class RangeError(ValueError):
     """Residue or parameter outside its documented range."""
+
+
+def _as_ints(values, what: str) -> list[int]:
+    """values as Python ints through operator.index, so NumPy integers
+    pass and a float raises RangeError instead of being truncated."""
+    try:
+        return list(map(index, values))
+    except TypeError as exc:
+        raise RangeError(f"{what} must be integers: {exc}") from exc
 
 
 # Fixed witness set proven deterministic for every n < 3.3e24, which covers

@@ -31,7 +31,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numbertheory import RangeError, crt_flatten, is_prime, power_table, primitive_root
+from .numbertheory import (RangeError, _as_ints, crt_flatten, is_prime,
+                           power_table, primitive_root)
 
 __all__ = [
     "NotOddPrime",
@@ -178,7 +179,7 @@ def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
         if mode == "cyclic" and modulus is None:
             modulus = setlike.modulus
     else:
-        elems = sorted(int(x) for x in setlike)
+        elems = sorted(_as_ints(setlike, "elements"))
         if len(set(elems)) != len(elems):
             raise RangeError("elements must be distinct")
     if mode == "cyclic":

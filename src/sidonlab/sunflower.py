@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .numbertheory import RangeError
+from .numbertheory import RangeError, _as_ints
 
 __all__ = [
     "SunflowerCert",
@@ -153,7 +153,7 @@ def _classical(family, k):
 
 
 def _coerce_members(family):
-    members = tuple(tuple(int(v) for v in t)
+    members = tuple(tuple(_as_ints(t, "member coordinates"))
                     for t in getattr(family, "members", family))
     if len(set(members)) != len(members):
         raise RangeError("family members must be distinct")

@@ -300,6 +300,14 @@ class TestLift:
         env = _ok(capsys, ["lift", "b22", "--in", str(path)])
         assert tuple(env["payload"]["elements"]) == b2_2_lift(elements)
 
+    @pytest.mark.parametrize("target", ["sidon", "b22"])
+    def test_duplicates_are_not_removals(self, capsys, tmp_path, target):
+        path = tmp_path / "dup.json"
+        path.write_text("[2, 2, 5]")
+        env = _ok(capsys, ["lift", target, "--in", str(path)])
+        assert env["payload"] == {"inputSize": 2, "outputSize": 2,
+                                  "removedCount": 0, "elements": [2, 5]}
+
 
 class TestFamily:
     def test_enumerate_replays_library(self, capsys, tmp_path):
@@ -530,6 +538,64 @@ class TestAudit:
         assert env["payload"]["error"] == "RangeError"
 
 
+class TestStrictIntegers:
+    """JSON integers only: floats, strings and booleans in --in exit 2
+    instead of being truncated or read as 0/1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "b22"],
+        ["verify", "sidon"],
+        ["family", "enumerate", "--kind", "Q", "--target", "20"],
+        ["audit", "destruction", "-n", "20"],
+    ])
+    @pytest.mark.parametrize("data", [
+        [1.5, 2, True, 9],
+        [1, True, 9],
+        [1, 2.0, 9],
+        ["1", 2, 9],
+        {"elements": [1, 2, 9.5]},
+        {"payload": {"elements": [1, 2, 9], "modulus": 20.0}},
+    ])
+    def test_sets(self, capsys, tmp_path, argv, data):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(data))
+        err = _usage(capsys, argv + ["--in", str(path)])
+        assert err.startswith("error: --in: ")
+
+    @pytest.mark.parametrize("task", ["find", "check"])
+    @pytest.mark.parametrize("data", [
+        [[1.9, 7, 2], [3, 7, 4.2]],
+        [[1, True, 2], [3, 7, 4]],
+        [[1, 7, 2], "374"],
+    ])
+    def test_families(self, capsys, tmp_path, task, data):
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(json.dumps(data))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(
+            {"petalIndices": [0, 1], "typeSet": [2], "coreValues": [7]}))
+        extra = ["-k", "2"] if task == "find" else ["--cert", str(cert_path)]
+        err = _usage(capsys, ["sunflower", task, "--in", str(fam_path)]
+                     + extra)
+        assert err.startswith("error: --in: ")
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("p, code", [("13", 0), ("15", 1)])
+    def test_exits_two(self, capsys, tmp_path, p, code):
+        target = tmp_path / "missing" / "x.json"
+        argv = ["construct", "ruzsa", "-p", p]
+        assert run(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out: cannot write {target}")
+        assert not target.exists()
+        # the same envelope goes out once the path is writable
+        assert run(argv) == code
+        assert json.loads(capsys.readouterr().out)["status"] == \
+            ("ok" if code == 0 else "error")
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -546,6 +612,11 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run(["construct", "ruzsa"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["sidon", "b2g", "basis"])
+    def test_verify_needs_in(self, capsys, command):
+        assert run(["verify", command, "--modulus", "7"]) == 2
+        assert "--in" in capsys.readouterr().err
 
 
 class TestFailureIsExplicit:

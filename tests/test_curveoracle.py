@@ -6,9 +6,8 @@ import brute_scans as brute
 from sidonlab.curveoracle import (
     CurveParams,
     QuadricParams,
-    _point_counts,
-    _sqrt_table,
     curve_point_count,
+    curve_point_table,
     dyadic_box_coverage,
     enumerate_quadric,
     hasse_gap,
@@ -38,11 +37,25 @@ def test_curve_point_count_matches_brute_scan():
 
 @pytest.mark.parametrize("p", [3, 13, 31, 101])
 def test_point_counts_for_every_b_at_once(p):
-    # the sweep's path: one call counts every b at one lam
-    root = _sqrt_table(p)
-    for lam in range(1, p):
-        assert _point_counts(p, range(p), lam, root).tolist() == \
-            [brute.curve_point_count(p, b, lam) for b in range(p)], lam
+    # the sweep's path: one kernel call counts every b at one lam
+    g = primitive_root(p)
+    want = {}
+    for a in range(p - 1):
+        lam = pow(g, a, p)
+        for b in range(p):
+            points = brute.curve_point_count(p, b, lam)
+            if points:
+                want[a, b] = points
+    table = curve_point_table(p, g)
+    assert table == want
+    assert table == triple_rep_table(p, g)
+
+
+@pytest.mark.parametrize("p, g, error", [
+    (15, 2, NotPrime), (2, 1, NotPrime), (7, 2, NotGenerator)])
+def test_curve_point_table_checks_p_and_g(p, g, error):
+    with pytest.raises(error):
+        curve_point_table(p, g)
 
 
 def test_curve_point_count_needs_p_below_2_31():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import brute_scans as brute
+import numpy as np
 import pytest
 
 from sidonlab.deletionlab import (
@@ -238,6 +239,13 @@ class TestLifts:
         assert b2_2_lift(iter(sidon)) == sidon  # the input is read once
         assert sidon_lift(iter(sidon)) == sidon
         assert b2_2_lift(()) == ()
+
+    def test_lifts_read_integers_only(self):
+        # int() used to truncate 1.9, so the lift returned (1, 2, 3)
+        for lift in (b2_2_lift, sidon_lift):
+            with pytest.raises(RangeError):
+                lift([1.9, 2, 3])
+        assert b2_2_lift(np.array([1, 2, 5], dtype=np.int64)) == (1, 2, 5)
 
     def test_lift_outputs_and_monotonicity(self):
         rng = random.Random(4057)

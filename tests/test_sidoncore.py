@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 import brute_scans as brute
@@ -90,6 +91,14 @@ def test_is_sidon_examples():
     assert a + a2 == a3 + a4
     assert {a, a2} != {a3, a4}
     assert {a, a2, a3, a4} <= {1, 2, 3, 4}
+
+
+def test_is_sidon_reads_integers_only():
+    # int() used to truncate 1.5 into a false collision (1, 3, 2, 2)
+    with pytest.raises(RangeError):
+        is_sidon([1.5, 2, 3])
+    assert is_sidon(np.array([1, 2, 5])).is_sidon
+    assert is_sidon(np.array([1, 2, 3])) == is_sidon([1, 2, 3])
 
 
 def test_is_sidon_witness_matches_dict_scan():

@@ -5,6 +5,7 @@ import json
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from sidonlab.numbertheory import RangeError
@@ -220,6 +221,12 @@ class TestVectorial:
 
     def test_display_k5(self):
         assert find_vectorial_sunflower(DISPLAY, 5) is None
+
+    def test_reads_integers_only(self):
+        with pytest.raises(RangeError):
+            find_vectorial_sunflower([(1.9, 7, 2), (3, 7, 4.2)], 2)
+        cert = find_vectorial_sunflower(np.array(DISPLAY), 4)
+        assert cert == find_vectorial_sunflower(DISPLAY, 4)
 
     def test_disjoint_pair(self):
         cert = find_vectorial_sunflower([(1, 2), (3, 4)], 2)
