@@ -50,7 +50,7 @@ import mpmath
 import numpy as np
 
 from .deletionlab import _MODULUS_KINDS, FamilySpec, _family_size
-from .numbertheory import RangeError
+from .numbertheory import RangeError, _as_ints, _int_fields
 from .randommodel import SampleConfig, _as_fraction, _blocks, sample_sequence
 
 __all__ = [
@@ -89,6 +89,7 @@ class SumSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         object.__setattr__(self, "beta", _as_fraction(self.beta))
+        _int_fields(self, "n", "m")
         if self.n < 1:
             raise RangeError("n must be positive")
         if self.m < 0:
@@ -409,8 +410,9 @@ def check_lemma_abab(gamma, pairs, *,
     if tol <= 0:
         raise RangeError("tail tolerance must be positive")
     rows, seen = [], set()
-    for a, b in pairs:
-        for u, v in ((int(a), int(b)), (int(b), int(a))):
+    for pair in pairs:
+        a, b = _as_ints(pair, "pair entries")
+        for u, v in ((a, b), (b, a)):
             if u < 1 or v < 1:
                 raise RangeError("pair entries must be positive")
             if (u, v) in seen:
@@ -457,6 +459,7 @@ def _moment(n: int, cfg: SampleConfig, engine: str, finish) -> float:
     engine's rows into the moment. Exactly 0 below 3m + 6, the smallest
     sum of three distinct integers above m, and wherever no three residue
     classes reach n."""
+    (n,) = _as_ints((n,), "n")
     if engine == "auto":
         engine = "loop" if n <= 4096 else "transform"
     if engine not in ("loop", "transform"):
@@ -700,10 +703,10 @@ def janson_threshold(cfg: SampleConfig, targets, engine: str = "auto"):
     the smallest target from which the comparison holds onward (None if
     it fails at the last target)."""
     rows = []
-    for n in targets:
+    for n in _as_ints(targets, "targets"):
         mu = exact_expectation_Q(n, cfg, engine)
         delta = exact_delta_Q(n, cfg, engine)
-        rows.append((int(n), mu, delta, delta < mu))
+        rows.append((n, mu, delta, delta < mu))
     threshold = None
     for n, _, _, ok in reversed(rows):
         if not ok:
@@ -722,9 +725,10 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
         raise RangeError("trials must be at least 2")
     kind = str(kind).upper()
     modulus = cfg.modulus if kind in _MODULUS_KINDS else 1
-    specs = [FamilySpec(kind=kind, target=int(t), modulus=modulus,
+    specs = [FamilySpec(kind=kind, target=t, modulus=modulus,
                         epsilon=epsilon) for t in targets]
-    base = cfg.seed if master_seed is None else int(master_seed)
+    base = cfg.seed if master_seed is None else \
+        _as_ints((master_seed,), "master seed")[0]
     counts = np.zeros((trials, len(specs)))
     for i in range(trials):
         conf = replace(cfg, seed=(base + i) % 2 ** 64)

@@ -24,12 +24,13 @@ identities exactly; `Decomposition.replay()` does so.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .numbertheory import (
     NotPrime,
     RangeError,
+    _as_ints,
     crt_flatten,
     find_decomposition_prime,
     is_prime,
@@ -90,18 +91,7 @@ class Decomposition:
     certificate: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "target": self.target,
-                "modulus": self.modulus,
-                "parts": self.parts,
-                "construction": self.construction,
-                "p": self.p,
-                "mode": self.mode,
-                "certificate": self.certificate,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def replay(self) -> bool:
         """Re-verify every defining identity with exact integer arithmetic."""
@@ -203,6 +193,7 @@ def lift_to_interval(n: int, N: int, p: Optional[int] = None) -> LiftTarget:
     is total: take the smallest representable integer congruent to n, then
     the smallest valid row index r2.
     """
+    n, N = _as_ints((n, N), "n and N")
     if p is None:
         p = find_decomposition_prime(N)
     else:

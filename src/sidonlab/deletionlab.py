@@ -37,7 +37,7 @@ from functools import cache, cached_property, partial
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional
 
-from .numbertheory import RangeError, _as_ints
+from .numbertheory import RangeError, _as_family, _as_ints, _int_fields
 from .randommodel import _as_fraction
 
 __all__ = [
@@ -81,6 +81,7 @@ class FamilySpec:
         if kind not in _FAMILIES:
             raise UnsupportedKind(f"unknown family kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
+        _int_fields(self, "target", "modulus")
         if self.modulus < 1:
             raise RangeError("modulus must be >= 1")
         if self.modulus != 1 and kind not in _MODULUS_KINDS:
@@ -105,17 +106,13 @@ class VectorFamily:
     members: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        members = tuple(tuple(int(v) for v in t) for t in self.members)
+        members = _as_family(self.members, "family members")
         object.__setattr__(self, "members", members)
         if len(set(members)) != len(members):
             raise RangeError("family members must be distinct")
-        arities = {len(t) for t in members}
-        if len(arities) > 1:
-            raise RangeError("family members must share one arity")
-        want = self.arity
-        if arities and arities != {want}:
-            raise RangeError(
-                f"kind {self.spec.kind} has arity {want}, got {arities.pop()}")
+        if members and len(members[0]) != self.arity:
+            raise RangeError(f"kind {self.spec.kind} has arity {self.arity}, "
+                             f"got {len(members[0])}")
 
     @property
     def kind(self) -> str:

@@ -2,10 +2,15 @@
 
 Everything here is plain integer arithmetic with no probabilistic behavior.
 All functions are pure, so they are safe under concurrent callers.
+It holds the package's one reader of caller integers, `_as_ints`, and its
+two applications: `_int_fields` for dataclass fields, `_as_family` for the
+rows of a vector family.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import isqrt
 from operator import index
 
 __all__ = [
@@ -46,6 +51,29 @@ def _as_ints(values, what: str) -> list[int]:
         return list(map(index, values))
     except TypeError as exc:
         raise RangeError(f"{what} must be integers: {exc}") from exc
+
+
+def _int_fields(obj, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as _as_ints reads them."""
+    values = _as_ints([getattr(obj, name) for name in names],
+                      f"{type(obj).__name__} {'/'.join(names)}")
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+
+
+def _as_family(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """rows as int tuples of one arity: a tuple of Python ints is kept
+    uncopied, any other row is read through _as_ints. Distinctness is the
+    caller's policy."""
+    rows = tuple(rows)
+    if not (set(map(type, rows)) <= {tuple}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        rows = tuple(t if type(t) is tuple and set(map(type, t)) <= {int}
+                     else tuple(_as_ints(t, "member coordinates"))
+                     for t in rows)
+    if len(set(map(len, rows))) > 1:
+        raise RangeError(f"{what} must share one arity")
+    return rows
 
 
 # Fixed witness set proven deterministic for every n < 3.3e24, which covers
@@ -168,7 +196,7 @@ def find_decomposition_prime(N: int) -> int:
     if N < 2:
         raise RangeError(f"need N >= 2, got {N}")
     # 4p^2 < N < 5p^2  <=>  N/5 < p^2 < N/4, exact integer comparisons below.
-    p = max(7, _isqrt_ceil((N + 4) // 5))
+    p = max(7, isqrt((N + 4) // 5 - 1) + 1)  # ceil(sqrt((N + 4) // 5))
     while 4 * p * p < N:
         if 5 * p * p > N and p % 3 == 1 and is_prime(p):
             return p
@@ -176,10 +204,3 @@ def find_decomposition_prime(N: int) -> int:
     raise PrimeNotFound(
         f"no prime p = 1 (mod 3), p >= 7 with 4p^2 < {N} < 5p^2"
     )
-
-
-def _isqrt_ceil(n: int) -> int:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else r + 1

@@ -22,8 +22,9 @@ k^q x^p < 2^(53 q) for gamma = p/q, or for large q from the sign of
 q log k + p log x - 53 q log 2 in interval arithmetic. So a seeded sample
 does not depend on the platform's `pow`.
 
-The same rule is implemented twice, as scalar integer arithmetic and as a
-vectorized numpy pipeline; tests pin them to each other bit for bit.
+The rule has one implementation, `_accept` on a block of candidates;
+`contains` runs it on a block of one. The tests pin it bit for bit to an
+independent scalar oracle in Python integers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Union
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
-from .numbertheory import RangeError
+from .numbertheory import RangeError, _as_ints, _int_fields
 from .sidoncore import ModSet
 
 __all__ = [
@@ -85,7 +86,9 @@ class SampleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _as_fraction(self.gamma))
-        object.__setattr__(self, "residues", tuple(sorted(set(self.residues))))
+        _int_fields(self, "m", "modulus", "seed")
+        residues = sorted(set(_as_ints(self.residues, "residues")))
+        object.__setattr__(self, "residues", tuple(residues))
         if self.gamma <= 0:
             raise RangeError("gamma must be positive")
         if self.m < 0:
@@ -146,6 +149,7 @@ def uniform_unit(seed: int, x: int) -> float:
 
 
 def inclusion_probability(config: SampleConfig, x: int) -> float:
+    (x,) = _as_ints((x,), "x")
     if x <= config.m or x % config.modulus not in config.residues:
         return 0.0
     return float(x) ** (-float(config.gamma))
@@ -194,16 +198,16 @@ def _exact_accept(k: int, x: int, gamma: Fraction) -> bool:
 
 
 def contains(config: SampleConfig, x: int) -> bool:
-    """Scalar membership decision; agrees with `sample_sequence` exactly."""
+    """Membership of x, decided by `_accept` on a one-candidate block, the
+    rule `sample_sequence` applies."""
+    (x,) = _as_ints((x,), "x")
+    if x >= 1 << 64:
+        raise RangeError("x must be below 2^64")
     if x <= config.m or x % config.modulus not in config.residues:
         return False
-    k = mix64(config.seed + x * _GOLDEN) >> 11
-    u = k * 2.0 ** -53
-    g = float(config.gamma)
-    t = float(x) ** -g
-    if abs(u - t) > _margin(t, x, g):
-        return u < t
-    return _exact_accept(k, x, config.gamma)
+    xs = np.array([x], dtype=np.uint64)
+    t = np.power(xs.astype(np.float64), -float(config.gamma))
+    return bool(_accept(config, xs, t)[0])
 
 
 def _uniform_array(seed: int, xs: np.ndarray) -> np.ndarray:

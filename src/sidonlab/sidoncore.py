@@ -31,8 +31,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numbertheory import (RangeError, _as_ints, crt_flatten, is_prime,
-                           power_table, primitive_root)
+from .numbertheory import (RangeError, _as_ints, _int_fields, crt_flatten,
+                           is_prime, power_table, primitive_root)
 
 __all__ = [
     "NotOddPrime",
@@ -61,9 +61,10 @@ class ModSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
+        _int_fields(self, "modulus")
         if self.modulus < 1:
             raise RangeError(f"modulus must be >= 1, got {self.modulus}")
-        elems = tuple(sorted(int(e) for e in self.elements))
+        elems = tuple(sorted(_as_ints(self.elements, "elements")))
         if any(not (0 <= e < self.modulus) for e in elems):
             raise RangeError("elements must lie in [0, modulus)")
         if len(set(elems)) != len(elems):
@@ -92,7 +93,7 @@ class ModSet:
     @classmethod
     def from_json(cls, text: str) -> "ModSet":
         obj = json.loads(text)
-        return cls(modulus=int(obj["modulus"]), elements=tuple(obj["elements"]))
+        return cls(modulus=obj["modulus"], elements=tuple(obj["elements"]))
 
     def to_text(self) -> str:
         lines = [f"mod {self.modulus}"]
@@ -185,6 +186,7 @@ def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
     if mode == "cyclic":
         if modulus is None or modulus < 1:
             raise RangeError("cyclic mode needs a modulus >= 1")
+        (modulus,) = _as_ints((modulus,), "modulus")
         elems = [e % modulus for e in elems]
         if len(set(elems)) != len(elems):
             raise RangeError("elements collide after reduction mod modulus")

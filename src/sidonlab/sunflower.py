@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .numbertheory import RangeError, _as_ints
+from .numbertheory import RangeError, _as_family, _as_ints
 
 __all__ = [
     "SunflowerCert",
@@ -59,63 +59,50 @@ class SunflowerCert:
         """True when the petals are distinct in-range members, the type is
         strictly increasing within 1..h with one core value per position,
         and the petals form a vectorial sunflower with those core values."""
-        members = [tuple(t) for t in getattr(members, "members", members)]
+        members = _as_family(getattr(members, "members", members), "vectors")
         idxs, I = self.petal_indices, self.type_set
-        if not idxs or len(set(idxs)) != len(idxs):
-            return False
-        if not all(0 <= i < len(members) for i in idxs):
+        if not idxs or len(set(idxs)) != len(idxs) \
+                or not all(0 <= i < len(members) for i in idxs):
             return False
         petals = [members[i] for i in idxs]
         h = len(petals[0])
         if len(self.core_values) != len(I) or list(I) != sorted(set(I)) \
                 or not all(1 <= i <= h for i in I):
             return False
-        for pos, val in zip(I, self.core_values):
-            if any(p[pos - 1] != val for p in petals):
-                return False
+        if any(p[pos - 1] != val for pos, val in zip(I, self.core_values)
+               for p in petals):
+            return False
         return is_vectorial_sunflower(petals, I)
-
-
-def _uniform_arity(members) -> int:
-    arities = {len(t) for t in members}
-    if len(arities) > 1:
-        raise RangeError("vectors must share one arity")
-    return arities.pop() if arities else 0
 
 
 def is_vectorial_sunflower(members, type_set) -> bool:
     """Both definition clauses for the given type: agreement on I, and the
     I-deleted vectors forming a d.s.v."""
-    members = [tuple(t) for t in members]
-    h = _uniform_arity(members)
-    I = sorted(set(int(i) for i in type_set))
+    members = _as_family(members, "vectors")
+    h = len(members[0]) if members else 0
+    I = sorted(set(_as_ints(type_set, "type positions")))
     if I and not (1 <= I[0] and I[-1] <= h):
         raise RangeError("type positions must lie in 1..arity")
     if len(set(members)) != len(members):
         return False
-    for i in I:
-        if len({t[i - 1] for t in members}) > 1:
-            return False
+    if any(len({t[i - 1] for t in members}) > 1 for i in I):
+        return False
     drop = set(I)
     reduced = [tuple(v for pos, v in enumerate(t, 1) if pos not in drop)
                for t in members]
     if len(set(reduced)) != len(reduced):
         return False
     sets = [set(r) for r in reduced]
-    for a, b in combinations(sets, 2):
-        if a & b:
-            return False
-    return True
+    return not any(a & b for a, b in combinations(sets, 2))
 
 
 def set_h_embed(vector) -> frozenset[int]:
     """Position-tagged set {h*x_i + i}: injective, h elements, and the
     position is recoverable as value mod h (0 standing for h)."""
-    t = tuple(int(v) for v in vector)
+    t = _as_ints(vector, "coordinates")
     if any(v < 1 for v in t):
         raise RangeError("coordinates must be positive")
-    h = len(t)
-    return frozenset(h * x + i for i, x in enumerate(t, 1))
+    return frozenset(len(t) * x + i for i, x in enumerate(t, 1))
 
 
 def find_classical_sunflower(sets, k: int):
@@ -150,14 +137,6 @@ def _classical(family, k):
         return None
     core, petals = got
     return core | {x}, [p | {x} for p in petals]
-
-
-def _coerce_members(family):
-    members = tuple(tuple(_as_ints(t, "member coordinates"))
-                    for t in getattr(family, "members", family))
-    if len(set(members)) != len(members):
-        raise RangeError("family members must be distinct")
-    return members
 
 
 def _disjoint_index_pick(cands, k):
@@ -213,10 +192,10 @@ def _complete_search(members, k):
 def find_vectorial_sunflower(family, k: int):
     """SunflowerCert or None, from the exact search in the order the module
     docstring gives; never None for families larger than h!((h^2-h+1)k)^h."""
+    (k,) = _as_ints((k,), "k")
     if k < 1:
         raise RangeError("k must be >= 1")
-    members = _coerce_members(family)
-    if not members:
-        return None
-    _uniform_arity(members)
-    return _complete_search(members, k)
+    members = _as_family(getattr(family, "members", family), "vectors")
+    if len(set(members)) != len(members):
+        raise RangeError("family members must be distinct")
+    return _complete_search(members, k) if members else None

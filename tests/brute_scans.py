@@ -5,7 +5,8 @@ the library used before its O(p) curve solver and vectorised Sidon check,
 the O(p^3) triple loop behind the old `triple_rep_table`, a per-V curve
 point count against a table of squares, the full-range
 sampler that built every x in [1, horizon] before the streamed residue
-blocks, a literal reading of the deletion lifts' removal rule, and the
+blocks, the scalar accept rule that `contains` ran in Python integers
+before it moved onto the block rule, a literal reading of the deletion lifts' removal rule, and the
 per-x1 scan behind the triple family's moments before the loop engines
 moved onto direct convolutions. They live here, outside `src/`, as exact
 oracles only.
@@ -19,7 +20,8 @@ import numpy as np
 
 from sidonlab.numbertheory import (crt_flatten, is_prime, is_primitive_root,
                                    primitive_root)
-from sidonlab.randommodel import _uniform_array
+from sidonlab.randommodel import (_GOLDEN, _exact_accept, _margin,
+                                  _uniform_array, mix64)
 
 
 def targets():
@@ -187,6 +189,20 @@ def sample_elements(config, horizon):
     u = _uniform_array(config.seed, xs)
     thresh = np.power(xs.astype(np.float64), -float(config.gamma))
     return tuple(int(v) for v in xs[u < thresh])
+
+
+def contains(config, x):
+    """The scalar accept rule: u < fl(x^-gamma) from the Python-int
+    scrambler, with candidates inside the margin decided exactly."""
+    if x <= config.m or x % config.modulus not in config.residues:
+        return False
+    k = mix64(config.seed + x * _GOLDEN) >> 11
+    u = k * 2.0 ** -53
+    g = float(config.gamma)
+    t = float(x) ** -g
+    if abs(u - t) > _margin(t, x, g):
+        return u < t
+    return _exact_accept(k, x, config.gamma)
 
 
 def moments(config, horizon):

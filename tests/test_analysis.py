@@ -66,6 +66,15 @@ class TestSumSpec:
         with pytest.raises(RangeError):
             SumSpec(G, G, 5, 0, Fraction(0))
 
+    def test_reads_integers_only(self):
+        # tau at n = 10.5 used to return 2.5308
+        for n, m in ((10.5, 0), (10, 0.5)):
+            with pytest.raises(RangeError):
+                SumSpec(G, G, n, m)
+        spec = SumSpec(G, G, np.int64(10), np.int64(2))
+        assert spec == SumSpec(G, G, 10, 2)
+        assert type(spec.n) is int and type(spec.m) is int
+
 
 class TestSigma:
     def test_three_term_example(self):
@@ -227,6 +236,14 @@ class TestLemmaAb:
 
 
 class TestLemmaAbab:
+    def test_reads_integers_only(self):
+        # the pair (2.7, 3) used to be labelled "a=2 b=3"
+        with pytest.raises(RangeError):
+            check_lemma_abab(G, [(2.7, 3)])
+        report = check_lemma_abab(G, [np.array([2, 3])])
+        assert report == check_lemma_abab(G, [(2, 3)])
+        assert [r[0] for r in report.rows] == ["a=2 b=3", "a=3 b=2"]
+
     def test_unit_pair_ratio_is_value(self):
         report = check_lemma_abab(G, [(1, 1)])
         assert len(report.rows) == 1
@@ -339,6 +356,17 @@ def _brute_delta(n, cfg):
 
 
 class TestExpectationQ:
+    def test_reads_integers_only(self):
+        # janson_threshold used int() on its targets, and a float n below
+        # 3m + 6 gave an exact 0
+        for f in (exact_expectation_Q, exact_delta_Q):
+            with pytest.raises(RangeError):
+                f(5.5, CFG5)
+        with pytest.raises(RangeError):
+            janson_threshold(CFG5, (20.5,))
+        _, rows = janson_threshold(CFG5, np.array([20]))
+        assert type(rows[0][0]) is int
+
     def test_zero_below_floor(self):
         assert exact_expectation_Q(300, CFG156) == 0.0
         assert exact_expectation_Q(5, CFG5) == 0.0
@@ -617,6 +645,19 @@ def _exact_u2_mean(r, cfg):
 
 
 class TestMonteCarlo:
+    def test_reads_integers_only(self):
+        # target 30.9 used to be read as 30 and master seed 7.8 as 7
+        kw = dict(cfg=CFG5, horizon=40, trials=3)
+        with pytest.raises(RangeError):
+            monte_carlo_family_mean("U2", [30.9], master_seed=7, **kw)
+        with pytest.raises(RangeError):
+            monte_carlo_family_mean("U2", [30], master_seed=7.8, **kw)
+        table = monte_carlo_family_mean("U2", np.array([30]),
+                                        master_seed=np.int64(7), **kw)
+        assert table == monte_carlo_family_mean("U2", [30], master_seed=7,
+                                                **kw)
+        assert type(table[0][0]) is int
+
     def test_empty_model_is_zero(self):
         cfg = replace(CFG156, m=200)
         table = monte_carlo_family_mean("U2", [10, 20], cfg, horizon=150,

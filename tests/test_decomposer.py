@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import brute_scans as brute
@@ -24,6 +25,16 @@ def _maybe(f):
 
 
 class TestLift:
+    def test_reads_integers_only(self):
+        # lift_to_interval(1000.5, 681) used to return r1 = 33.5
+        for n, N in ((1000.5, 681), (1000, 681.0)):
+            with pytest.raises(RangeError):
+                lift_to_interval(n, N)
+        lift = lift_to_interval(np.int64(1000), np.int64(681))
+        assert lift == lift_to_interval(1000, 681)
+        assert all(type(getattr(lift, f)) is int
+                   for f in ("n", "N", "p", "K", "U", "r1", "r2"))
+
     def test_example_700(self):
         lift = lift_to_interval(0, 700)
         assert (lift.p, lift.K, lift.U) == (13, 4, 36)

@@ -114,6 +114,14 @@ class TestFamilySpec:
         with pytest.raises(RangeError):
             FamilySpec("Q", 5, modulus=0)
         assert FamilySpec("q", 5).kind == "Q"
+
+    def test_reads_integers_only(self):
+        for kw in (dict(target=20.5), dict(target=20, modulus=5.0)):
+            with pytest.raises(RangeError):
+                FamilySpec("Q", **kw)
+        spec = FamilySpec("Q", np.int64(20), modulus=np.int64(5))
+        assert spec == FamilySpec("Q", 20, modulus=5)
+        assert type(spec.target) is int and type(spec.modulus) is int
         assert FamilySpec("B", 5, epsilon="1/2").epsilon == Fraction(1, 2)
 
     def test_modulus_only_for_kinds_that_read_it(self):
@@ -379,6 +387,28 @@ class TestFamilyType:
             VectorFamily(spec=spec, members=((2, 4), (1, 2, 3)))
         with pytest.raises(RangeError):
             VectorFamily(spec=spec, members=((1, 2, 3),))  # U2 is pairs
+
+    def test_reads_integers_only(self):
+        # int() used to store (1.9, 8.2) as (1, 8)
+        spec = FamilySpec("U2", 9)
+        with pytest.raises(RangeError):
+            VectorFamily(spec=spec, members=((1.9, 8.2),))
+        with pytest.raises(RangeError):
+            VectorFamily(spec=spec, members=((1, 8), (2.0, 7)))
+        fam = VectorFamily(spec=spec, members=np.array([[1, 8], [2, 7]]))
+        assert fam.members == ((1, 8), (2, 7))
+        assert all(type(v) is int for t in fam.members for v in t)
+        mixed = VectorFamily(spec=spec, members=((1, 8), [2, 7]))
+        assert mixed.members == ((1, 8), (2, 7))
+
+    def test_int_tuples_are_not_copied(self):
+        members = ((1, 8), (2, 7), (4, 5))
+        fam = VectorFamily(spec=FamilySpec("U2", 9), members=members)
+        assert fam.members is members
+        assert fam.members[0] is members[0]
+        mixed = VectorFamily(spec=FamilySpec("U2", 9),
+                             members=[members[0], [2, 7]])
+        assert mixed.members[0] is members[0]
 
     def test_json_lines(self):
         fam = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))

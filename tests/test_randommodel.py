@@ -87,6 +87,8 @@ class TestModel:
             vec = sample_sequence(cfg, 5000).elements
             scl = tuple(x for x in range(1, 5001) if contains(cfg, x))
             assert vec == scl
+            assert vec == tuple(x for x in range(1, 5001)
+                                if brute.contains(cfg, x))
 
     def test_restriction_is_a_filter(self):
         # same seed: restricting the residue set must subset, not reshuffle
@@ -132,6 +134,20 @@ class TestModel:
                 f(top, 2 ** 64)
         with pytest.raises(RangeError):
             sample_sequence(top, -1)
+        assert contains(top, 2 ** 64 - 1) in (True, False)
+        for x in (2 ** 64, 2 ** 64 + 1, 2 ** 70):
+            with pytest.raises(RangeError):
+                contains(top, x)
+
+    def test_membership_reads_integers_only(self):
+        cfg = _ruzsa_config(seed=3)
+        x = sample_sequence(cfg, 5000).elements[0]
+        assert contains(cfg, np.uint64(x)) and contains(cfg, np.int64(x))
+        assert inclusion_probability(cfg, np.int64(x)) \
+            == inclusion_probability(cfg, x)
+        for f in (contains, inclusion_probability):
+            with pytest.raises(RangeError):
+                f(cfg, float(x))
 
 
 def _block_cases():
@@ -298,6 +314,22 @@ class TestConfig:
         ):
             with pytest.raises(RangeError):
                 SampleConfig(**bad)
+
+    def test_reads_integers_only(self):
+        good = dict(gamma="7/11", m=100, modulus=156, residues=(0, 1))
+        # residue 1.5 mod 2 used to sample every x = 1 (mod 2), while
+        # contains rejected each sampled x
+        for bad in (dict(good, modulus=2, residues=(1.5,)),
+                    dict(good, m=100.5), dict(good, modulus=156.0),
+                    dict(good, seed=7.8)):
+            with pytest.raises(RangeError):
+                SampleConfig(**bad)
+        cfg = SampleConfig(gamma="7/11", m=np.int64(100),
+                           modulus=np.int64(156),
+                           residues=np.array([1, 0]), seed=np.uint64(7))
+        assert cfg == SampleConfig(**good, seed=7)
+        assert all(type(v) is int
+                   for v in (cfg.m, cfg.modulus, cfg.seed, *cfg.residues))
 
 
 class TestIntSeq:

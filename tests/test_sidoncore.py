@@ -99,6 +99,21 @@ def test_is_sidon_reads_integers_only():
         is_sidon([1.5, 2, 3])
     assert is_sidon(np.array([1, 2, 5])).is_sidon
     assert is_sidon(np.array([1, 2, 3])) == is_sidon([1, 2, 3])
+    with pytest.raises(RangeError):
+        is_sidon([1, 2, 15], mode="cyclic", modulus=10.5)
+    assert is_sidon([1, 2, 15], mode="cyclic", modulus=np.int64(10)) \
+        == is_sidon([1, 2, 15], mode="cyclic", modulus=10)
+    # ModSet used to hold (1, 3, 7) for (1.5, 3, 7.9)
+    for modulus, elements in ((20, (1.5, 3, 7.9)), (20.0, (1, 3)),
+                              (20.5, (1, 3))):
+        with pytest.raises(RangeError):
+            ModSet(modulus, elements)
+    with pytest.raises(RangeError):
+        ModSet.from_json('{"modulus": 20.7, "elements": [1, 3]}')
+    s = ModSet(np.int64(20), np.array([7, 1, 3]))
+    assert s == ModSet(20, (1, 3, 7))
+    assert type(s.modulus) is int
+    assert all(type(e) is int for e in s.elements)
 
 
 def test_is_sidon_witness_matches_dict_scan():

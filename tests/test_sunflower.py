@@ -227,6 +227,25 @@ class TestVectorial:
             find_vectorial_sunflower([(1.9, 7, 2), (3, 7, 4.2)], 2)
         cert = find_vectorial_sunflower(np.array(DISPLAY), 4)
         assert cert == find_vectorial_sunflower(DISPLAY, 4)
+        assert cert.verify(np.array(DISPLAY))
+        # k = 3.5 used to make the search return None on every family
+        with pytest.raises(RangeError):
+            find_vectorial_sunflower(DISPLAY, 3.5)
+        assert find_vectorial_sunflower(DISPLAY, np.int64(4)) == cert
+        with pytest.raises(RangeError):
+            cert.verify([(7.5, 7, 1, 13, 8)] + list(DISPLAY[1:]))
+        # set_h_embed used to read (1.5, 2.7) as (1, 2)
+        with pytest.raises(RangeError):
+            set_h_embed((1.5, 2.7))
+        embedded = set_h_embed(np.array([2, 5], dtype=np.int64))
+        assert embedded == {5, 12}
+        assert all(type(v) is int for v in embedded)
+        # type positions used to be truncated: 2.9 read as 2
+        with pytest.raises(RangeError):
+            is_vectorial_sunflower(DISPLAY, (2.9, 5))
+        with pytest.raises(RangeError):
+            is_vectorial_sunflower([(7.0, 1), (7, 2)], (1,))
+        assert is_vectorial_sunflower(np.array(DISPLAY), np.array([2, 5]))
 
     def test_disjoint_pair(self):
         cert = find_vectorial_sunflower([(1, 2), (3, 4)], 2)
