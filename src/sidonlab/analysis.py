@@ -13,8 +13,10 @@ below the requested tolerance, and the crude closed-form majorant
 X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is reported
 alongside the cutoff. The three-factor series of the deletion lemma is
 certified the same way, its tail expanded into Hurwitz zeta values with a
-closed-form remainder. Each sum has one float path; the independent
-30-digit references that check them live with the tests.
+closed-form remainder; all of those values come from one Euler-Maclaurin
+pass whose remainder is bounded by its first omitted term. Each sum has
+one float path; the independent 30-digit references that check them live
+with the tests.
 
 The asymptotic inequalities these sums obey (everything of the shape
 f <= C (n+m)^e with an unspecified constant) are operationalized as
@@ -35,7 +37,8 @@ loop up to n = 4096; both give exactly 0 where no admissible triple
 exists: below 3m + 6, or where no three distinct residue classes reach n
 with members that fit.
 Monte Carlo shadows of the remaining families reuse the counter-based
-sampler, so every table is reproducible from a seed.
+sampler's blocks and accept rule, one pass of blocks for all trials, so
+every table is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, count
 
 import mpmath
 import numpy as np
 
 from .deletionlab import _MODULUS_KINDS, FamilySpec, _family_size
 from .numbertheory import RangeError, _as_ints, _int_fields
-from .randommodel import SampleConfig, _as_fraction, _blocks, sample_sequence
+from .randommodel import SampleConfig, _accept, _as_fraction, _blocks
 
 __all__ = [
     "NonConvergent",
@@ -105,17 +109,24 @@ def sigma(spec: SumSpec) -> float:
     """Direct evaluation of the finite split sum; 0 on an empty range.
 
     The terms are made in blocks of _BLOCK, so memory stays bounded, and
-    all of them go into one correctly rounded fsum."""
+    all of them go into one correctly rounded fsum. When alpha = beta the
+    term at x equals the term at n - x bit for bit, so only x <= n/2 are
+    made: each counts twice (an exact doubling) and the middle one once,
+    which leaves the correctly rounded sum unchanged."""
     a, b, n, m = float(spec.alpha), float(spec.beta), spec.n, spec.m
     lo, hi = m + 1, n - m - 1
+    if a == b:
+        hi = n // 2
 
-    def terms():
-        for start in range(lo, hi + 1, _BLOCK):
-            xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
-            powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
-            yield from (powers[0] * powers[1]).tolist()
+    def block(start):
+        xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
+        powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
+        terms = powers[0] * powers[1]
+        if a == b:
+            terms *= np.where(2 * xs < n, 2.0, 1.0)
+        return terms.tolist()
 
-    return math.fsum(terms())
+    return math.fsum(chain.from_iterable(map(block, range(lo, hi + 1, _BLOCK))))
 
 
 @dataclass(frozen=True)
@@ -131,13 +142,17 @@ class TauResult:
 # --- proved rounding bounds -------------------------------------------------
 # The bounds below assume that each float64 `np.power` call (and each mpmath
 # power at its working precision) is within _POW_ULPS ulps of the exact
-# power of its arguments, and that mpmath's special functions (incomplete
-# Beta, Hurwitz zeta) evaluated at _MP_DPS digits carry a relative error
-# below _MP_REL. The rest is IEEE arithmetic with unit roundoff u: a
-# correctly rounded math.fsum, and Higham's gamma_k = k u / (1 - k u) for a
-# sum of k + 1 terms in any order (Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., section 4.2). _SAFETY absorbs the few roundings of
-# the bound's own arithmetic.
+# power of its arguments, and that mpmath's incomplete Beta evaluated at
+# _MP_DPS digits carries a relative error below _MP_REL. The Hurwitz zeta
+# values are bounded, not assumed: `_hurwitz_zetas` stops its
+# Euler-Maclaurin sum below 2^-63 of the value (the remainder is at most
+# the first omitted term), and the fewer than 100 roundings at _MP_DPS
+# digits that reach the value (k below 60) add less than 2e-17 relative.
+# The rest is IEEE arithmetic with unit roundoff u: a correctly rounded
+# math.fsum, and Higham's gamma_k = k u / (1 - k u) for a sum of k + 1
+# terms in any order (Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., section 4.2). _SAFETY absorbs the few roundings of the bound's own
+# arithmetic.
 
 _U = 2.0 ** -53
 _POW_ULPS = 4
@@ -356,8 +371,8 @@ def _abab_series(g, a: int, b: int, tol: float) -> tuple[float, float, int]:
     rho = _power_sum_rel_error(factors, cut)
     r = top / (cut + 1)
     with mpmath.workdps(_MP_DPS):
-        s = 4 * _mp(g) - 1
-        zeta0 = mpmath.zeta(s, cut + 1)
+        zetas = _hurwitz_zetas(4 * _mp(g) - 1, cut + 1)
+        zeta0 = next(zetas)
         z = float(zeta0) * _SAFETY
         # tail_abs >= sum of |e_n| zeta(s+n, X+1) over all n, so >= |tail|
         tail_abs = z / (1 - r) ** 2
@@ -375,12 +390,60 @@ def _abab_series(g, a: int, b: int, tol: float) -> tuple[float, float, int]:
         coef_a = _binomial_powers(-g, a, degree)
         coef_b = _binomial_powers(1 - 2 * g, b, degree)
         tail = mpmath.mpf(0)
-        for k in range(degree):
+        for k, zeta_k in zip(range(degree), chain([zeta0], zetas)):
             e_k = mpmath.fsum(coef_a[j] * coef_b[k - j] for j in range(k + 1))
-            zeta_k = zeta0 if k == 0 else mpmath.zeta(s + k, cut + 1)
             tail += e_k * zeta_k
         tail = float(tail)
     return partial + tail, truncation + rounding, cut
+
+
+def _hurwitz_zetas(s, start: int):
+    """zeta(s + k, start) for k = 0, 1, 2, ... at the working precision,
+    s > 1, by Euler-Maclaurin from start: for sigma = s + k,
+
+        zeta(sigma, start) = start^(1-sigma) / (sigma-1) + start^-sigma / 2
+            + sum over j >= 1 of B_2j / (2j)! (sigma)_(2j-1) start^(1-sigma-2j)
+
+    with (sigma)_i the rising factorial. Every even derivative of x^-sigma
+    is positive, so the remainder after any term lies between 0 and the
+    first omitted term (Graham, Knuth and Patashnik, Concrete Mathematics,
+    2nd ed., section 9.5). The terms stop at the first one below 2^-64 of
+    the sum so far, so the truncation is below 2^-63 of the value. The
+    terms fall by a factor of at least 39 while sigma + 2j <= start; the
+    caller's start exceeds 1024 and sigma stays below 64, so at most a
+    dozen are needed."""
+    ratios, coefs = _bernoulli_ratios(), []
+    big = mpmath.mpf(start)
+    inv_square = 1 / (big * big)
+    head = mpmath.power(big, -s)                        # start^-sigma
+    for k in count():
+        sigma = s + k
+        value = head * big / (sigma - 1) + head / 2
+        weight = sigma * head / big         # (sigma)_(2j-1) start^(1-sigma-2j)
+        for j in count(1):
+            if len(coefs) < j:
+                coefs.append(_mp(next(ratios)))
+            term = coefs[j - 1] * weight
+            if abs(term) <= value * 2.0 ** -64:
+                break
+            value += term
+            weight *= (sigma + 2 * j - 1) * (sigma + 2 * j) * inv_square
+        yield value
+        head /= big
+
+
+def _bernoulli_ratios():
+    """B_2j / (2j)! for j = 1, 2, ..., exact: the ratios a_n = B_n / n!
+    (a_0 = 1, a_1 = -1/2, a_n = 0 for odd n > 1) satisfy, for n >= 1,
+    sum over k <= n of a_k / (n + 1 - k)! = 0."""
+    even = [Fraction(1)]                                # a_0, a_2, ...
+    while True:
+        n = 2 * len(even)
+        a_n = -(Fraction(-1, 2 * math.factorial(n))
+                + sum(a / math.factorial(n + 1 - 2 * i)
+                      for i, a in enumerate(even)))
+        even.append(a_n)
+        yield a_n
 
 
 def _binomial_powers(e: Fraction, c: int, count: int) -> list:
@@ -720,7 +783,10 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
                             epsilon=None):
     """Sample-mean table (target, mean, stderr) of family sizes across
     trial seeds derived from the master seed by unit offsets. The family
-    specs are built, and so validated, before any sample is drawn."""
+    specs are built, and so validated, before any sample is drawn. The
+    trials share one pass over the model's blocks, which do not depend on
+    the seed; each block goes through `_accept` once per trial seed, so
+    every trial's sample is the one `sample_sequence` draws."""
     if trials < 2:
         raise RangeError("trials must be at least 2")
     kind = str(kind).upper()
@@ -729,10 +795,14 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
                         epsilon=epsilon) for t in targets]
     base = cfg.seed if master_seed is None else \
         _as_ints((master_seed,), "master seed")[0]
+    confs = [replace(cfg, seed=(base + i) % 2 ** 64) for i in range(trials)]
+    kept = [[] for _ in confs]
+    for xs, t in _blocks(cfg, horizon):
+        for conf, parts in zip(confs, kept):
+            parts.append(xs[_accept(conf, xs, t)])
     counts = np.zeros((trials, len(specs)))
-    for i in range(trials):
-        conf = replace(cfg, seed=(base + i) % 2 ** 64)
-        sample = sample_sequence(conf, horizon)
+    for i, parts in enumerate(kept):
+        sample = np.concatenate(parts).tolist() if parts else []
         for j, spec in enumerate(specs):
             counts[i, j] = _family_size(sample, spec)
     means = counts.mean(axis=0)

@@ -30,8 +30,8 @@ from math import isqrt
 
 import numpy as np
 
-from .numbertheory import (NotPrime, RangeError, crt_flatten, is_prime,
-                           power_table)
+from .numbertheory import (NotPrime, RangeError, _as_ints, _int_fields,
+                           crt_flatten, is_prime, power_table)
 from .sidoncore import convolution_profile_array
 
 __all__ = [
@@ -63,6 +63,7 @@ class CurveParams:
     lam: int
 
     def __post_init__(self):
+        _int_fields(self, "p", "b", "lam")
         if not is_prime(self.p) or self.p < 3:
             raise NotPrime(f"{self.p} is not an odd prime")
         if not (0 <= self.b < self.p):
@@ -85,6 +86,7 @@ class QuadricParams:
     r2: int
 
     def __post_init__(self):
+        _int_fields(self, "p", "r1", "r2")
         if not is_prime(self.p) or self.p < 3:
             raise NotPrime(f"{self.p} is not an odd prime")
         if not (0 <= self.r1 < self.p and 0 <= self.r2 < self.p):
@@ -159,6 +161,7 @@ def triple_reps(p: int, g: int, a: int, b: int):
     XY = c = g^(a-x1): X is a root of X^2 - dX + c, found with a square-root
     table, and x2 = log X, smaller log first. O(p); checks run at the call.
     """
+    a, b = _as_ints((a, b), "target (a, b)")
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
     pw = power_table(p, g)

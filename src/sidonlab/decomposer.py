@@ -125,7 +125,7 @@ class Decomposition:
 def _ruzsa_generator(p: int, g: Optional[int]) -> int:
     """g, or the smallest primitive root when it is None; p must be an odd
     prime."""
-    if p == 2 or not is_prime(p):
+    if not is_prime(p) or p == 2:
         raise NotPrime(f"{p} is not an odd prime")
     return primitive_root(p) if g is None else g
 

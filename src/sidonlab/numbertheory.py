@@ -83,6 +83,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Exact primality test for 0 <= n < 2**63 (deterministic Miller-Rabin)."""
+    (n,) = _as_ints((n,), "n")
     if n < 0 or n >= 1 << 63:
         raise RangeError(f"is_prime is specified for 0 <= n < 2**63, got {n}")
     if n < 2:
@@ -108,6 +109,7 @@ def is_prime(n: int) -> bool:
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending (trial division)."""
+    (n,) = _as_ints((n,), "n")
     if n < 1:
         raise RangeError(f"need n >= 1, got {n}")
     out = []
@@ -125,6 +127,7 @@ def prime_factors(n: int) -> list[int]:
 
 def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the full multiplicative group mod prime p."""
+    g, p = _as_ints((g, p), "g and p")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     g %= p
@@ -137,6 +140,7 @@ def is_primitive_root(g: int, p: int) -> bool:
 
 def primitive_root(p: int) -> int:
     """Smallest primitive root mod prime p (p = 2 gives 1)."""
+    (p,) = _as_ints((p,), "p")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
@@ -154,6 +158,7 @@ def power_table(p: int, g: int) -> list[int]:
     Raises NotPrime when p is 2 or composite, NotGenerator when g does not
     generate the multiplicative group mod p.
     """
+    p, g = _as_ints((p, g), "p and g")
     if p == 2:
         raise NotPrime("2 is not an odd prime")
     if not is_primitive_root(g, p):
@@ -172,18 +177,15 @@ def crt_flatten(u: int, v: int, p: int) -> int:
     makes it well defined. Addition is componentwise, so the map is an
     additive homomorphism in both coordinates.
     """
+    u, v, p = _as_ints((u, v, p), "u, v and p")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if not (0 <= u < p - 1):
         raise RangeError(f"u must lie in [0, {p - 1}), got {u}")
     if not (0 <= v < p):
         raise RangeError(f"v must lie in [0, {p}), got {v}")
-    m = (p - 1) * p
     # t = u + (p-1) * k with k chosen so t = v (mod p); p-1 = -1 (mod p).
-    k = (u - v) % p
-    t = u + (p - 1) * k
-    assert 0 <= t < m and t % (p - 1) == u and t % p == v
-    return t
+    return u + (p - 1) * ((u - v) % p)
 
 
 def find_decomposition_prime(N: int) -> int:
@@ -193,6 +195,7 @@ def find_decomposition_prime(N: int) -> int:
     pipeline over Z_N: the Sidon set construction at p then fits inside an
     interval of length 5p**2 covering every residue of N.
     """
+    (N,) = _as_ints((N,), "N")
     if N < 2:
         raise RangeError(f"need N >= 2, got {N}")
     # 4p^2 < N < 5p^2  <=>  N/5 < p^2 < N/4, exact integer comparisons below.

@@ -225,7 +225,10 @@ def _blocks(config: SampleConfig, horizon: int):
     """(x, q): the admissible x in (m, horizon], ascending, with their
     inclusion probabilities, as nonempty blocks of about _BLOCK candidates.
     x = k N + r for a run of k against every residue r; only the first and
-    last blocks are clipped to the range."""
+    last blocks are clipped to the range. The one reader of a horizon."""
+    (horizon,) = _as_ints((horizon,), "horizon")
+    if horizon < 0:
+        raise RangeError("horizon must be nonnegative")
     if horizon >> 64:
         raise RangeError("horizon must be below 2^64")
     n, m, g = config.modulus, config.m, -float(config.gamma)
@@ -257,8 +260,6 @@ def _accept(config: SampleConfig, xs: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def sample_sequence(config: SampleConfig, horizon: int) -> "IntSeq":
     """All sampled elements in [1, horizon], vectorized."""
-    if horizon < 0:
-        raise RangeError("horizon must be nonnegative")
     kept = [xs[_accept(config, xs, t)] for xs, t in _blocks(config, horizon)]
     elements = tuple(np.concatenate(kept).tolist()) if kept else ()
     return IntSeq(elements=elements, config=config, horizon=horizon)
@@ -282,6 +283,13 @@ class IntSeq:
     elements: tuple[int, ...]
     config: SampleConfig
     horizon: int
+
+    def __post_init__(self):
+        _int_fields(self, "horizon")
+        if not (type(self.elements) is tuple
+                and set(map(type, self.elements)) <= {int}):
+            object.__setattr__(self, "elements", tuple(
+                _as_ints(self.elements, "sequence elements")))
 
     def __len__(self):
         return len(self.elements)

@@ -154,7 +154,7 @@ def erdos_turan_set(p: int) -> ModSet:
 
     p elements, all below 2p^2; Sidon both as integers and mod 2p^2.
     """
-    if p == 2 or not is_prime(p):
+    if not is_prime(p) or p == 2:
         raise NotOddPrime(f"{p} is not an odd prime")
     elems = tuple(x + (x * x % p) * 2 * p for x in range(p))
     return ModSet(modulus=2 * p * p, elements=elems)
@@ -165,7 +165,7 @@ def ruzsa_set(p: int, g: Optional[int] = None) -> ModSet:
 
     g defaults to the smallest primitive root mod p. p - 1 elements.
     """
-    if p == 2 or not is_prime(p):
+    if not is_prime(p) or p == 2:
         raise NotOddPrime(f"{p} is not an odd prime")
     if g is None:
         g = primitive_root(p)

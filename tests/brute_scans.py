@@ -8,8 +8,9 @@ sampler that built every x in [1, horizon] before the streamed residue
 blocks, the scalar accept rule that `contains` ran in Python integers
 before it moved onto the block rule, a literal reading of the deletion lifts' removal rule, and the
 per-x1 scan behind the triple family's moments before the loop engines
-moved onto direct convolutions. They live here, outside `src/`, as exact
-oracles only.
+moved onto direct convolutions, and the split sum over every x that
+sigma made before it halved the symmetric case. They live here, outside
+`src/`, as exact oracles only.
 """
 
 import math
@@ -244,3 +245,19 @@ def triple_moments(n, modulus, q):
         pair_sq = float((kept ** 2).sum()) / 2.0
         delta.append(q1 * (pair_sum ** 2 - pair_sq))
     return math.fsum(expect) / 6.0, math.fsum(delta)
+
+
+def sigma(alpha, beta, n, m):
+    """sum over m < x < n - m of x^-alpha (n-x)^-beta: every term made by
+    one float64 np.power call per block of 4096, all of them in one fsum."""
+    a, b = float(alpha), float(beta)
+    lo, hi = m + 1, n - m - 1
+
+    def terms():
+        for start in range(lo, hi + 1, 1 << 12):
+            xs = np.arange(start, min(start + (1 << 12), hi + 1),
+                           dtype=np.float64)
+            powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
+            yield from (powers[0] * powers[1]).tolist()
+
+    return math.fsum(terms())

@@ -10,7 +10,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import mpmath
@@ -25,6 +25,7 @@ from sidonlab.analysis import (
     RatioReport,
     SumSpec,
     _abab_series,
+    _hurwitz_zetas,
     _power_sum,
     _power_sum_rel_error,
     _tau_tail_integral,
@@ -40,8 +41,8 @@ from sidonlab.analysis import (
 )
 from sidonlab.deletionlab import FamilySpec, UnsupportedKind, enumerate_family
 from sidonlab.numbertheory import RangeError
-from sidonlab.randommodel import (SampleConfig, inclusion_probability,
-                                  sample_sequence)
+from sidonlab.randommodel import (SampleConfig, _accept,
+                                  inclusion_probability, sample_sequence)
 from sidonlab.sidoncore import ruzsa_set
 
 G = Fraction(7, 11)
@@ -119,6 +120,18 @@ class TestSigma:
         loop = math.fsum(x ** -a * (n - x) ** -a
                          for x in range(m + 1, n - m))
         assert sigma(SumSpec(g, g, n, m)) == pytest.approx(loop, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (G, G), (Fraction(1, 2), Fraction(1, 2)), (G, Fraction(19, 27)),
+        (Fraction(1, 3), Fraction(5, 6))])
+    @pytest.mark.parametrize("n,m", [
+        (9, 4), (11, 5),                 # empty
+        (10, 4), (3, 0),                 # one term at n/2; two terms
+        (11, 4), (57, 2), (58, 2),
+        (100001, 0), (100202, 100)])     # 10^5 and 10^5 + 1 terms
+    def test_equals_full_range_oracle(self, alpha, beta, n, m):
+        assert sigma(SumSpec(alpha, beta, n, m)) \
+            == brute.sigma(alpha, beta, n, m)
 
 
 class TestTau:
@@ -296,7 +309,10 @@ def _abab_reference(a, b):
 class TestAbabSeries:
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 5), (10, 10 ** 4),
                                      (10 ** 5, 1), (1, 10 ** 5),
-                                     (10 ** 5, 10 ** 5)])
+                                     (10 ** 5, 10 ** 5),
+                                     # next to the 1024 cut
+                                     (500, 500), (512, 300), (300, 512),
+                                     (512, 512), (512, 1)])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_against_reference(self, a, b, tol):
         value, bound, cutoff = _abab_series(G, a, b, tol)
@@ -320,6 +336,45 @@ class TestAbabSeries:
             _abab_series(Fraction(1, 2), 1, 1, 1e-6)
         with pytest.raises(RangeError):
             _abab_series(G, 1, 1, 1e-16)
+
+
+ZETA_GAMMAS = (G, Fraction(19, 27), Fraction(51, 100), Fraction(99, 100))
+ZETA_STARTS = (1025, 2049, 200001)
+
+
+def _zeta_pass(g, start, count=40):
+    with mpmath.workdps(analysis._MP_DPS):
+        return list(islice(_hurwitz_zetas(4 * analysis._mp(g) - 1, start),
+                           count))
+
+
+class TestHurwitzZetas:
+    @pytest.mark.parametrize("g", ZETA_GAMMAS)
+    @pytest.mark.parametrize("start", ZETA_STARTS)
+    def test_matches_reference(self, g, start):
+        zetas = _zeta_pass(g, start)
+        with mpmath.workdps(30):
+            s = 4 * series_reference._mp(g) - 1
+            for k, z in enumerate(zetas):
+                ref = series_reference.hurwitz_zeta(s + k, start)
+                assert abs(z / ref - 1) < 1e-16, k
+
+    @pytest.mark.parametrize("g", ZETA_GAMMAS)
+    def test_matches_mpmath_zeta_at_200_digits(self, g):
+        # at 50 digits mpmath.zeta is off by up to 3e-10 relative here (at
+        # 18 digits, as the series used it, by 5e-11 at start 1025, k = 17)
+        for start in ZETA_STARTS:
+            zetas = _zeta_pass(g, start)
+            with mpmath.workdps(200):
+                s = 4 * series_reference._mp(g) - 1
+                for k in (0, 1, 5, 17, 39):
+                    ref = mpmath.zeta(s + k, start)
+                    assert abs(zetas[k] / ref - 1) < 1e-16, (start, k)
+
+    def test_bernoulli_ratios_are_exact(self):
+        ratios = list(islice(analysis._bernoulli_ratios(), 15))
+        assert ratios == [Fraction(*mpmath.bernfrac(2 * j))
+                          / math.factorial(2 * j) for j in range(1, 16)]
 
 
 class TestGammaFromEpsilon:
@@ -644,7 +699,35 @@ def _exact_u2_mean(r, cfg):
     return math.fsum(parts)
 
 
+def _monte_carlo_oracle(kind, targets, cfg, horizon, trials, master_seed):
+    """The table from one sample_sequence per trial and one
+    enumerate_family per trial and target."""
+    modulus = cfg.modulus if kind in ("Q", "T") else 1
+    specs = [FamilySpec(kind=kind, target=t, modulus=modulus) for t in targets]
+    counts = np.zeros((trials, len(specs)))
+    for i in range(trials):
+        conf = replace(cfg, seed=(master_seed + i) % 2 ** 64)
+        sample = sample_sequence(conf, horizon)
+        for j, spec in enumerate(specs):
+            counts[i, j] = len(enumerate_family(sample, spec))
+    errs = counts.std(axis=0, ddof=1) / math.sqrt(trials)
+    return tuple((t, float(mu), float(se))
+                 for t, mu, se in zip(targets, counts.mean(axis=0), errs))
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("kind", ["Q", "U2", "T"])
+    @pytest.mark.parametrize("cfg,targets,horizon", [
+        (CFG5, [60, 91], 91), (CFG156, [400, 600], 600),
+        (PLAIN100, [400, 500], 500), (CFG156, [50, 80], 100)])
+    def test_equals_per_trial_oracle(self, kind, cfg, targets, horizon):
+        # the last case has horizon <= m: every sample is empty
+        for master in (0, 2026, 2 ** 64 - 3):
+            table = monte_carlo_family_mean(kind, targets, cfg, horizon,
+                                            trials=6, master_seed=master)
+            assert table == _monte_carlo_oracle(kind, targets, cfg, horizon,
+                                                6, master)
+
     def test_reads_integers_only(self):
         # target 30.9 used to be read as 30 and master seed 7.8 as 7
         kw = dict(cfg=CFG5, horizon=40, trials=3)
@@ -687,18 +770,20 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("kind,error", [("R", RangeError),
                                             ("CUSTOM", UnsupportedKind)])
     def test_bad_spec_fails_before_sampling(self, monkeypatch, kind, error):
+        # the trials share one pass of blocks, and each trial's sample is
+        # drawn by the accept rule on every block: it is the probe
         calls = []
 
-        def counting(cfg, horizon):
-            calls.append(horizon)
-            return sample_sequence(cfg, horizon)
+        def counting(cfg, xs, t):
+            calls.append(cfg.seed)
+            return _accept(cfg, xs, t)
 
-        monkeypatch.setattr(analysis, "sample_sequence", counting)
+        monkeypatch.setattr(analysis, "_accept", counting)
         with pytest.raises(error):
             monte_carlo_family_mean(kind, [10, 20], CFG5, horizon=30, trials=3)
         assert calls == []
         monte_carlo_family_mean("U2", [10, 20], CFG5, horizon=30, trials=3)
-        assert calls == [30, 30, 30]
+        assert calls == [11, 12, 13]
 
     def test_t_kind_runs(self):
         table = monte_carlo_family_mean("T", [500], CFG156, horizon=3000,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import brute_scans as brute
@@ -63,6 +64,22 @@ def test_curve_point_count_needs_p_below_2_31():
     assert is_prime(p)
     with pytest.raises(RangeError):
         curve_point_count(CurveParams(p, 0, 1))
+
+
+def test_curve_params_reads_integers_only():
+    # b = 2.5 used to be stored and end in an IndexError in the point count
+    with pytest.raises(RangeError):
+        CurveParams(13, 2.5, 1)
+    params = CurveParams(np.int64(13), np.int64(2), np.int64(1))
+    assert params == CurveParams(13, 2, 1)
+    assert all(type(v) is int for v in (params.p, params.b, params.lam))
+
+
+def test_triple_rep_count_reads_integers_only():
+    with pytest.raises(RangeError):
+        triple_rep_count(13, 2, 2.0, 3)
+    assert triple_rep_count(13, 2, np.int64(2), np.int64(3)) \
+        == triple_rep_count(13, 2, 2, 3)
 
 
 def test_curve_params_validation():

@@ -74,6 +74,14 @@ class TestLift:
 
 
 class TestRuzsaDecompose:
+    @pytest.mark.parametrize("decompose", [decompose3_ruzsa, decompose4_ruzsa])
+    def test_reads_integers_only(self, decompose):
+        # a = 2.0 used to end in "TypeError: list indices must be integers"
+        with pytest.raises(RangeError):
+            decompose(13, 2.0, 3)
+        assert decompose(13, np.int64(2), np.int64(3)).parts \
+            == decompose(13, 2, 3).parts
+
     def test_three_term_example(self):
         d = decompose3_ruzsa(7, 0, 0, g=3)
         assert d.certificate["logs"] == [0, 2, 4]  # 1 + 2 + 4 = 7 = 0 mod 7

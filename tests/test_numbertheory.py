@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sidonlab.numbertheory import (
@@ -107,6 +108,26 @@ def test_crt_flatten_range_errors():
         crt_flatten(0, 5, 5)
     with pytest.raises(NotPrime):
         crt_flatten(0, 0, 6)
+
+
+def test_crt_flatten_reads_integers_only():
+    # u = 2.5 used to pass the range check and end in a bare AssertionError
+    with pytest.raises(RangeError):
+        crt_flatten(2.5, 3, 13)
+    assert crt_flatten(np.int64(2), np.int64(3), np.int64(13)) \
+        == crt_flatten(2, 3, 13)
+
+
+def test_find_decomposition_prime_reads_integers_only():
+    with pytest.raises(RangeError):
+        find_decomposition_prime(681.5)
+    assert find_decomposition_prime(np.int64(700)) == 13
+
+
+def test_primitive_root_reads_integers_only():
+    with pytest.raises(RangeError):
+        primitive_root(13.0)
+    assert primitive_root(np.int64(13)) == 2
 
 
 def test_find_decomposition_prime_examples():

@@ -139,6 +139,14 @@ class TestModel:
             with pytest.raises(RangeError):
                 contains(top, x)
 
+    @pytest.mark.parametrize("f", [sample_sequence, expected_count])
+    def test_horizon_reads_integers_only(self, f):
+        # horizon 50.5 used to end in a TypeError from the shift in _blocks
+        cfg = _ruzsa_config(seed=3)
+        with pytest.raises(RangeError):
+            f(cfg, 50.5)
+        assert f(cfg, np.int64(5000)) == f(cfg, 5000)
+
     def test_membership_reads_integers_only(self):
         cfg = _ruzsa_config(seed=3)
         x = sample_sequence(cfg, 5000).elements[0]
@@ -333,6 +341,20 @@ class TestConfig:
 
 
 class TestIntSeq:
+    def test_reads_integers_only(self):
+        # elements (1.5, 2) and horizon 3.5 used to be stored as given
+        cfg = _ruzsa_config()
+        for elements, horizon in (((1.5, 2), 3), ((1, 2), 3.5)):
+            with pytest.raises(RangeError):
+                IntSeq(elements=elements, config=cfg, horizon=horizon)
+        elements = (1, 2)
+        seq = IntSeq(elements=elements, config=cfg, horizon=3)
+        assert seq.elements is elements
+        seq = IntSeq(elements=[np.int64(1), 2], config=cfg,
+                     horizon=np.int64(3))
+        assert seq.elements == (1, 2) and type(seq.elements[0]) is int
+        assert type(seq.horizon) is int
+
     def test_save_load_verify(self, tmp_path):
         cfg = _ruzsa_config(seed=11)
         seq = sample_sequence(cfg, 5000)

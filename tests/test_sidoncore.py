@@ -48,6 +48,14 @@ def test_modset_membership_is_cached():
     assert s == t and hash(s) == hash(t) and s.to_json() == t.to_json()
 
 
+def test_erdos_turan_reads_integers_only():
+    # 13.0 used to end in a TypeError from range(), 2.0 in NotOddPrime
+    for p in (13.0, 2.0):
+        with pytest.raises(RangeError):
+            erdos_turan_set(p)
+    assert erdos_turan_set(np.int64(13)) == erdos_turan_set(13)
+
+
 def test_erdos_turan_examples():
     assert erdos_turan_set(3).elements == (0, 7, 8)
     assert erdos_turan_set(3).modulus == 18
