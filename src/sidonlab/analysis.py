@@ -7,9 +7,10 @@ Two families of finite/infinite sums drive every expectation estimate:
 
 sigma is a finite sum, taken in bounded blocks into one correctly rounded
 fsum; tau is an infinite one and is evaluated with a certified tail:
-partial sum to a cutoff plus an integral sandwich. The reported error
-bound (sandwich half-width plus a proved rounding bound) is guaranteed
-below the requested tolerance, and the crude closed-form majorant
+partial sum to a cutoff plus an integral sandwich, both in float64, the
+sandwich's integrals as a positive hypergeometric series. The reported
+error bound (sandwich half-width plus a proved rounding bound) is
+guaranteed below the requested tolerance, and the crude closed-form majorant
 X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is reported
 alongside the cutoff. The three-factor series of the deletion lemma is
 certified the same way, its tail expanded into Hurwitz zeta values with a
@@ -140,10 +141,13 @@ class TauResult:
 
 
 # --- proved rounding bounds -------------------------------------------------
-# The bounds below assume that each float64 `np.power` call (and each mpmath
-# power at its working precision) is within _POW_ULPS ulps of the exact
-# power of its arguments, and that mpmath's incomplete Beta evaluated at
-# _MP_DPS digits carries a relative error below _MP_REL. The Hurwitz zeta
+# The bounds below assume that each float64 power (`np.power` or `**`, and
+# each mpmath power at its working precision) is within _POW_ULPS ulps of
+# the exact power of its arguments. tau assumes nothing more: its tail
+# integrals are float series whose truncation and roundings are bounded
+# in `_tau_tail_rel_error`. `_abab_series` still assumes that its mpmath
+# arithmetic at _MP_DPS digits (binomial coefficients and the sum of the
+# tail's terms) carries a relative error below _MP_REL. The Hurwitz zeta
 # values are bounded, not assumed: `_hurwitz_zetas` stops its
 # Euler-Maclaurin sum below 2^-63 of the value (the remainder is at most
 # the first omitted term), and the fewer than 100 roundings at _MP_DPS
@@ -159,6 +163,7 @@ _POW_ULPS = 4
 _MP_DPS = 18
 _MP_REL = 1e-14
 _BLOCK = 1 << 12
+_TAIL_TERMS = 62
 _SAFETY = 1 + 2.0 ** -20
 
 
@@ -182,22 +187,29 @@ def _compose(*rels: float) -> float:
     return acc
 
 
-def _power_sum_rel_error(factors, hi: int) -> float:
-    """rho with |computed - exact| <= rho * exact for `_power_sum` over
-    x <= hi of prod (x + c)^e, factors (c, e) with exact exponents e.
+def _term_rel_error(factors, hi: int) -> float:
+    """rho with |computed - exact| <= rho * exact for one float term
+    prod (x + c)^e at x <= hi, factors (c, e) with exact exponents e.
 
-    Each term takes one power per factor, with the exponent rounded once
+    The term takes one power per factor, with the exponent rounded once
     (|e' - e| <= u |e|, which scales (x + c)^e by at most
     exp(t) - 1 <= t (1 + t), t = u |e| ln(x + c)), and one product per
-    extra factor. Terms are summed in blocks of at most _BLOCK, and the
-    block sums are rounded to one float.
+    extra factor.
     """
     t = _U * sum(abs(float(e)) * math.log(hi + c) for c, e in factors)
     if t >= 1:
         return math.inf
     per_term = ([2 * _POW_ULPS * _U] * len(factors)
                 + [_U] * (len(factors) - 1))
-    return _compose(*per_term, t * (1 + t), _gamma(_BLOCK - 1), _U)
+    return _compose(*per_term, t * (1 + t))
+
+
+def _power_sum_rel_error(factors, hi: int) -> float:
+    """rho with |computed - exact| <= rho * exact for `_power_sum` over
+    x <= hi of prod (x + c)^e: each term within `_term_rel_error`, summed
+    in blocks of at most _BLOCK, and the block sums rounded to one float.
+    """
+    return _compose(_term_rel_error(factors, hi), _gamma(_BLOCK - 1), _U)
 
 
 def _power_sum(factors, lo: int, hi: int) -> float:
@@ -216,13 +228,60 @@ def _power_sum(factors, lo: int, hi: int) -> float:
     return math.fsum(sums)
 
 
-def _tau_tail_integral(n: int, a, b, c) -> mpmath.mpf:
-    # integral over t > c of t^-b (t+n)^-a, via an incomplete Beta form,
-    # with exact exponents at the caller's working precision
-    am, bm = _mp(a), _mp(b)
-    s = mpmath.mpf(n) / (mpmath.mpf(c) + n)
-    return (mpmath.power(n, 1 - am - bm)
-            * mpmath.betainc(am + bm - 1, 1 - bm, 0, s))
+def _tail_exponents(a, b) -> tuple[float, float]:
+    """p = a + b - 1 and b, each rounded once from its exact value."""
+    a, b = _as_fraction(a), _as_fraction(b)
+    return float(a + b - 1), float(b)
+
+
+def _tau_tail_integral(n: int, a, b, c) -> float:
+    """The integral over t > c of t^-b (t+n)^-a, a + b > 1, 0 < b < 1.
+
+    It is n^(1-a-b) B(s; p, 1-b) with p = a + b - 1 and s = n / (c + n),
+    which is (c + n)^-p times the positive series sum over k of
+    (b)_k / k! s^k / (p + k). Every tail that tau asks for starts at
+    c >= n, so s <= 1/2, and each term is below s times the one before:
+    the remainder after a term is at most that term. The sum stops at the
+    first term below 2^-60 of the sum so far. c + n <= 2^52 keeps c + n
+    exact; `_tau_tail_rel_error` bounds the rest of the rounding."""
+    if not n <= c <= 2 ** 52 - n:
+        raise RangeError("the tail must start in [n, 2^52 - n]")
+    p, b = _tail_exponents(a, b)
+    s = n / (c + n)
+    r, total = 1.0, 0.0
+    for k in count():
+        term = r / (p + k)
+        total += term
+        if term <= total * 2.0 ** -60:
+            return (c + n) ** -p * total
+        r *= s * (b + k) / (k + 1)
+
+
+def _tau_tail_rel_error(n: int, a, b, c) -> float:
+    """rho with |computed - exact| <= rho * exact for `_tau_tail_integral`.
+
+    s takes one rounding, and so do b and p (|b' - b| <= u b <= u (b + k),
+    likewise for p). A step of the recurrence adds six: b + k, its product
+    with s, the division by k + 1, the update of r, and the errors of b
+    and s. Term k then carries at most 6k + 3 (p + k, the error of p and
+    the division), and the running sum of at most _TAIL_TERMS terms
+    K = _TAIL_TERMS - 1 more: term k is within gamma(6k + 3 + K) of its
+    exact value. Exact terms fall by a factor below s, so term_k <=
+    s^k term_0 <= s^k S and the sum over k of k term_k is at most
+    s / (1 - s)^2 S: the roundings add at most
+    (6 s / (1 - s)^2 + 3 + K) u / (1 - 7 K u) of S. At s <= 1/2 the
+    computed terms reach 2^-60 of the computed sum by k = 61, so
+    _TAIL_TERMS = 62 terms at most, and the truncation is below 2^-59 of S
+    (2^-60 of the computed sum, with room for the rounding of both). The
+    power (c + n)^-p is within _POW_ULPS ulps, its exponent's rounding
+    scales it by at most t (1 + t), t = u p ln(c + n), and the final
+    product rounds once."""
+    p, _ = _tail_exponents(a, b)
+    s = n / (c + n)
+    k = _TAIL_TERMS - 1
+    series = (6 * s / (1 - s) ** 2 + 3 + k) * _U / (1 - 7 * k * _U)
+    t = _U * p * math.log(c + n)
+    return _compose(2 * _POW_ULPS * _U, t * (1 + t), series, 2.0 ** -59, _U)
 
 
 def tau(spec: SumSpec) -> TauResult:
@@ -232,15 +291,17 @@ def tau(spec: SumSpec) -> TauResult:
     convex, so the tail beyond a cutoff X sits between the trapezoid
     minorant (integral from X+1, plus half of f(X+1)) and the midpoint
     majorant (integral from X+1/2); both integrals have a closed
-    incomplete-Beta form, evaluated at _MP_DPS digits so that their
-    difference does not cancel. The sandwich width shrinks like f(X)/X,
-    so the cutoff stays small even for tight tolerances.
+    incomplete-Beta form, summed in float64 (`_tau_tail_integral`). The
+    sandwich width shrinks like f(X)/X, so the cutoff stays small even
+    for tight tolerances.
 
     The error bound is proved under the assumptions stated above: the
-    sandwich half-width, plus the rounding of the partial sum (relative
-    bound from `_power_sum_rel_error`, applied to the a priori majorant
-    f(m+1) + (m+1)^(1-alpha-beta)/(alpha+beta-1)), of the tail values and
-    of the final addition. All of it enters the cut check, so the bound
+    sandwich half-width, plus the rounding of both sides of the sandwich
+    (`_tau_tail_rel_error` for the integrals, `_term_rel_error` for
+    f(X+1)), of the partial sum (relative bound from
+    `_power_sum_rel_error`, applied to the a priori majorant
+    f(m+1) + (m+1)^(1-alpha-beta)/(alpha+beta-1)), of the midpoint and of
+    the final addition. All of it enters the cut check, so the bound
     never exceeds the tolerance; a tolerance below the rounding alone
     raises RangeError.
     """
@@ -254,30 +315,34 @@ def tau(spec: SumSpec) -> TauResult:
     n, m = spec.n, spec.m
     excess = float(a + b - 1)
     factors = ((n, -a), (0, -b))
-    with mpmath.workdps(_MP_DPS):
-        def term(y):
-            return mpmath.power(n + y, -_mp(a)) * mpmath.power(y, -_mp(b))
+    af, bf = float(a), float(b)
 
-        # f(m+1) plus the integral from m+1 of t^-(alpha+beta) >= f(t)
-        partial_bound = _SAFETY * (float(term(m + 1))
-                                   + (m + 1) ** -excess / excess)
-        cut = max(m + 1, n, 1 << 10)
-        while True:
-            upper = _tau_tail_integral(n, a, b, cut + 0.5)
-            lower = _tau_tail_integral(n, a, b, cut + 1) + term(cut + 1) / 2
-            half = float(max(upper - lower, 0) / 2 + 2 * _MP_REL * upper)
-            rho = _power_sum_rel_error(factors, cut)
-            rounding = (rho * partial_bound
-                        + 3 * _U * (partial_bound + float(upper)))
-            error = _SAFETY * (half + rounding)
-            if error <= tol:
-                break
-            if _SAFETY * rounding > tol or cut >= 2 ** 52:
-                raise RangeError(
-                    f"tail tolerance {tol!r} is out of reach: the rounding "
-                    f"bound alone is {_SAFETY * rounding!r} at cut {cut}")
-            cut *= 2
-        mid = float((upper + lower) / 2)
+    def term(y):
+        return (n + y) ** -af * y ** -bf
+
+    # f(m+1) plus the integral from m+1 of t^-(alpha+beta) >= f(t)
+    partial_bound = _SAFETY * (term(m + 1) + (m + 1) ** -excess / excess)
+    cut = max(m + 1, n, 1 << 10)
+    while True:
+        upper = _tau_tail_integral(n, a, b, cut + 0.5)
+        lower = _tau_tail_integral(n, a, b, cut + 1) + term(cut + 1) / 2
+        rho_lower = _compose(max(_tau_tail_rel_error(n, a, b, cut + 1),
+                                 _term_rel_error(factors, cut + 1)), _U)
+        half = (max(upper - lower, 0) / 2
+                + _tau_tail_rel_error(n, a, b, cut + 0.5) * upper
+                + rho_lower * lower)
+        rho = _power_sum_rel_error(factors, cut)
+        rounding = (rho * partial_bound
+                    + 3 * _U * (partial_bound + upper))
+        error = _SAFETY * (half + rounding)
+        if error <= tol:
+            break
+        if _SAFETY * rounding > tol or 2 * cut + 1 > 2 ** 52 - n:
+            raise RangeError(
+                f"tail tolerance {tol!r} is out of reach: the rounding "
+                f"bound alone is {_SAFETY * rounding!r} at cut {cut}")
+        cut *= 2
+    mid = (upper + lower) / 2
     partial = _power_sum(factors, m + 1, cut)
     majorant = cut ** -excess / excess
     return TauResult(value=partial + mid, error_bound=error,
@@ -606,7 +671,8 @@ def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
     n - 3: at n - 2 the only pair is x2 = x3 = 1, never kept. Counts (w
     the 0/1 support) are exact below 2^53.
 
-    Both ways below are direct convolutions (no FFT). Summing the kept
+    Both ways below sum weights by direct convolutions; only the 0/1
+    support's counts come from a rounded FFT. Summing the kept
     pairs of classes takes a pass per residue class of x1, about 25 us
     on a 2-vCPU host; one convolution of all pairs less the dropped ones
     takes about 0.15 ns * n^2 per weight array, and a pass over rows and
@@ -627,7 +693,9 @@ def _pair_sums_by_exclusion(n: int, modulus: int, ws: np.ndarray,
     """All pairs x2 + x3 = u = n - x1 by one convolution, less the dropped
     pairs: x2 congruent to x1, else x3 congruent to x1, else x2 congruent
     to x3, each family run through by its offset k p (p = modulus, or
-    n + 1 when the modulus is 1, so that congruent means equal)."""
+    n + 1 when the modulus is 1, so that congruent means equal). The
+    convolution is direct, except for a 0/1 array, whose counts are exact
+    from a rounded FFT."""
     p = modulus if modulus > 1 else n + 1
     ks = np.arange(-(n // p), n // p + 1) * p
     x1, u = x1s[:, None], (n - x1s)[:, None]
@@ -641,7 +709,14 @@ def _pair_sums_by_exclusion(n: int, modulus: int, ws: np.ndarray,
     out = np.empty((len(ws), len(x1s)))
     for w, row in zip(ws, out):
         dropped = (w[x2] * w[u - x2]).sum(axis=1)
-        row[:] = np.convolve(w, w)[us] - dropped
+        if ((w == 0) | (w == 1)).all():
+            # pair counts: the FFT misses each by less than 1/2 (the
+            # bound in exact_delta_Q), so rounding makes them exact;
+            # adding 0.0 turns the -0.0 of a tiny negative into 0.0
+            full = np.rint(_self_convolution(w)) + 0.0
+        else:
+            full = np.convolve(w, w)
+        row[:] = full[us] - dropped
         # a row that dropped more than it kept lost bits to cancellation
         # (x1 = 1 when gamma is large): sum its kept pairs directly
         for i in np.flatnonzero(row < dropped).tolist():

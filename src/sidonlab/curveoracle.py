@@ -30,8 +30,8 @@ from math import isqrt
 
 import numpy as np
 
-from .numbertheory import (NotPrime, RangeError, _as_ints, _int_fields,
-                           crt_flatten, is_prime, power_table)
+from .numbertheory import (NotPrime, RangeError, _as_ints, _flattened_graph,
+                           _int_fields, is_prime, power_table)
 from .sidoncore import convolution_profile_array
 
 __all__ = [
@@ -200,7 +200,7 @@ def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
     inclusion-exclusion over the three coordinate equalities: each fixes a
     sum 2a + a', and all three together fix 3a.
     """
-    elems = [crt_flatten(x, v, p) for x, v in enumerate(power_table(p, g))]
+    elems = _flattened_graph(p, g)
     N = (p - 1) * p
     counts = convolution_profile_array(elems, 3, N)
     if distinct == "pairwise":

@@ -30,12 +30,15 @@ pairwise distinct pairs. T (resp. B) then overcounts the Q-members
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .numbertheory import RangeError, _as_family, _as_ints, _int_fields
 from .randommodel import _as_fraction
@@ -54,6 +57,8 @@ __all__ = [
 ]
 
 _MODULUS_KINDS = frozenset({"Q", "T", "B"})  # the kinds that read the modulus
+_BITMAP_LIMIT = 1 << 24     # entries of `_q_count`'s pair-sum bitmap
+_BLOCK_PAIRS = 1 << 16      # pair sums per block of `_q_count`
 
 
 class UnsupportedKind(ValueError):
@@ -300,9 +305,55 @@ _FAMILIES = {
 
 
 def _family_size(A, spec: FamilySpec) -> int:
-    """len(enumerate_family(A, spec)) without copying or validating the
-    members: the one place the audits and Monte Carlo count a family."""
-    return len(_FAMILIES[spec.kind].build(_coerce(A), spec))
+    """len(enumerate_family(A, spec)), the one place the audits and Monte
+    Carlo count a family: Q by `_q_count` without building a member, every
+    other kind as the length of its builder's list, neither copied nor
+    validated."""
+    A = _coerce(A)
+    if spec.kind == "Q":
+        return _q_count(A, spec)
+    return len(_FAMILIES[spec.kind].build(A, spec))
+
+
+def _q_count(A, spec) -> int:
+    """The number of Q members of the sorted A, from pair sums.
+
+    Of the ordered triples of A with sum n, take all of them (T), less
+    those with x1 congruent to x2 (C; x1, x3 and x2, x3 give C as well),
+    plus twice those with all three congruent (D; any two congruences
+    imply the third). That counts every triple of pairwise incongruent
+    coordinates once, so every member six times: |Q| = (T - 3C + 2D) / 6.
+    Congruent means mod N, or equal when N is 1. Members stop at n - 3,
+    so A does too; each pair sum x1 + x2 is then looked up in a bitmap of
+    n - A, a block of rows at a time so that memory stays bounded. A set
+    whose bitmap would pass _BITMAP_LIMIT entries is counted by the
+    builder."""
+    n, N = spec.target, spec.modulus
+    A = A[:bisect_right(A, n - 3)]
+    if len(A) < 3 or 3 * A[-1] < n:
+        return 0
+    top = 2 * A[-1]
+    if top >= _BITMAP_LIMIT:
+        return len(_q_members(A, spec))
+    a = np.array(A, dtype=np.int64)
+    third = n - a
+    hit = np.zeros(top + 1, dtype=bool)             # hit[u]: n - u in A
+    hit[third[third <= top]] = True
+    r = a % N
+    t = c = d = 0
+    step = max(1, _BLOCK_PAIRS // len(a))
+    for lo in range(0, len(a), step):
+        rows = slice(lo, lo + step)
+        g = hit[a[rows, None] + a]
+        t += np.count_nonzero(g)
+        if N > 1:
+            g &= r[rows, None] == r
+            c += np.count_nonzero(g)
+            d += np.count_nonzero(g[(3 * r[rows] - n) % N == 0])
+    if N == 1:
+        c = np.count_nonzero(hit[2 * a])
+        d = n % 3 == 0 and n // 3 in A
+    return int(t - 3 * c + 2 * d) // 6
 
 
 def enumerate_family(A, spec: FamilySpec) -> VectorFamily:

@@ -184,8 +184,19 @@ def crt_flatten(u: int, v: int, p: int) -> int:
         raise RangeError(f"u must lie in [0, {p - 1}), got {u}")
     if not (0 <= v < p):
         raise RangeError(f"v must lie in [0, {p}), got {v}")
+    return _flatten(u, v, p)
+
+
+def _flatten(u: int, v: int, p: int) -> int:
     # t = u + (p-1) * k with k chosen so t = v (mod p); p-1 = -1 (mod p).
     return u + (p - 1) * ((u - v) % p)
+
+
+def _flattened_graph(p: int, g: int) -> list[int]:
+    """[crt_flatten(x, g^x mod p, p) for x in range(p - 1)], the Ruzsa
+    elements in order of x. power_table checks p and g once, and its
+    entries lie in range, so no element repeats crt_flatten's checks."""
+    return [_flatten(x, v, p) for x, v in enumerate(power_table(p, g))]
 
 
 def find_decomposition_prime(N: int) -> int:

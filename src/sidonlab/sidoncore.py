@@ -31,8 +31,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numbertheory import (RangeError, _as_ints, _int_fields, crt_flatten,
-                           is_prime, power_table, primitive_root)
+from .numbertheory import (RangeError, _as_ints, _flattened_graph,
+                           _int_fields, is_prime, primitive_root)
 
 __all__ = [
     "NotOddPrime",
@@ -169,8 +169,7 @@ def ruzsa_set(p: int, g: Optional[int] = None) -> ModSet:
         raise NotOddPrime(f"{p} is not an odd prime")
     if g is None:
         g = primitive_root(p)
-    elems = (crt_flatten(x, v, p) for x, v in enumerate(power_table(p, g)))
-    return ModSet(modulus=(p - 1) * p, elements=tuple(elems))
+    return ModSet(modulus=(p - 1) * p, elements=tuple(_flattened_graph(p, g)))
 
 
 def _coerce_elements(setlike, mode: str, modulus: Optional[int]):

@@ -6,9 +6,10 @@ Euler-Maclaurin tail with eight Bernoulli corrections, whose integral is
 taken by quadrature after a change of variable that makes it bounded and
 smooth. The Hurwitz zeta reference sums its first terms directly and takes
 its Euler-Maclaurin tail with the integral in closed form and mpmath's
-Bernoulli numbers. Nothing here shares code with `sidonlab.analysis`: no
-incomplete Beta, no binomial expansion, no Bernoulli recurrence. They live
-here, outside `src/`, as oracles only.
+Bernoulli numbers. The tail integral of tau is that quadrature alone.
+Nothing here shares code with `sidonlab.analysis`: no incomplete Beta, no
+hypergeometric series, no binomial expansion, no Bernoulli recurrence.
+They live here, outside `src/`, as oracles only.
 """
 
 from fractions import Fraction
@@ -46,8 +47,8 @@ def _derivatives(factors, x, order: int) -> list:
     return [series[j] * mpmath.factorial(j) for j in range(order + 1)]
 
 
-def _tail(factors, start: int) -> mpmath.mpf:
-    """sum over x >= start of f(x), by Euler-Maclaurin from `start`.
+def _integral(factors, start) -> mpmath.mpf:
+    """integral over x >= start of f(x), start > 0.
 
     With S the total decay exponent, x = start / t and t = u^(1/(S-1))
     turn the integral over [start, inf) into start/(S-1) times the
@@ -64,14 +65,20 @@ def _tail(factors, start: int) -> mpmath.mpf:
             out *= mpmath.power(c * t + start, -s)
         return out
 
-    breaks = sorted({mpmath.power(mpmath.mpf(start) / c, total - 1)
+    breaks = sorted({mpmath.power(start / c, total - 1)
                      for c, _ in factors if c > start})
-    integral = mpmath.quad(integrand, [0, *breaks, 1]) * start * power
+    return mpmath.quad(integrand, [0, *breaks, 1]) * start * power
+
+
+def _tail(factors, start: int) -> mpmath.mpf:
+    """sum over x >= start of f(x), by Euler-Maclaurin from `start`, with
+    the integral from `_integral`."""
     d = _derivatives(factors, start, 2 * EM_TERMS - 1)
     correction = mpmath.fsum(
         mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * d[2 * k - 1]
         for k in range(1, EM_TERMS + 1))
-    return integral + _power_product(factors, start) / 2 - correction
+    return (_integral(factors, mpmath.mpf(start))
+            + _power_product(factors, start) / 2 - correction)
 
 
 def hurwitz_zeta(s, start: int) -> mpmath.mpf:
@@ -106,6 +113,14 @@ def tau(alpha: Fraction, beta: Fraction, n: int, m: int) -> float:
     """sum over y > m of (n+y)^-alpha y^-beta."""
     with mpmath.workdps(DPS):
         return _series([(n, _mp(alpha)), (0, _mp(beta))], m + 1)
+
+
+def tau_tail_integral(alpha: Fraction, beta: Fraction, n: int,
+                      start: Fraction) -> mpmath.mpf:
+    """integral over t > start of (t+n)^-alpha t^-beta, by quadrature."""
+    with mpmath.workdps(DPS):
+        return _integral([(n, _mp(alpha)), (0, _mp(beta))],
+                         _mp(Fraction(start)))
 
 
 def sigma(alpha: Fraction, beta: Fraction, n: int, m: int) -> float:

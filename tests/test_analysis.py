@@ -29,6 +29,7 @@ from sidonlab.analysis import (
     _power_sum,
     _power_sum_rel_error,
     _tau_tail_integral,
+    _tau_tail_rel_error,
     check_lemma_ab,
     check_lemma_abab,
     exact_delta_Q,
@@ -194,6 +195,38 @@ class TestTau:
         # the partial sum does not
         with pytest.raises(RangeError):
             tau(SumSpec(G, G, 10, 0, Fraction(1, 10 ** 18)))
+
+    def test_makes_no_mpmath_call(self, monkeypatch):
+        # every attribute of None raises, so any mpmath call would fail
+        monkeypatch.setattr(analysis, "mpmath", None)
+        res = tau(SumSpec(G, G, 316, 100, Fraction(1, 10 ** 10)))
+        ref = series_reference.tau(G, G, 316, 100)
+        assert abs(res.value - ref) <= res.error_bound <= 1e-10
+
+
+class TestTauTail:
+    # every start that tau asks for is at least n: n + 1/2 and n + 1 are
+    # the slowest series (s just below 1/2), 2n a faster one
+    STARTS = [(n, c) for n in (1, 10, 1000, 31623, 10 ** 6)
+              for c in (Fraction(2 * n + 1, 2), n + 1, 2 * n)]
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (G, G), (Fraction(19, 27), Fraction(19, 27)),
+        (Fraction(51, 100), Fraction(99, 100)),
+        (Fraction(99, 100), Fraction(51, 100))])
+    def test_within_proved_bound(self, alpha, beta):
+        for n, c in self.STARTS:
+            got = _tau_tail_integral(n, alpha, beta, float(c))
+            ref = series_reference.tau_tail_integral(alpha, beta, n, c)
+            rho = _tau_tail_rel_error(n, alpha, beta, float(c))
+            assert 0 < rho < 100 * analysis._U
+            assert abs(got - ref) <= rho * ref, (n, c)
+
+    def test_start_below_n_raises(self):
+        with pytest.raises(RangeError):
+            _tau_tail_integral(10, G, G, 9.5)
+        with pytest.raises(RangeError):
+            _tau_tail_integral(10, G, G, 2 ** 52)
 
 
 class TestPowerSum:
@@ -582,6 +615,21 @@ class TestLoopEngines:
             assert np.array_equal(by_class == 0, by_exclusion == 0)
             np.testing.assert_allclose(by_exclusion, by_class, rtol=1e-13,
                                        atol=0)
+
+    @pytest.mark.parametrize("cfg", [PLAIN100, CFG5, CFG156])
+    def test_exclusion_counts_are_exact(self, cfg):
+        # the 0/1 support's counts come from a rounded FFT at this length:
+        # they must be the integers of a direct count, and never -0.0
+        n = 2000
+        q = analysis._prob_array(cfg, n)
+        x1s = np.flatnonzero(q[1:n - 2]) + 1
+        support = (q > 0).astype(np.float64)[None]
+        counts = analysis._pair_sums_by_exclusion(n, cfg.modulus, support,
+                                                  x1s)[0]
+        want = [np.count_nonzero(mask & (prod > 0))
+                for _, prod, mask in brute._loop_scan(n, cfg.modulus, q)]
+        assert counts.tolist() == want
+        assert not np.signbit(counts).any()
 
     @pytest.mark.parametrize("g", [Fraction(10), Fraction(50)])
     def test_cancelling_rows_are_summed_directly(self, g):

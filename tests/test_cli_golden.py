@@ -170,9 +170,9 @@ CASES = [
     ("analyze sigma --alpha 7/11 --beta 7/11 -n -1",
      "44986a734af38d9ef61d1bea5728f75fc20458bebb02598790b88b2766bf6e12", 1),
     ("analyze tau --alpha 7/11 --beta 7/11 -n 10 --m 2",
-     "8647147ba2eb4d7315ab9e2c6bdd7afefd792cff8d0df0b04fc244cdd5ef03f0", 0),
+     "96f6b3cdf9e33fff250c21eebbd17618480295543dd7d9e87e5dbbff2b0d031a", 0),
     ("analyze tau --alpha 7/11 --beta 7/11 -n 10 --tol 1/1000 --format csv",
-     "11fa94b67f22fd2334a454a355619eac4141f48fa261cff5343abd496110b601", 0),
+     "667b70234931e48c51be6e312051c9065185b641d2ffdf671ef16c85ea12c588", 0),
     ("analyze tau --alpha 1/4 --beta 1/4 -n 10",
      "8e21747e22457f077d8c5514ecf95766992c62b67bdbd06f8b2e543e80f934db", 1),
     ("analyze lemma-ab --alpha 7/11 --beta 7/11 --grid 30:0,100:5",

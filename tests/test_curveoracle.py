@@ -20,6 +20,7 @@ from sidonlab.curveoracle import (
     triple_rep_table,
     triple_reps,
 )
+from sidonlab import numbertheory
 from sidonlab.numbertheory import (NotGenerator, NotPrime, RangeError, is_prime,
                                    is_primitive_root, primitive_root)
 
@@ -150,6 +151,14 @@ def test_table_matches_triple_loop():
                 got = triple_rep_table(p, g, distinct)
                 assert got == want, (p, g, distinct)
                 assert all(type(k) is int for key in got for k in key)
+
+
+def test_table_tests_primality_once(monkeypatch):
+    real, calls = numbertheory.is_prime, []
+    monkeypatch.setattr(numbertheory, "is_prime",
+                        lambda p: calls.append(p) or real(p))
+    triple_rep_table(31, 3)
+    assert calls.count(31) == 1
 
 
 def test_table_checks_arguments_as_the_solver_does():

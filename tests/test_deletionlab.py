@@ -7,12 +7,14 @@ import brute_scans as brute
 import numpy as np
 import pytest
 
+from sidonlab import deletionlab
 from sidonlab.deletionlab import (
     AuditResult,
     FamilySpec,
     UnsupportedKind,
     VectorFamily,
     _family_size,
+    _q_members,
     b2_2_lift,
     b22_removals,
     destruction_audit,
@@ -231,6 +233,47 @@ class TestEnumerate:
                 assert set(fam.members) == oracle_small(A, kind, r)
                 assert len(fam.members) == len(set(fam.members))
                 assert _family_size(A, spec) == len(fam)
+
+
+class TestQCount:
+    """`_family_size` counts Q from pair sums, without building members."""
+
+    @pytest.mark.parametrize("N", [1, 5, 156])
+    def test_equals_builder_on_seeded_sets(self, N):
+        rng = random.Random(20261019 + N)
+        for _ in range(150):
+            top = rng.randrange(4, 600)
+            A = rng.sample(range(1, top), rng.randrange(min(top - 1, 80)))
+            n = rng.randrange(1, 3 * top)
+            spec = FamilySpec("Q", n, modulus=N)
+            assert _family_size(A, spec) == len(_q_members(sorted(A), spec))
+
+    @pytest.mark.parametrize("N", [1, 5, 156])
+    @pytest.mark.parametrize("A,n", [
+        (range(1, 31), 30),             # 3x = n, and 2x + y = n for many x
+        (range(1, 31), 31),             # 2x + y = n only
+        ((1, 2, 3, 4, 6), 9),           # (3, 3, 3) and (4, 4, 1)
+        ((2, 7, 12, 17), 21),           # (7, 7, 7) and (2, 7, 12): x = 2 mod 5
+        ((4, 160, 316), 480),           # all three = 4 mod 156
+        ((), 9), ((3,), 9), ((3, 6), 12), ((3, 6), 9)])
+    def test_repeated_coordinates_and_tiny_sets(self, A, n, N):
+        spec = FamilySpec("Q", n, modulus=N)
+        assert _family_size(A, spec) == len(oracle_q(A, n, N))
+
+    def test_blocks_and_wide_sets(self, monkeypatch):
+        rng = random.Random(5)
+        sets = [(rng.sample(range(1, 400), 40), rng.randrange(1, 1200), N)
+                for N in (1, 5, 156) for _ in range(20)]
+        want = [len(oracle_q(A, n, N)) for A, n, N in sets]
+        monkeypatch.setattr(deletionlab, "_q_members", None)
+        monkeypatch.setattr(deletionlab, "_BLOCK_PAIRS", 7)
+        assert [_family_size(A, FamilySpec("Q", n, modulus=N))
+                for A, n, N in sets] == want
+        # a bitmap past the limit hands the set to the builder
+        monkeypatch.undo()
+        monkeypatch.setattr(deletionlab, "_BITMAP_LIMIT", 64)
+        assert [_family_size(A, FamilySpec("Q", n, modulus=N))
+                for A, n, N in sets] == want
 
 
 class TestLifts:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import brute_scans as brute
-from sidonlab.numbertheory import NotGenerator, RangeError
+from sidonlab import numbertheory
+from sidonlab.numbertheory import (NotGenerator, RangeError, crt_flatten,
+                                   primitive_root)
 from sidonlab.sidoncore import (
     _brute_profile_counts,
     ModSet,
@@ -81,6 +83,18 @@ def test_ruzsa_examples():
         ruzsa_set(13, 3)
     with pytest.raises(NotOddPrime):
         ruzsa_set(8)
+
+
+def test_ruzsa_tests_primality_once(monkeypatch):
+    # p is checked once for the set, not once per flattened element
+    g, real, calls = primitive_root(307), numbertheory.is_prime, []
+    monkeypatch.setattr(numbertheory, "is_prime",
+                        lambda p: calls.append(p) or real(p))
+    s = ruzsa_set(307, g)
+    assert calls.count(307) == 1
+    monkeypatch.undo()
+    assert s.elements == tuple(sorted(crt_flatten(x, pow(g, x, 307), 307)
+                                      for x in range(306)))
 
 
 def test_ruzsa_shape_and_sidon():
