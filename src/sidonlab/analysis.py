@@ -13,11 +13,13 @@ error bound (sandwich half-width plus a proved rounding bound) is
 guaranteed below the requested tolerance, and the crude closed-form majorant
 X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is reported
 alongside the cutoff. The three-factor series of the deletion lemma is
-certified the same way, its tail expanded into Hurwitz zeta values with a
-closed-form remainder; all of those values come from one Euler-Maclaurin
-pass whose remainder is bounded by its first omitted term. Each sum has
-one float path; the independent 30-digit references that check them live
-with the tests.
+certified the same way: a float partial sum to max(5 max(a, b) / 4, 1024),
+and a tail expanded binomially into Hurwitz zeta values, everything scaled
+by powers of the cut so that nothing overflows, with a proved remainder.
+All of those values come from one float Euler-Maclaurin pass whose
+remainder is bounded by its first omitted term. Each sum has one float
+path, and no sum assumes a bound it does not prove; the independent
+30-digit references that check them live with the tests.
 
 The asymptotic inequalities these sums obey (everything of the shape
 f <= C (n+m)^e with an unspecified constant) are operationalized as
@@ -49,9 +51,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from itertools import chain, count
+from itertools import chain, count, islice
 
-import mpmath
 import numpy as np
 
 from .deletionlab import _MODULUS_KINDS, FamilySpec, _family_size
@@ -141,36 +142,25 @@ class TauResult:
 
 
 # --- proved rounding bounds -------------------------------------------------
-# The bounds below assume that each float64 power (`np.power` or `**`, and
-# each mpmath power at its working precision) is within _POW_ULPS ulps of
-# the exact power of its arguments. tau assumes nothing more: its tail
-# integrals are float series whose truncation and roundings are bounded
-# in `_tau_tail_rel_error`. `_abab_series` still assumes that its mpmath
-# arithmetic at _MP_DPS digits (binomial coefficients and the sum of the
-# tail's terms) carries a relative error below _MP_REL. The Hurwitz zeta
-# values are bounded, not assumed: `_hurwitz_zetas` stops its
-# Euler-Maclaurin sum below 2^-63 of the value (the remainder is at most
-# the first omitted term), and the fewer than 100 roundings at _MP_DPS
-# digits that reach the value (k below 60) add less than 2e-17 relative.
-# The rest is IEEE arithmetic with unit roundoff u: a correctly rounded
-# math.fsum, and Higham's gamma_k = k u / (1 - k u) for a sum of k + 1
-# terms in any order (Accuracy and Stability of Numerical Algorithms, 2nd
-# ed., section 4.2). _SAFETY absorbs the few roundings of the bound's own
-# arithmetic.
+# The bounds below assume that each float64 power (`np.power` or `**`) is
+# within _POW_ULPS ulps of the exact power of its arguments, and nothing
+# more. tau's tail integrals and the tail of the abab series are float
+# series whose truncation and roundings are bounded in `_tau_tail_rel_error`
+# and `_abab_series`; the Hurwitz zeta values of `_hurwitz_zetas` stop their
+# Euler-Maclaurin sum below 2^-63 of the value (the remainder is at most the
+# first omitted term) and count every rounding of the pass. The rest is IEEE
+# arithmetic with unit roundoff u: a correctly rounded math.fsum, and
+# Higham's gamma_k = k u / (1 - k u) for a sum of k + 1 terms or a dot
+# product of k terms, in any order and with or without fused multiply-adds
+# (Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1
+# and 4.2). _SAFETY absorbs the few roundings of the bound's own arithmetic.
 
 _U = 2.0 ** -53
 _POW_ULPS = 4
-_MP_DPS = 18
-_MP_REL = 1e-14
+_EM_TERMS = 12
 _BLOCK = 1 << 12
 _TAIL_TERMS = 62
 _SAFETY = 1 + 2.0 ** -20
-
-
-def _mp(value) -> mpmath.mpf:
-    """A Fraction (or the exact value of a float) at the working precision."""
-    value = _as_fraction(value)
-    return mpmath.mpf(value.numerator) / value.denominator
 
 
 def _gamma(k: int) -> float:
@@ -205,27 +195,41 @@ def _term_rel_error(factors, hi: int) -> float:
 
 
 def _power_sum_rel_error(factors, hi: int) -> float:
-    """rho with |computed - exact| <= rho * exact for `_power_sum` over
-    x <= hi of prod (x + c)^e: each term within `_term_rel_error`, summed
-    in blocks of at most _BLOCK, and the block sums rounded to one float.
+    """rho with |computed - exact| <= rho * exact for a sum of
+    `_power_sums` over x <= hi of prod (x + c)^e: each term within
+    `_term_rel_error`, summed in blocks of at most _BLOCK, and the block
+    sums rounded to one float.
     """
     return _compose(_term_rel_error(factors, hi), _gamma(_BLOCK - 1), _U)
 
 
-def _power_sum(factors, lo: int, hi: int) -> float:
-    """Float sum over lo <= x <= hi of prod (x + c)^e, in blocks of _BLOCK
-    terms so that memory stays bounded; the block sums go through fsum."""
-    if hi + max(c for c, _ in factors) >= 2 ** 53:
+def _power_sums(products, lo: int, hi: int) -> list[float]:
+    """For each list of factors (c, e) in products, the float sum over
+    lo <= x <= hi of prod (x + c)^e, in blocks of _BLOCK terms so that
+    memory stays bounded; the block sums go through fsum. A term starts
+    from its first factor and multiplies in the others, which are taken
+    once per block however many products share them; (x + c)^1 is x + c
+    itself. Both only remove roundings that `_term_rel_error` counts."""
+    if hi + max(c for factors in products for c, _ in factors) >= 2 ** 53:
         raise RangeError("summation range exceeds exact float integers")
-    (c0, e0), *rest = [(c, float(e)) for c, e in factors]
-    sums = []
+    products = [[(c, float(e)) for c, e in factors] for factors in products]
+    sums = [[] for _ in products]
     for start in range(lo, hi + 1, _BLOCK):
         xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
-        terms = np.power(xs + c0, e0)
-        for c, e in rest:
-            terms *= np.power(xs + c, e)
-        sums.append(float(terms.sum()))
-    return math.fsum(sums)
+        powers = {}
+        for ((c0, e0), *rest), out in zip(products, sums):
+            terms = _power(xs, c0, e0)
+            for c, e in rest:
+                if (c, e) not in powers:
+                    powers[c, e] = _power(xs, c, e)
+                terms *= powers[c, e]
+            out.append(float(terms.sum()))
+    return [math.fsum(s) for s in sums]
+
+
+def _power(xs: np.ndarray, c: int, e: float) -> np.ndarray:
+    """(xs + c)^e as a new array."""
+    return xs + c if e == 1 else np.power(xs + c, e)
 
 
 def _tail_exponents(a, b) -> tuple[float, float]:
@@ -343,7 +347,7 @@ def tau(spec: SumSpec) -> TauResult:
                 f"bound alone is {_SAFETY * rounding!r} at cut {cut}")
         cut *= 2
     mid = (upper + lower) / 2
-    partial = _power_sum(factors, m + 1, cut)
+    partial, = _power_sums((factors,), m + 1, cut)
     majorant = cut ** -excess / excess
     return TauResult(value=partial + mid, error_bound=error,
                      majorant_bound=majorant, cutoff=cut)
@@ -407,22 +411,48 @@ def check_lemma_ab(alpha, beta, grid, *,
                        sup_ratio=max(r[2] for r in rows))
 
 
-def _abab_series(g, a: int, b: int, tol: float) -> tuple[float, float, int]:
-    """(value, error_bound, cutoff) for the sum over x >= 1 of
-    x^-g (x+a)^-g (x+b)^(1-2g), 1/2 < g < 1, with error_bound <= tol.
+def _abab_series(g, a: int, b: int, tol: float):
+    """((value, error_bound), (value, error_bound), cutoff) for the sum
+    over x >= 1 of x^-g (x+a)^-g (x+b)^(1-2g), 1/2 < g < 1, and for the
+    same sum with a and b swapped, with each error_bound <= tol.
 
-    Terms up to X = max(2 max(a, b), 1024) are summed in float blocks
-    (`_power_sum`). Beyond X the summand is x^(1-4g) (1+a/x)^-g
-    (1+b/x)^(1-2g); expanding both factors as binomial series gives the
-    tail sum over n of e_n zeta(4g-1+n, X+1), with
-    e_n = sum over j+k=n of C(-g, j) a^j C(1-2g, k) b^k. Every binomial
-    coefficient has modulus at most 1 for 1/2 < g < 1, so |e_n| <=
-    (n+1) max(a, b)^n, and zeta(s+n, X+1) <= (X+1)^-n zeta(s, X+1). The
-    terms of degree K and up are therefore at most zeta(4g-1, X+1) times
-    the sum over n >= K of (n+1) r^n = r^K ((K+1)/(1-r) + r/(1-r)^2),
-    r = max(a, b)/(X+1) < 1/2; K is the smallest degree that keeps this
-    below tol/2. The rest of the bound is rounding, under the assumptions
-    stated with `_power_sum_rel_error`; it must fit in the other tol/2.
+    Terms up to X = max(ceil(5 max(a, b) / 4), 1024) are summed in float
+    blocks (`_power_sums`) for both sums at once: with P = x^-g,
+    A = (x+a)^-g and B = (x+b)^-g the terms are (x+b) P A B B and
+    (x+a) P B A A, three powers for the two. The tails share the cutoff,
+    the degree and the zeta values below. Beyond X the summand is
+    x^(1-4g) (1+a/x)^-g (1+b/x)^(1-2g). Both factors expand as binomial
+    series; scaled by N = X + 1, the tail is the sum over n of e_n z_n,
+    with e_n = sum over j+k=n of C(-g, j) (a/N)^j C(1-2g, k) (b/N)^k and
+    z_n = N^n zeta(s+n, N), s = 4g-1 (`_hurwitz_zetas`). No power of a,
+    b or N is formed, and r = max(a, b)/N stays below 4/5.
+
+    Truncation. For 1/2 < g < 1, C(-g, j) = (-1)^j (g)_j / j! and
+    C(1-2g, k) = (-1)^k (2g-1)_k / k!, so every term of e_n has the sign
+    (-1)^n, and Vandermonde's identity gives |e_n| <= m_n = r^n (c)_n / n!,
+    c = 3g - 1, so m_n <= (n+1) r^n as c < 2. The z_n fall with n, and
+    z_n <= N^-s (1 + N/(s+n-1)) (the sum over x >= N against its
+    integral). The terms of degree K and up therefore add at most z_0
+    times the sum over n >= K of (n+1) r^n = r^K ((K+1)/(1-r) +
+    r/(1-r)^2); K is the smallest degree that keeps this below tol/2, so
+    the value lands well inside tol/2 at the cost of a few more terms.
+    The bound reports instead the sharper N^-s (1 + N/(s+K-1)) m_K /
+    (1 - q_K) where that is smaller and q_K < 9/10: for n >= K,
+    m_(n+1)/m_n = r (c+n)/(n+1) <= q_K = r max(1, (c+K)/(K+1)). K stays
+    below 2^12, since (K + 1) (4/5)^K underflows before.
+
+    Rounding, under the assumptions stated with `_power_sum_rel_error`,
+    must fit in the other tol/2. C(e, j) (a/N)^j is a running product of
+    j steps (e - j)/(j + 1) (a/N), each within six roundings (e, e - j,
+    the quotient, a/N and two products). A product of two such
+    coefficients carries at most 6n + 1 roundings, and e_n, a sum of one
+    sign taken in any order, 7n + 1 relative to |e_n|. The dot product
+    with z adds K more, and each z_n its own relative bound rho_z. So
+    the tail is within compose(gamma_8K, rho_z) of the sum of |e_n| z_n,
+    which is at most tail_abs = z_0 / (1 - r)^2, since m_n <= (n+1) r^n
+    for c < 2. A product that underflows errs by at most 2^-1074; at most
+    4 K^3 of those errors reach the tail, each scaled by less than 2 z_0,
+    which leaves them far inside _SAFETY's share of tail_abs.
     """
     g = _as_fraction(g)
     if not Fraction(1, 2) < g < 1:
@@ -430,71 +460,107 @@ def _abab_series(g, a: int, b: int, tol: float) -> tuple[float, float, int]:
     if not tol > 0:
         raise RangeError("tail tolerance must be positive")
     top = max(a, b)
-    cut = max(2 * top, 1 << 10)
-    factors = ((0, -g), (a, -g), (b, 1 - 2 * g))
-    partial = _power_sum(factors, 1, cut)
-    rho = _power_sum_rel_error(factors, cut)
-    r = top / (cut + 1)
-    with mpmath.workdps(_MP_DPS):
-        zetas = _hurwitz_zetas(4 * _mp(g) - 1, cut + 1)
-        zeta0 = next(zetas)
-        z = float(zeta0) * _SAFETY
-        # tail_abs >= sum of |e_n| zeta(s+n, X+1) over all n, so >= |tail|
-        tail_abs = z / (1 - r) ** 2
+    cut = max(-(-5 * top // 4), 1 << 10)
+    orders = ((a, b), (b, a))
+    products = [((v, 1), (0, -g), (u, -g), (v, -g), (v, -g))
+                for u, v in orders]
+    partials = _power_sums(products, 1, cut)
+    big, s, c = cut + 1, 4 * g - 1, float(3 * g - 1)
+    r = top / big
+    head = big ** -float(s)
+
+    def zeta_bound(k):
+        """An upper bound on z_k = N^k zeta(s+k, N)."""
+        return _SAFETY * head * (1 + big / (float(s - 1) + k))
+
+    z = zeta_bound(0)
+    tail_abs = z / (1 - r) ** 2
+    degree, truncation = 0, tail_abs
+    while truncation > tol / 2:
+        degree += 1
+        truncation = _SAFETY * z * r ** degree * (
+            (degree + 1) / (1 - r) + r / (1 - r) ** 2)
+    m = math.prod(r * (c + n) / (n + 1) for n in range(degree))
+    q = r * max(1.0, (c + degree) / (degree + 1))
+    if q < 0.9:
+        truncation = min(truncation,
+                         _SAFETY * zeta_bound(degree) * m / (1 - q))
+    zetas, rho_z = _hurwitz_zetas(s, big, degree)
+    tail_rel = _compose(_gamma(8 * degree), rho_z)
+    out = []
+    for (u, v), factors, partial in zip(orders, products, partials):
+        e = np.convolve(_binomial_powers(-g, u / big, degree),
+                        _binomial_powers(1 - 2 * g, v / big, degree))[:degree]
+        rho = _power_sum_rel_error(factors, cut)
         rounding = _SAFETY * (rho * partial / (1 - rho)
                               + 3 * _U * (partial + tail_abs)
-                              + _MP_REL * tail_abs)
+                              + tail_rel * tail_abs)
         if rounding > tol / 2:
             raise RangeError(f"tail tolerance {tol!r} is below twice the "
                              f"rounding bound {rounding!r} of this series")
-        degree, truncation = 0, tail_abs
-        while truncation > tol / 2:
-            degree += 1
-            truncation = _SAFETY * z * r ** degree * (
-                (degree + 1) / (1 - r) + r / (1 - r) ** 2)
-        coef_a = _binomial_powers(-g, a, degree)
-        coef_b = _binomial_powers(1 - 2 * g, b, degree)
-        tail = mpmath.mpf(0)
-        for k, zeta_k in zip(range(degree), chain([zeta0], zetas)):
-            e_k = mpmath.fsum(coef_a[j] * coef_b[k - j] for j in range(k + 1))
-            tail += e_k * zeta_k
-        tail = float(tail)
-    return partial + tail, truncation + rounding, cut
+        out.append((partial + float(e @ zetas), truncation + rounding))
+    return *out, cut
 
 
-def _hurwitz_zetas(s, start: int):
-    """zeta(s + k, start) for k = 0, 1, 2, ... at the working precision,
-    s > 1, by Euler-Maclaurin from start: for sigma = s + k,
+def _hurwitz_zetas(s: Fraction, start: int,
+                   count: int) -> tuple[np.ndarray, float]:
+    """N^k zeta(s + k, N) for k < count, N = start, s > 1, and rho with
+    |computed - exact| <= rho * exact for each. By Euler-Maclaurin from N,
+    for sigma = s + k,
 
-        zeta(sigma, start) = start^(1-sigma) / (sigma-1) + start^-sigma / 2
-            + sum over j >= 1 of B_2j / (2j)! (sigma)_(2j-1) start^(1-sigma-2j)
+        N^k zeta(sigma, N) = N^-s (N/(sigma-1) + 1/2
+            + sum over j >= 1 of B_2j / (2j)! (sigma)_(2j-1) N^(1-2j))
 
-    with (sigma)_i the rising factorial. Every even derivative of x^-sigma
-    is positive, so the remainder after any term lies between 0 and the
-    first omitted term (Graham, Knuth and Patashnik, Concrete Mathematics,
-    2nd ed., section 9.5). The terms stop at the first one below 2^-64 of
-    the sum so far, so the truncation is below 2^-63 of the value. The
-    terms fall by a factor of at least 39 while sigma + 2j <= start; the
-    caller's start exceeds 1024 and sigma stays below 64, so at most a
-    dozen are needed."""
-    ratios, coefs = _bernoulli_ratios(), []
-    big = mpmath.mpf(start)
-    inv_square = 1 / (big * big)
-    head = mpmath.power(big, -s)                        # start^-sigma
-    for k in count():
-        sigma = s + k
-        value = head * big / (sigma - 1) + head / 2
-        weight = sigma * head / big         # (sigma)_(2j-1) start^(1-sigma-2j)
-        for j in count(1):
-            if len(coefs) < j:
-                coefs.append(_mp(next(ratios)))
-            term = coefs[j - 1] * weight
-            if abs(term) <= value * 2.0 ** -64:
-                break
-            value += term
-            weight *= (sigma + 2 * j - 1) * (sigma + 2 * j) * inv_square
-        yield value
-        head /= big
+    with (sigma)_i the rising factorial: one power N^-s serves every k, and
+    nothing overflows or underflows however large N is. Every even
+    derivative of x^-sigma is positive, so the remainder after any term
+    lies between 0 and the first omitted term (Graham, Knuth and
+    Patashnik, Concrete Mathematics, 2nd ed., section 9.5), and the value
+    is at least M + 1/2, M = N/(sigma-1). The terms stop, for every k at
+    once, at the first one below 2^-64 of M, so the truncation is below
+    2^-63 of the value.
+
+    |B_2j / (2j)!| = 2 zeta(2j) / (2 pi)^2j falls by more than 39 from
+    each j to the next, so the terms fall by more than 39 while
+    sigma + 2j <= N, from a first term sigma / (12 N) <= M / 12: the
+    thirteenth is below 2^-66 of M, and at most _EM_TERMS = 12 are added.
+    That needs sigma + 24 <= N at every k, so the largest count covered
+    is N - s - 23; a larger one raises RangeError.
+
+    Rounding. N^-s is within _POW_ULPS ulps, and the rounding of s scales
+    it by at most t (1 + t), t = u s ln N, as in `_term_rel_error`. M
+    takes three roundings (s - 1, its sum with k, the quotient) and one
+    more where the corrections join it. The corrections, 1/2 and the
+    Bernoulli terms, are summed apart. The j-th term takes 10j - 5
+    roundings (s, sigma, the quotient by N, the float ratio and their
+    product, then ten for each step of the weight), and 13 - j more in
+    the sum and where it joins M: at most 10 _EM_TERMS - 3 in all. So the
+    corrections are within gamma(10 _EM_TERMS) of
+    1/2 + (39/38) sigma / (12 N); relative to the value this is largest
+    at the largest sigma. The final product rounds once."""
+    if s + count + 2 * _EM_TERMS - 1 > start:
+        raise RangeError(f"{count} Hurwitz zeta values from {start} are more "
+                         f"than the Euler-Maclaurin bound covers")
+    big = float(start)
+    ks = np.arange(count, dtype=np.float64)
+    sigma = float(s) + ks
+    main = big / (float(s - 1) + ks)
+    corrections = np.full(count, 0.5)
+    weight = sigma / big                  # (sigma)_(2j-1) N^(1-2j) at j = 1
+    square = big * big
+    for j, ratio in enumerate(_BERNOULLI, 1):
+        term = ratio * weight
+        if (np.abs(term) <= main * 2.0 ** -64).all():
+            break
+        corrections += term
+        weight *= (sigma + (2 * j - 1)) * (sigma + 2 * j) / square
+    top = float(s) + max(count - 1, 0)
+    share = (0.5 + 39 * top / (456 * big)) / (big / (top - 1) + 0.5)
+    t = _U * float(s) * math.log(big)
+    rho = _compose(2 * _POW_ULPS * _U, t * (1 + t),
+                   _gamma(4) + _gamma(10 * _EM_TERMS) * share,
+                   2.0 ** -63, _U)
+    return big ** -float(s) * (main + corrections), rho
 
 
 def _bernoulli_ratios():
@@ -511,14 +577,14 @@ def _bernoulli_ratios():
         yield a_n
 
 
-def _binomial_powers(e: Fraction, c: int, count: int) -> list:
-    """C(e, j) c^j for j < count, at the working precision."""
-    out, coef = [], mpmath.mpf(1)
-    em = _mp(e)
-    for j in range(count):
-        out.append(coef)
-        coef = coef * (em - j) / (j + 1) * c
-    return out
+_BERNOULLI = tuple(map(float, islice(_bernoulli_ratios(), _EM_TERMS + 1)))
+
+
+def _binomial_powers(e: Fraction, ratio: float, count: int) -> np.ndarray:
+    """C(e, j) ratio^j for j < count (j = 0 alone when count is 0), the
+    running product of the steps (e - j) / (j + 1) ratio."""
+    j = np.arange(count - 1, dtype=np.float64)
+    return np.cumprod(np.concatenate(([1.0], (float(e) - j) / (j + 1) * ratio)))
 
 
 def check_lemma_abab(gamma, pairs, *,
@@ -540,14 +606,16 @@ def check_lemma_abab(gamma, pairs, *,
     rows, seen = [], set()
     for pair in pairs:
         a, b = _as_ints(pair, "pair entries")
-        for u, v in ((a, b), (b, a)):
-            if u < 1 or v < 1:
-                raise RangeError("pair entries must be positive")
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            val = _abab_series(g, u, v, tol)[0]
-            rows.append((f"a={u} b={v}", val, val * (u * v) ** (2 * gf - 1)))
+        if a < 1 or b < 1:
+            raise RangeError("pair entries must be positive")
+        if (a, b) in seen:          # seen with (b, a), from an earlier pair
+            continue
+        both = _abab_series(g, a, b, tol)[:2]
+        for (u, v), (val, _) in zip(((a, b), (b, a)), both):
+            if (u, v) not in seen:
+                seen.add((u, v))
+                rows.append((f"a={u} b={v}", val,
+                             val * (u * v) ** (2 * gf - 1)))
     if not rows:
         raise RangeError("pairs must be nonempty")
     return RatioReport(exponent=float(1 - 2 * g), rows=tuple(rows),

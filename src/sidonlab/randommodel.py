@@ -39,7 +39,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
 
 from .numbertheory import RangeError, _as_ints, _int_fields
 from .sidoncore import ModSet
@@ -186,6 +185,8 @@ def _exact_accept(k: int, x: int, gamma: Fraction) -> bool:
     # precision settles its sign
     if k & (k - 1) == 0 and x & (x - 1) == 0:
         return q * (k.bit_length() - 1) + p * (x.bit_length() - 1) < 53 * q
+    # imported here, so that only this rare branch loads mpmath
+    from mpmath.ctx_iv import MPIntervalContext
     ctx = MPIntervalContext()
     ctx.prec = 64
     while True:

@@ -26,7 +26,7 @@ from sidonlab.analysis import (
     SumSpec,
     _abab_series,
     _hurwitz_zetas,
-    _power_sum,
+    _power_sums,
     _power_sum_rel_error,
     _tau_tail_integral,
     _tau_tail_rel_error,
@@ -198,7 +198,7 @@ class TestTau:
 
     def test_makes_no_mpmath_call(self, monkeypatch):
         # every attribute of None raises, so any mpmath call would fail
-        monkeypatch.setattr(analysis, "mpmath", None)
+        monkeypatch.setattr(analysis, "mpmath", None, raising=False)
         res = tau(SumSpec(G, G, 316, 100, Fraction(1, 10 ** 10)))
         ref = series_reference.tau(G, G, 316, 100)
         assert abs(res.value - ref) <= res.error_bound <= 1e-10
@@ -234,7 +234,7 @@ class TestPowerSum:
 
     def test_rounding_bound_holds(self):
         lo, hi = 5, 9000
-        got = _power_sum(self.FACTORS, lo, hi)
+        got, = _power_sums((self.FACTORS,), lo, hi)
         with mpmath.workdps(40):
             exact = mpmath.fsum(
                 series_reference._power_product(
@@ -246,7 +246,7 @@ class TestPowerSum:
 
     def test_range_beyond_exact_integers(self):
         with pytest.raises(RangeError):
-            _power_sum(self.FACTORS, 2 ** 53 - 3, 2 ** 53 - 2)
+            _power_sums((self.FACTORS,), 2 ** 53 - 3, 2 ** 53 - 2)
 
 
 class TestLemmaAb:
@@ -348,9 +348,42 @@ class TestAbabSeries:
                                      (512, 512), (512, 1)])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_against_reference(self, a, b, tol):
-        value, bound, cutoff = _abab_series(G, a, b, tol)
+        (value, bound), _, cutoff = _abab_series(G, a, b, tol)
         assert abs(value - _abab_reference(a, b)) <= bound <= tol
         assert cutoff <= max(2 * max(a, b), 1024)
+
+    @pytest.mark.parametrize("a,b", [(819, 1), (1, 819), (10 ** 5, 10 ** 5)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_against_reference_at_largest_ratio(self, a, b, tol):
+        # the cut is max(ceil(5 max(a, b) / 4), 1024), so max(a, b) / (cut + 1)
+        # is just below 4/5 at these pairs: the tail needs its most terms
+        (value, bound), _, cutoff = _abab_series(G, a, b, tol)
+        assert cutoff == max(-(-5 * max(a, b) // 4), 1024)
+        assert max(a, b) / (cutoff + 1) > 0.799
+        assert abs(value - _abab_reference(a, b)) <= bound <= tol
+
+    @pytest.mark.parametrize("a,b", [(2, 5), (512, 1), (10 ** 5, 119)])
+    def test_one_call_gives_both_orientations(self, a, b):
+        # the second orientation shares the first one's powers, degree and
+        # zeta values, and is the same float as a call that takes it first
+        ab, ba, cutoff = _abab_series(G, a, b, 1e-9)
+        assert _abab_series(G, b, a, 1e-9) == (ba, ab, cutoff)
+        assert abs(ba[0] - _abab_reference(b, a)) <= ba[1] <= 1e-9
+
+    def test_makes_no_mpmath_call(self, monkeypatch):
+        # every attribute of None raises, and a None in sys.modules makes
+        # any import of mpmath fail
+        ref = _abab_reference(10 ** 5, 1)
+        monkeypatch.setattr(analysis, "mpmath", None, raising=False)
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        (value, bound), _, _ = _abab_series(G, 10 ** 5, 1, 1e-9)
+        assert abs(value - ref) <= bound <= 1e-9
+
+    def test_degree_past_the_euler_maclaurin_bound_raises(self):
+        # at r just below 4/5 a tolerance of 1e-120 needs a degree near
+        # 1150, past the 1025 - s - 23 values that the zeta pass covers
+        with pytest.raises(RangeError, match="Euler-Maclaurin"):
+            _abab_series(G, 819, 1, 1e-120)
 
     def test_memory_bounded_by_block(self):
         # a whole-cutoff array of 2*10^5 floats alone would take 1.6 MB
@@ -371,38 +404,57 @@ class TestAbabSeries:
             _abab_series(G, 1, 1, 1e-16)
 
 
-ZETA_GAMMAS = (G, Fraction(19, 27), Fraction(51, 100), Fraction(99, 100))
+# 40/53: float(4g - 1) is off by nearly half an ulp, so the rounding of the
+# exponent is most of the error and the bound is held close
+ZETA_GAMMAS = (G, Fraction(19, 27), Fraction(51, 100), Fraction(99, 100),
+               Fraction(40, 53))
 ZETA_STARTS = (1025, 2049, 200001)
 
 
 def _zeta_pass(g, start, count=40):
-    with mpmath.workdps(analysis._MP_DPS):
-        return list(islice(_hurwitz_zetas(4 * analysis._mp(g) - 1, start),
-                           count))
+    zetas, rho = _hurwitz_zetas(4 * g - 1, start, count)
+    # the proved bound stays a small multiple of u, so it cannot be inflated
+    assert 0 < rho < 64 * analysis._U
+    return zetas, rho
+
+
+def _scaled(zeta, start, k):
+    """start^k zeta, the value that the pass returns, at the caller's
+    precision."""
+    return zeta * mpmath.mpf(start) ** k
 
 
 class TestHurwitzZetas:
     @pytest.mark.parametrize("g", ZETA_GAMMAS)
     @pytest.mark.parametrize("start", ZETA_STARTS)
     def test_matches_reference(self, g, start):
-        zetas = _zeta_pass(g, start)
+        zetas, rho = _zeta_pass(g, start)
         with mpmath.workdps(30):
             s = 4 * series_reference._mp(g) - 1
             for k, z in enumerate(zetas):
-                ref = series_reference.hurwitz_zeta(s + k, start)
-                assert abs(z / ref - 1) < 1e-16, k
+                ref = _scaled(series_reference.hurwitz_zeta(s + k, start),
+                              start, k)
+                assert abs(z / ref - 1) <= rho, k
 
     @pytest.mark.parametrize("g", ZETA_GAMMAS)
     def test_matches_mpmath_zeta_at_200_digits(self, g):
         # at 50 digits mpmath.zeta is off by up to 3e-10 relative here (at
-        # 18 digits, as the series used it, by 5e-11 at start 1025, k = 17)
+        # 18 digits, as the series once used it, by 5e-11 at start 1025,
+        # k = 17)
         for start in ZETA_STARTS:
-            zetas = _zeta_pass(g, start)
+            zetas, rho = _zeta_pass(g, start)
             with mpmath.workdps(200):
                 s = 4 * series_reference._mp(g) - 1
                 for k in (0, 1, 5, 17, 39):
-                    ref = mpmath.zeta(s + k, start)
-                    assert abs(zetas[k] / ref - 1) < 1e-16, (start, k)
+                    ref = _scaled(mpmath.zeta(s + k, start), start, k)
+                    assert abs(zetas[k] / ref - 1) <= rho, (start, k)
+
+    def test_count_past_the_bound_raises(self):
+        # sigma + 24 <= start at every k: 1025 - 17/11 - 23 = 1000.45
+        s = 4 * G - 1
+        assert len(_hurwitz_zetas(s, 1025, 1000)[0]) == 1000
+        with pytest.raises(RangeError):
+            _hurwitz_zetas(s, 1025, 1001)
 
     def test_bernoulli_ratios_are_exact(self):
         ratios = list(islice(analysis._bernoulli_ratios(), 15))
@@ -646,10 +698,17 @@ class TestLoopEngines:
             assert (got_d == 0.0) == (want_d == 0.0) and got_d >= 0.0
 
     def test_moments_leave_numpy_ma_unimported(self):
-        # np.unique would import numpy.ma, about 20 ms of every process
+        # np.unique would import numpy.ma, about 20 ms of every process;
+        # mpmath is left for the sampler's rare interval branch
         code = (
             "import sys\n"
+            "def no_mpmath():\n"
+            "    return not [m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'mpmath']\n"
+            "import sidonlab\n"
+            "assert no_mpmath()\n"
             "from fractions import Fraction\n"
+            "from sidonlab.analysis import check_lemma_abab\n"
             "from sidonlab.analysis import exact_delta_Q, exact_expectation_Q\n"
             "from sidonlab.randommodel import SampleConfig\n"
             "from sidonlab.sidoncore import ruzsa_set\n"
@@ -660,7 +719,9 @@ class TestLoopEngines:
             "        for n in (1990, 5000):\n"
             "            exact_expectation_Q(n, cfg, engine)\n"
             "            exact_delta_Q(n, cfg, engine)\n"
-            "assert 'numpy.ma' not in sys.modules\n")
+            "assert 'numpy.ma' not in sys.modules\n"
+            "check_lemma_abab(Fraction(7, 11), [(10 ** 5, 1)])\n"
+            "assert no_mpmath()\n")
         src = str(Path(analysis.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120,
