@@ -930,6 +930,7 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
     trials share one pass over the model's blocks, which do not depend on
     the seed; each block goes through `_accept` once per trial seed, so
     every trial's sample is the one `sample_sequence` draws."""
+    (trials,) = _as_ints((trials,), "trials")
     if trials < 2:
         raise RangeError("trials must be at least 2")
     kind = str(kind).upper()

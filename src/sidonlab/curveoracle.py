@@ -188,6 +188,8 @@ def triple_rep_count(p: int, g: int, a: int, b: int,
     """Ordered triples (x1, x2, x3) in [0, p-1)^3 with exponent sum a mod p-1
     and power sum b mod p. distinct="pairwise" requires x1, x2, x3 pairwise
     different."""
+    if distinct not in ("none", "pairwise"):
+        raise RangeError(f"unknown distinct flag {distinct!r}")
     return sum(distinct != "pairwise" or len(set(t)) == 3
                for t in triple_reps(p, g, a, b))
 
@@ -200,6 +202,8 @@ def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
     inclusion-exclusion over the three coordinate equalities: each fixes a
     sum 2a + a', and all three together fix 3a.
     """
+    if distinct not in ("none", "pairwise"):
+        raise RangeError(f"unknown distinct flag {distinct!r}")
     elems = _flattened_graph(p, g)
     N = (p - 1) * p
     counts = convolution_profile_array(elems, 3, N)
@@ -232,6 +236,7 @@ def hasse_gap(params: CurveParams) -> int:
 
 def hasse_slack(p: int) -> int:
     """Testing tolerance for |hasse_gap|: 2*ceil(sqrt(p)) + 4."""
+    (p,) = _as_ints((p,), "p")
     r = isqrt(p)
     if r * r != p:
         r += 1
@@ -312,6 +317,7 @@ def dyadic_box_coverage(cloud: TorusCloud, k: int) -> tuple[int, int]:
     A box is the product of four dyadic intervals; a point lands in the box
     whose index is floor(coord * 2^k) on each axis (exact rational floor).
     """
+    (k,) = _as_ints((k,), "k")
     if k < 0:
         raise RangeError(f"need k >= 0, got {k}")
     scale = 1 << k

@@ -19,8 +19,8 @@ clears t by the proved margin `_margin`, which assumes that `pow` (libm
 for a scalar, `np.power` for an array) is within 4 ulps of the exact power
 of its float arguments. Inside the margin the decision is made in integers,
 k^q x^p < 2^(53 q) for gamma = p/q, or for large q from the sign of
-q log k + p log x - 53 q log 2 in interval arithmetic. So a seeded sample
-does not depend on the platform's `pow`.
+q ln k + p ln x - 53 q ln 2 in correctly rounded `decimal` logarithms. So
+a seeded sample does not depend on the platform's `pow`.
 
 The rule has one implementation, `_accept` on a block of candidates;
 `contains` runs it on a block of one. The tests pin it bit for bit to an
@@ -29,6 +29,7 @@ independent scalar oracle in Python integers.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import json
 import math
@@ -173,29 +174,28 @@ def _margin(t, x, gamma: float):
 
 
 def _exact_accept(k: int, x: int, gamma: Fraction) -> bool:
-    """u < x^-gamma for u = k 2^-53 and gamma = p/q, in exact arithmetic:
-    k^q x^p < 2^(53 q)."""
+    """u < x^-gamma for u = k 2^-53 and gamma = p/q, exactly: k^q x^p <
+    2^(53 q). Equality needs k and x powers of two; past that case the
+    sign of D = q ln k + p ln x - 53 q ln 2 decides. `Decimal.ln` is
+    correctly rounded, so at `digits` significant digits ln v (0 or > 1/10)
+    times 10^digits is an integer within 5 ln v <= 4 log2 v of exact, D' from
+    them within 4 (q bitlen k + p bitlen x + 53 q) of 10^digits D; past
+    that D' has D's sign, and doubling `digits` gets there as D != 0."""
     p, q = gamma.numerator, gamma.denominator
     if k == 0:
         return True
     if 53 * q + p * x.bit_length() <= _EXACT_BITS:
         return k ** q * x ** p < 1 << (53 * q)
-    # k^q x^p = 2^(53 q) needs k and x to be powers of two; otherwise the
-    # difference of logarithms is nonzero and an interval at rising
-    # precision settles its sign
     if k & (k - 1) == 0 and x & (x - 1) == 0:
         return q * (k.bit_length() - 1) + p * (x.bit_length() - 1) < 53 * q
-    # imported here, so that only this rare branch loads mpmath
-    from mpmath.ctx_iv import MPIntervalContext
-    ctx = MPIntervalContext()
-    ctx.prec = 64
+    digits = 40
     while True:
-        d = q * ctx.log(k) + p * ctx.log(x) - 53 * q * ctx.log(2)
-        if d.b < 0:
-            return True
-        if d.a > 0:
-            return False
-        ctx.prec *= 2
+        ctx = decimal.Context(prec=digits)
+        lk, lx, l2 = (int(ctx.scaleb(ctx.ln(v), digits)) for v in (k, x, 2))
+        d = q * lk + p * lx - 53 * q * l2
+        if abs(d) > 4 * (q * k.bit_length() + p * x.bit_length() + 53 * q):
+            return d < 0
+        digits *= 2
 
 
 def contains(config: SampleConfig, x: int) -> bool:

@@ -270,6 +270,7 @@ def convolution_profile_array(setlike, h: int, modulus: Optional[int] = None) ->
     later folds are shift-adds of the indicator. No floating point anywhere.
     """
     elems, modulus = _coerce_elements(setlike, "cyclic", modulus)
+    (h,) = _as_ints((h,), "h")
     if h < 1:
         raise RangeError(f"need h >= 1, got {h}")
     n = len(elems)
@@ -305,6 +306,7 @@ def rep_profile(setlike, h: int, mode: str = "cyclic",
         raise RangeError(f"unknown convention {convention!r}")
     if distinct not in ("none", "pairwise"):
         raise RangeError(f"unknown distinct flag {distinct!r}")
+    (h,) = _as_ints((h,), "h")
     if h < 1:
         raise RangeError(f"need h >= 1, got {h}")
     elems, modulus = _coerce_elements(setlike, mode, modulus)

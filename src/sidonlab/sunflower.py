@@ -108,6 +108,7 @@ def set_h_embed(vector) -> frozenset[int]:
 def find_classical_sunflower(sets, k: int):
     """(core, k petal sets) with pairwise intersections exactly the core,
     or None; never None for families larger than h!(k-1)^h."""
+    (k,) = _as_ints((k,), "k")
     if k < 1:
         raise RangeError("k must be >= 1")
     family = sorted({frozenset(s) for s in sets}, key=sorted)

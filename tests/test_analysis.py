@@ -699,7 +699,8 @@ class TestLoopEngines:
 
     def test_moments_leave_numpy_ma_unimported(self):
         # np.unique would import numpy.ma, about 20 ms of every process;
-        # mpmath is left for the sampler's rare interval branch
+        # mpmath is a test dependency only, the sampler's logarithm branch
+        # included
         code = (
             "import sys\n"
             "def no_mpmath():\n"
@@ -721,6 +722,9 @@ class TestLoopEngines:
             "            exact_delta_Q(n, cfg, engine)\n"
             "assert 'numpy.ma' not in sys.modules\n"
             "check_lemma_abab(Fraction(7, 11), [(10 ** 5, 1)])\n"
+            "assert no_mpmath()\n"
+            "from sidonlab.randommodel import _exact_accept\n"
+            "_exact_accept(2 ** 52 - 1, 3, Fraction(1, 10 ** 6))\n"
             "assert no_mpmath()\n")
         src = str(Path(analysis.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code],
@@ -844,6 +848,12 @@ class TestMonteCarlo:
             monte_carlo_family_mean("U2", [30.9], master_seed=7, **kw)
         with pytest.raises(RangeError):
             monte_carlo_family_mean("U2", [30], master_seed=7.8, **kw)
+        # trials = 3.0 used to raise TypeError
+        with pytest.raises(RangeError):
+            monte_carlo_family_mean("U2", [30], CFG5, 40, trials=3.0)
+        assert monte_carlo_family_mean("U2", [30], CFG5, 40,
+                                       trials=np.int64(3)) \
+            == monte_carlo_family_mean("U2", [30], CFG5, 40, trials=3)
         table = monte_carlo_family_mean("U2", np.array([30]),
                                         master_seed=np.int64(7), **kw)
         assert table == monte_carlo_family_mean("U2", [30], master_seed=7,

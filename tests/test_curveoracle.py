@@ -81,6 +81,23 @@ def test_triple_rep_count_reads_integers_only():
         triple_rep_count(13, 2, 2.0, 3)
     assert triple_rep_count(13, 2, np.int64(2), np.int64(3)) \
         == triple_rep_count(13, 2, 2, 3)
+    # p and k as floats used to raise TypeError
+    with pytest.raises(RangeError):
+        hasse_slack(13.0)
+    assert hasse_slack(np.int64(13)) == hasse_slack(13)
+    cloud = torus_points(QuadricParams(7, 0, 1))
+    with pytest.raises(RangeError):
+        dyadic_box_coverage(cloud, 1.0)
+    assert dyadic_box_coverage(cloud, np.int64(1)) \
+        == dyadic_box_coverage(cloud, 1)
+
+
+def test_triple_rep_distinct_flag():
+    # an unknown flag used to count as "none"
+    with pytest.raises(RangeError):
+        triple_rep_count(13, 2, 2, 3, distinct="bogus")
+    with pytest.raises(RangeError):
+        triple_rep_table(13, 2, distinct="bogus")
 
 
 def test_curve_params_validation():

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -259,17 +261,42 @@ class TestExactRule:
             assert tuple(x for x in range(1, h + 1) if contains(cfg, x)) == want
 
     def test_large_denominator_fallback(self, monkeypatch):
-        free = SampleConfig(gamma="1/1000000", m=0, modulus=1, residues=(0,),
-                            seed=9)
-        want = sample_sequence(free, 50).elements
+        # gamma = 10^-6 keeps every x <= 50; gamma near 1/2 drops most
+        frees = [SampleConfig(gamma=g, m=0, modulus=1, residues=(0,), seed=9)
+                 for g in ("1/1000000", "499999/1000000")]
+        want = [sample_sequence(free, 50).elements for free in frees]
+        assert len(want[0]) == 50 and 0 < len(want[1]) < 25
         monkeypatch.setattr(randommodel, "_margin", lambda t, x, gamma: 1.0)
-        assert sample_sequence(free, 50).elements == want
+        assert [sample_sequence(free, 50).elements for free in frees] == want
+        # the logarithm branch needs no mpmath
+        for name in ["mpmath"] + [m for m in sys.modules
+                                  if m.startswith("mpmath.")]:
+            monkeypatch.setitem(sys.modules, name, None)
+        assert [sample_sequence(free, 50).elements for free in frees] == want
 
     def test_log_comparison_matches_integers(self, monkeypatch):
         cases = [(0, 5, Fraction(7, 11)), (1, 1, Fraction(3)),
                  (2 ** 52, 1, Fraction(1)), (2 ** 52 - 1, 2, Fraction(1)),
                  (2 ** 52, 2, Fraction(1)), (2 ** 51, 4, Fraction(1)),
                  (2 ** 26, 2 ** 54, Fraction(1, 2))]
+        # k^q x^p = 2^(53 q) (1 +- 2^-q): the logarithms settle the sign only
+        # after doubling their precision
+        for k, p, q in ((2 ** 52, 1, 300), (2 ** 52, 1, 2000),
+                        (2 ** 51, 2, 1001)):
+            e = (54 - k.bit_length()) * q // p
+            cases += [(k, 2 ** e + 1, Fraction(p, q)),
+                      (k, 2 ** e - 1, Fraction(p, q))]
+        # band cases: k within 3 of floor(2^53 x^-gamma), x up to 2^63
+        rng = random.Random(17)
+        for q in (11, 27, 1000, 3000):
+            for _ in range(6):
+                p = rng.randrange(1, q)
+                while math.gcd(p, q) != 1:
+                    p = rng.randrange(1, q)
+                x = rng.randrange(2, 1 << rng.randrange(2, 64))
+                k0 = int(2.0 ** 53 * float(x) ** (-p / q))
+                cases += [(k, x, Fraction(p, q))
+                          for k in range(max(0, k0 - 3), min(k0 + 4, 2 ** 53))]
         for gamma in (Fraction(1, 1000), Fraction(3, 1000)):
             for k in (2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 3 * 2 ** 50):
                 for e in (998, 999, 1000, 1001):

@@ -136,6 +136,15 @@ def test_is_sidon_reads_integers_only():
     assert s == ModSet(20, (1, 3, 7))
     assert type(s.modulus) is int
     assert all(type(e) is int for e in s.elements)
+    # h = 2.0 used to raise TypeError
+    for h in (2.0, 2.5):
+        with pytest.raises(RangeError):
+            convolution_profile_array(s, h)
+        with pytest.raises(RangeError):
+            rep_profile(s, h)
+        with pytest.raises(RangeError):
+            basis_order_check(s, h)
+    assert rep_profile(s, np.int64(2)) == rep_profile(s, 2)
 
 
 def test_is_sidon_witness_matches_dict_scan():

@@ -232,6 +232,11 @@ class TestVectorial:
         with pytest.raises(RangeError):
             find_vectorial_sunflower(DISPLAY, 3.5)
         assert find_vectorial_sunflower(DISPLAY, np.int64(4)) == cert
+        # classical k = 2.0 used to raise TypeError
+        with pytest.raises(RangeError):
+            find_classical_sunflower([{1, 2}, {3, 4}], 2.0)
+        assert find_classical_sunflower([{1, 2}, {3, 4}], np.int64(2)) \
+            == find_classical_sunflower([{1, 2}, {3, 4}], 2)
         with pytest.raises(RangeError):
             cert.verify([(7.5, 7, 1, 13, 8)] + list(DISPLAY[1:]))
         # set_h_embed used to read (1.5, 2.7) as (1, 2)
