@@ -55,7 +55,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .deletionlab import _MODULUS_KINDS, FamilySpec, _family_size
+from .deletionlab import FamilySpec, _family, _family_size
 from .numbertheory import RangeError, _as_ints, _int_fields
 from .randommodel import SampleConfig, _accept, _as_fraction, _blocks
 
@@ -933,8 +933,8 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
     (trials,) = _as_ints((trials,), "trials")
     if trials < 2:
         raise RangeError("trials must be at least 2")
-    kind = str(kind).upper()
-    modulus = cfg.modulus if kind in _MODULUS_KINDS else 1
+    kind, family = _family(kind)
+    modulus = cfg.modulus if family.modulus else 1
     specs = [FamilySpec(kind=kind, target=t, modulus=modulus,
                         epsilon=epsilon) for t in targets]
     base = cfg.seed if master_seed is None else \

@@ -56,7 +56,6 @@ __all__ = [
     "destruction_audit",
 ]
 
-_MODULUS_KINDS = frozenset({"Q", "T", "B"})  # the kinds that read the modulus
 _BITMAP_LIMIT = 1 << 24     # entries of `_q_count`'s pair-sum bitmap
 _BLOCK_PAIRS = 1 << 16      # pair sums per block of `_q_count`
 
@@ -82,17 +81,14 @@ class FamilySpec:
     epsilon: Optional[Fraction] = None
 
     def __post_init__(self):
-        kind = str(self.kind).upper()
-        if kind not in _FAMILIES:
-            raise UnsupportedKind(f"unknown family kind {self.kind!r}")
+        kind, family = _family(self.kind)
         object.__setattr__(self, "kind", kind)
         _int_fields(self, "target", "modulus")
         if self.modulus < 1:
             raise RangeError("modulus must be >= 1")
-        if self.modulus != 1 and kind not in _MODULUS_KINDS:
+        if self.modulus != 1 and not family.modulus:
             raise RangeError(f"kind {kind} does not take a modulus")
-        needs_eps = kind in ("R", "B")
-        if needs_eps:
+        if family.epsilon:
             if self.epsilon is None:
                 raise RangeError(f"kind {kind} requires epsilon")
             eps = _as_fraction(self.epsilon)
@@ -129,8 +125,7 @@ class VectorFamily:
 
     @property
     def convention(self) -> str:
-        # Q/R members are canonical sorted sets; the rest are genuinely ordered
-        return "unordered-sets" if self.spec.kind in ("Q", "R") else "ordered-tuples"
+        return _FAMILIES[self.spec.kind].convention
 
     def __len__(self):
         return len(self.members)
@@ -148,7 +143,7 @@ class VectorFamily:
     def to_json_lines(self) -> str:
         meta = {"kind": self.spec.kind, "target": self.spec.target,
                 "convention": self.convention}
-        if self.spec.kind in _MODULUS_KINDS:
+        if _FAMILIES[self.spec.kind].modulus:
             meta["modulus"] = self.spec.modulus
         if self.spec.epsilon is not None:
             meta["epsilon"] = str(self.spec.epsilon)
@@ -172,7 +167,6 @@ def _ordered_pairs_by_sum(A):
 
 def _q_members(A, spec):
     n, N = spec.target, spec.modulus
-    out = []
     aset = set(A)
     for i, x1 in enumerate(A):
         if 3 * x1 >= n:
@@ -183,17 +177,13 @@ def _q_members(A, spec):
                 break
             if x3 not in aset:
                 continue
-            if N > 1:
-                r1, r2, r3 = x1 % N, x2 % N, x3 % N
-                if r1 == r2 or r1 == r3 or r2 == r3:
-                    continue
-            out.append((x1, x2, x3))
-    return out
+            if N > 1 and len({x1 % N, x2 % N, x3 % N}) < 3:
+                continue
+            yield (x1, x2, x3)
 
 
 def _r_members(A, spec):
     n, eps = spec.target, spec.epsilon
-    out = []
     aset = set(A)
     for i, x1 in enumerate(A):
         if not _leq_power(x1, n, eps):
@@ -206,8 +196,7 @@ def _r_members(A, spec):
                 if x4 <= x3:
                     break
                 if x4 in aset:
-                    out.append((x1, x2, x3, x4))
-    return out
+                    yield (x1, x2, x3, x4)
 
 
 def _t_members(A, spec):
@@ -223,96 +212,54 @@ def _t_members(A, spec):
         return [(x5, x6, x7, x8) for x5, x6 in pool if {x5, x6} != p14
                 for x7, x8 in pool if {x7, x8} != {x5, x6}]
 
-    out = []
     for triple in _q_members(A, spec):
         for x1, x2, x3 in permutations(triple):
             for x4 in A:
-                head = (x1, x2, x3, x4)
-                out.extend([head + t for t in tails(x1, x4)])
-    return out
+                yield from map((x1, x2, x3, x4).__add__, tails(x1, x4))
 
 
 def _b_members(A, spec):
     N = spec.modulus
     idx = _ordered_pairs_by_sum(A)
-    out = []
     for quad in _r_members(A, spec):
         for prefix in permutations(quad):
             x1 = prefix[0]
             for x5 in A:
                 p15 = {x1, x5}
                 for x6, x7 in idx[x1 + x5]:
-                    if (x6 - x1) % N or (x7 - x5) % N:
-                        continue
-                    if {x6, x7} == p15:
-                        continue
-                    out.append(prefix + (x5, x6, x7))
-    return out
+                    if not ((x6 - x1) % N or (x7 - x5) % N or {x6, x7} == p15):
+                        yield prefix + (x5, x6, x7)
 
 
 def _u2_members(A, spec):
     r, aset = spec.target, set(A)
-    return [(u, r - u) for u in A if r - u in aset and r - u != u]
+    return ((u, r - u) for u in A if r - u in aset and r - u != u)
 
 
 def _v2_members(A, spec):
     r, aset = spec.target, set(A)
-    return [(v + r, v) for v in A if v + r in aset and r != 0]
+    return ((v + r, v) for v in A if v + r in aset and r != 0)
 
 
 def _triple_members(A, spec, sign):
     """U3 (sign 1, x1 + x2 + x3 = r) and V3 (sign -1, x1 + x2 - x3 = r)."""
     r, aset = spec.target, set(A)
-    out = []
     for x1 in A:
         for x2 in A:
             x3 = sign * (r - x1 - x2)
             if x3 in aset and x1 != x2 and x1 != x3 and x2 != x3:
-                out.append((x1, x2, x3))
-    return out
+                yield (x1, x2, x3)
 
 
 def _w_members(A, spec):
     r = spec.target
     idx = _ordered_pairs_by_sum(A)
-    out = []
     for x4 in A:
         pool = idx[r + x4]
         for x5, x6 in pool:
             for x7, x8 in pool:
                 if len({x4, x5, x6, x7, x8}) == 5:
-                    out.append((x4, x5, x6, x7, x8))
-    return out
-
-
-class _Family(NamedTuple):
-    arity: int
-    build: Callable  # (sorted elements, spec) -> list of member tuples
-
-
-# the one list of family kinds, in the order the CLI offers them
-_FAMILIES = {
-    "Q": _Family(3, _q_members),
-    "R": _Family(4, _r_members),
-    "T": _Family(8, _t_members),
-    "B": _Family(7, _b_members),
-    "U2": _Family(2, _u2_members),
-    "U3": _Family(3, partial(_triple_members, sign=1)),
-    "V2": _Family(2, _v2_members),
-    "V3": _Family(3, partial(_triple_members, sign=-1)),
-    "W": _Family(5, _w_members),
-}
-
-
-def _family_size(A, spec: FamilySpec) -> int:
-    """len(enumerate_family(A, spec)), the one place the audits and Monte
-    Carlo count a family: Q by `_q_count` without building a member, every
-    other kind as the length of its builder's list, neither copied nor
-    validated."""
-    A = _coerce(A)
-    if spec.kind == "Q":
-        return _q_count(A, spec)
-    return len(_FAMILIES[spec.kind].build(A, spec))
+                    yield (x4, x5, x6, x7, x8)
 
 
 def _q_count(A, spec) -> int:
@@ -326,15 +273,15 @@ def _q_count(A, spec) -> int:
     Congruent means mod N, or equal when N is 1. Members stop at n - 3,
     so A does too; each pair sum x1 + x2 is then looked up in a bitmap of
     n - A, a block of rows at a time so that memory stays bounded. A set
-    whose bitmap would pass _BITMAP_LIMIT entries is counted by the
-    builder."""
+    whose bitmap would pass _BITMAP_LIMIT entries counts the builder's
+    stream instead."""
     n, N = spec.target, spec.modulus
     A = A[:bisect_right(A, n - 3)]
     if len(A) < 3 or 3 * A[-1] < n:
         return 0
     top = 2 * A[-1]
     if top >= _BITMAP_LIMIT:
-        return len(_q_members(A, spec))
+        return sum(1 for _ in _q_members(A, spec))
     a = np.array(A, dtype=np.int64)
     third = n - a
     hit = np.zeros(top + 1, dtype=bool)             # hit[u]: n - u in A
@@ -356,11 +303,57 @@ def _q_count(A, spec) -> int:
     return int(t - 3 * c + 2 * d) // 6
 
 
+class _Family(NamedTuple):
+    arity: int
+    build: Callable  # (sorted elements, spec) -> stream of member tuples
+    count: Optional[Callable] = None  # counts without building, if given
+    modulus: bool = False  # reads the modulus; other kinds take only 1
+    epsilon: bool = False  # requires epsilon; other kinds take none
+    convention: str = "ordered-tuples"
+
+
+# the one table of family kinds, in the order the CLI offers them; Q/R
+# members are canonical sorted sets, the rest are genuinely ordered
+_FAMILIES = {
+    "Q": _Family(3, _q_members, _q_count, modulus=True,
+                 convention="unordered-sets"),
+    "R": _Family(4, _r_members, epsilon=True, convention="unordered-sets"),
+    "T": _Family(8, _t_members, modulus=True),
+    "B": _Family(7, _b_members, modulus=True, epsilon=True),
+    "U2": _Family(2, _u2_members),
+    "U3": _Family(3, partial(_triple_members, sign=1)),
+    "V2": _Family(2, _v2_members),
+    "V3": _Family(3, partial(_triple_members, sign=-1)),
+    "W": _Family(5, _w_members),
+}
+
+
+def _family(kind) -> tuple[str, _Family]:
+    """The kind upper-cased and its row of _FAMILIES."""
+    key = str(kind).upper()
+    if key not in _FAMILIES:
+        raise UnsupportedKind(f"unknown family kind {kind!r}")
+    return key, _FAMILIES[key]
+
+
+def _family_size(A, spec: FamilySpec) -> int:
+    """len(enumerate_family(A, spec)), the one place the audits and Monte
+    Carlo count a family: by the kind's counter where it has one (Q, from
+    pair sums), else by counting its builder's stream, whose members are
+    neither kept nor validated."""
+    A = _coerce(A)
+    family = _FAMILIES[spec.kind]
+    if family.count:
+        return family.count(A, spec)
+    return sum(1 for _ in family.build(A, spec))
+
+
 def enumerate_family(A, spec: FamilySpec) -> VectorFamily:
-    """All tuples over A meeting the spec's defining conditions; Q/R come
-    out as sorted sets, everything else as ordered tuples."""
-    members = _FAMILIES[spec.kind].build(_coerce(A), spec)
-    return VectorFamily(spec=spec, members=tuple(members))
+    """All tuples over A meeting the spec's defining conditions, in the
+    order the kind's builder yields them; Q/R come out as sorted sets,
+    everything else as ordered tuples."""
+    members = tuple(_FAMILIES[spec.kind].build(_coerce(A), spec))
+    return VectorFamily(spec=spec, members=members)
 
 
 def _pair_sets_by_sum(A):

@@ -133,6 +133,7 @@ class SampleConfig:
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a 64-bit bijective scrambler."""
+    (z,) = _as_ints((z,), "mix64 input")
     z &= _MASK
     z ^= z >> 30
     z = (z * _MIX1) & _MASK
@@ -145,6 +146,7 @@ def mix64(z: int) -> int:
 def uniform_unit(seed: int, x: int) -> float:
     """Deterministic uniform in [0, 1) for the pair (seed, x): top 53 bits
     of the scrambled counter."""
+    seed, x = _as_ints((seed, x), "seed and x")
     return (mix64(seed + x * _GOLDEN) >> 11) * 2.0 ** -53
 
 

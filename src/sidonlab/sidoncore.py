@@ -105,8 +105,11 @@ class ModSet:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("mod "):
             raise RangeError("expected first line 'mod N'")
-        modulus = int(lines[0][4:])
-        return cls(modulus=modulus, elements=tuple(int(ln) for ln in lines[1:]))
+        try:
+            modulus, *elements = map(int, [lines[0][4:]] + lines[1:])
+        except ValueError as exc:
+            raise RangeError(f"ModSet text must hold integers: {exc}") from exc
+        return cls(modulus=modulus, elements=tuple(elements))
 
 
 @dataclass(frozen=True)
@@ -183,9 +186,9 @@ def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
         if len(set(elems)) != len(elems):
             raise RangeError("elements must be distinct")
     if mode == "cyclic":
-        if modulus is None or modulus < 1:
+        (modulus,) = _as_ints((0 if modulus is None else modulus,), "modulus")
+        if modulus < 1:
             raise RangeError("cyclic mode needs a modulus >= 1")
-        (modulus,) = _as_ints((modulus,), "modulus")
         elems = [e % modulus for e in elems]
         if len(set(elems)) != len(elems):
             raise RangeError("elements collide after reduction mod modulus")

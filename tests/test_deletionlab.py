@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import brute_scans as brute
 import numpy as np
@@ -238,7 +242,7 @@ class TestEnumerate:
 class TestQCount:
     """`_family_size` counts Q from pair sums, without building members."""
 
-    @pytest.mark.parametrize("N", [1, 5, 156])
+    @pytest.mark.parametrize("N", [1, 5, 156, 7])
     def test_equals_builder_on_seeded_sets(self, N):
         rng = random.Random(20261019 + N)
         for _ in range(150):
@@ -246,7 +250,25 @@ class TestQCount:
             A = rng.sample(range(1, top), rng.randrange(min(top - 1, 80)))
             n = rng.randrange(1, 3 * top)
             spec = FamilySpec("Q", n, modulus=N)
-            assert _family_size(A, spec) == len(_q_members(sorted(A), spec))
+            stream = _q_members(sorted(A), spec)
+            assert _family_size(A, spec) == sum(1 for _ in stream)
+        # every builder streams its members in one fixed order, ascending
+        # tuples (T and B grouped by the set of their Q or R head first),
+        # and enumerate_family keeps that order
+        A = rng.sample(range(1, 40), 14)
+        for kind, family in deletionlab._FAMILIES.items():
+            head = {"T": 3, "B": 4}.get(kind, 0)
+            sizes = []
+            for n in (12, 40):
+                spec = FamilySpec(kind, n, modulus=N if family.modulus else 1,
+                                  epsilon="1/2" if family.epsilon else None)
+                stream = tuple(family.build(sorted(A), spec))
+                assert enumerate_family(A, spec).members == stream
+                assert list(stream) == sorted(
+                    stream, key=lambda t: (sorted(t[:head]), t))
+                sizes.append(len(stream))
+            # T and B need congruent pairs, which mod 156 means equal ones
+            assert any(sizes) or (head and N == 156)
 
     @pytest.mark.parametrize("N", [1, 5, 156])
     @pytest.mark.parametrize("A,n", [
@@ -404,6 +426,29 @@ class TestAudit:
         with pytest.raises(RangeError, match="does not take epsilon"):
             destruction_audit(range(1, 10), 12, mode="b22", epsilon="1/2")
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KB on Linux only")
+    @pytest.mark.parametrize("spec,size", [
+        ("FamilySpec('T', 30)", 9_215_532),
+        ("FamilySpec('B', 60, modulus=7, epsilon=Fraction(1, 2))", 2_137_428),
+    ], ids=["T", "B"])
+    def test_obstruction_counts_in_bounded_memory(self, spec, size):
+        # the obstruction families of `audit destruction` on 1..39; a list
+        # of their members took 1,158 MB (T) and 246 MB (B)
+        code = ("import resource\n"
+                "from fractions import Fraction\n"
+                "from sidonlab.deletionlab import FamilySpec, _family_size\n"
+                f"print(_family_size(range(1, 40), {spec}),\n"
+                "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(deletionlab.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        count, kb = map(int, done.stdout.split())
+        assert count == size
+        assert kb < 200 * 1024
+
 
 class TestFamilyType:
     def test_container_and_convention(self):
@@ -413,6 +458,10 @@ class TestFamilyType:
         q = enumerate_family({1, 2, 3}, FamilySpec("Q", 6))
         assert q.convention == "unordered-sets"
         assert q.arity == 3 and fam.arity == 2
+        for kind, convention in (("R", "unordered-sets"),
+                                 ("B", "ordered-tuples")):
+            spec = FamilySpec(kind, 20, epsilon="1/2")
+            assert enumerate_family(range(1, 10), spec).convention == convention
 
     def test_membership_is_cached(self):
         fam = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))
