@@ -5,10 +5,12 @@ Two families of finite/infinite sums drive every expectation estimate:
     sigma(n; m) = sum over x, y > m, x + y = n of x^-alpha y^-beta
     tau(n; m)   = sum over x, y > m, x - y = n of x^-alpha y^-beta
 
-sigma is a finite sum, taken in bounded blocks into one correctly rounded
-fsum; tau is an infinite one and is evaluated with a certified tail:
-partial sum to a cutoff plus an integral sandwich, both in float64, the
-sandwich's integrals as a positive hypergeometric series. The reported
+sigma is a finite sum, taken in bounded blocks, each split exactly into a
+few floats, into one correctly rounded fsum; tau is an infinite one and is
+evaluated with a certified tail: partial sum to a cutoff of at least 1024
+(whatever n is) plus an integral sandwich, both in float64, the sandwich's
+integrals as positive series, hypergeometric from n on and one in
+t / (t + n) below n / 3. The reported
 error bound (sandwich half-width plus a proved rounding bound) is
 guaranteed below the requested tolerance, and the crude closed-form majorant
 X^(1-alpha-beta)/(alpha+beta-1) for the discarded tail is reported
@@ -32,11 +34,13 @@ clustering term controlling lower-tail concentration, are computed exactly
 by two engines that return the same rows: for each first element, the
 weight of its kept pairs (and, for the clustering term, their count and
 squared weight). The loop sums them by direct convolutions, class pair by
-class pair or as all pairs less the dropped ones (a row that cancels is
-summed directly); the transform by inclusion-exclusion over forbidden
+class pair or as all pairs less the dropped ones, whose convolution makes
+only the entries that a row reads (a row that cancels is summed
+directly); the transform by inclusion-exclusion over forbidden
 congruences on FFT convolutions. Each moment is finished from the rows in
-one place, with exact zeros where no second pair is kept. "auto" picks the
-loop up to n = 4096; both give exactly 0 where no admissible triple
+one place, with exact zeros where no second pair is kept, and the Janson
+table takes both moments from one pass of rows per target. "auto" picks
+the loop up to n = 4096; both give exactly 0 where no admissible triple
 exists: below 3m + 6, or where no three distinct residue classes reach n
 with members that fit.
 Monte Carlo shadows of the remaining families reuse the counter-based
@@ -122,13 +126,40 @@ def sigma(spec: SumSpec) -> float:
 
     def block(start):
         xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
-        powers = np.power(np.stack((xs, n - xs)), [[-a], [-b]])
-        terms = powers[0] * powers[1]
+        terms = np.power(xs, -a)
+        terms *= np.power(n - xs, -b)
         if a == b:
             terms *= np.where(2 * xs < n, 2.0, 1.0)
-        return terms.tolist()
+        return _exact_parts(terms)
 
     return math.fsum(chain.from_iterable(map(block, range(lo, hi + 1, _BLOCK))))
+
+
+def _exact_parts(terms: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is that of the terms, so that their
+    fsum is the terms' fsum, bit for bit, at a fraction of its time.
+
+    With every |t| < 2^E and fewer than 2^L terms, adding and subtracting
+    1.5 2^(k+52), k = E + L - 52, rounds each t exactly to a multiple h of
+    2^k (|t| <= 2^(k+51)), and t - h is exact: at most 2^(k-1), and a
+    multiple of ulp(t). The partial sums of the h are multiples of 2^k
+    below 2^L (2^E + 2^(k-1)) <= 2^(k+53), so np.sum adds them exactly in
+    any order. The remainders t - h, below 2^(E+L-53), go round again
+    until they are all 0; k stops at -1074, where every float is a
+    multiple of 2^k and the remainders vanish. Terms that are not finite
+    or not below 2^960 are returned as they are."""
+    parts = []
+    while True:
+        top = float(np.abs(terms).max(initial=0.0))
+        if top == 0.0:
+            return parts
+        if not top < 2.0 ** 960:
+            return parts + terms.tolist()
+        k = max(math.frexp(top)[1] + len(terms).bit_length() - 52, -1074)
+        big = math.ldexp(1.5, k + 52)
+        high = (terms + big) - big
+        parts.append(float(high.sum()))
+        terms = terms - high
 
 
 @dataclass(frozen=True)
@@ -142,24 +173,27 @@ class TauResult:
 
 
 # --- proved rounding bounds -------------------------------------------------
-# The bounds below assume that each float64 power (`np.power` or `**`) is
-# within _POW_ULPS ulps of the exact power of its arguments, and nothing
-# more. tau's tail integrals and the tail of the abab series are float
-# series whose truncation and roundings are bounded in `_tau_tail_rel_error`
-# and `_abab_series`; the Hurwitz zeta values of `_hurwitz_zetas` stop their
-# Euler-Maclaurin sum below 2^-63 of the value (the remainder is at most the
-# first omitted term) and count every rounding of the pass. The rest is IEEE
-# arithmetic with unit roundoff u: a correctly rounded math.fsum, and
-# Higham's gamma_k = k u / (1 - k u) for a sum of k + 1 terms or a dot
-# product of k terms, in any order and with or without fused multiply-adds
-# (Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1
-# and 4.2). _SAFETY absorbs the few roundings of the bound's own arithmetic.
+# The bounds below assume that each float64 power (`np.power` or `**`),
+# `math.log` and `math.expm1` is within _POW_ULPS ulps of the exact function
+# of its arguments, and nothing more. tau's tail integrals and the tail of
+# the abab series are float series whose truncation and roundings are
+# bounded in `_tau_tail_rel_error` and `_abab_series`; the Hurwitz zeta
+# values of `_hurwitz_zetas` stop their Euler-Maclaurin sum below 2^-63 of
+# the value (the remainder is at most the first omitted term) and count
+# every rounding of the pass. The rest is IEEE arithmetic with unit
+# roundoff u: a correctly rounded math.fsum, and Higham's
+# gamma_k = k u / (1 - k u) for a sum of k + 1 terms or a dot product of k
+# terms, in any order and with or without fused multiply-adds (Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 4.2).
+# _SAFETY absorbs the few roundings of the bound's own arithmetic.
 
 _U = 2.0 ** -53
 _POW_ULPS = 4
 _EM_TERMS = 12
 _BLOCK = 1 << 12
+_CONV_BLOCK = 1 << 9
 _TAIL_TERMS = 62
+_HEAD_TERMS = 58
 _SAFETY = 1 + 2.0 ** -20
 
 
@@ -239,18 +273,25 @@ def _tail_exponents(a, b) -> tuple[float, float]:
 
 
 def _tau_tail_integral(n: int, a, b, c) -> float:
-    """The integral over t > c of t^-b (t+n)^-a, a + b > 1, 0 < b < 1.
+    """The integral over t > c of t^-b (t+n)^-a, a + b > 1, 0 < b < 1, for
+    a start c in [1, n/3] or at n or later, with c + n <= 2^52.
 
-    It is n^(1-a-b) B(s; p, 1-b) with p = a + b - 1 and s = n / (c + n),
-    which is (c + n)^-p times the positive series sum over k of
-    (b)_k / k! s^k / (p + k). Every tail that tau asks for starts at
-    c >= n, so s <= 1/2, and each term is below s times the one before:
-    the remainder after a term is at most that term. The sum stops at the
-    first term below 2^-60 of the sum so far. c + n <= 2^52 keeps c + n
-    exact; `_tau_tail_rel_error` bounds the rest of the rounding."""
-    if not n <= c <= 2 ** 52 - n:
-        raise RangeError("the tail must start in [n, 2^52 - n]")
-    p, b = _tail_exponents(a, b)
+    From c >= n it is n^(1-a-b) B(s; p, 1-b) with p = a + b - 1 and
+    s = n / (c + n), which is (c + n)^-p times the positive series sum over
+    k of (b)_k / k! s^k / (p + k). There s <= 1/2, and each term is below
+    s times the one before: the remainder after a term is at most that
+    term. The sum stops at the first term below 2^-60 of the sum so far.
+    From c <= n/3 it is the integral from c to n, n^-p times
+    `_tau_head_series`, plus the one from n. c + n <= 2^52 keeps c + n
+    exact for the integer and half-integer starts that tau asks for;
+    `_tau_tail_rel_error` bounds the rest of the rounding."""
+    if not (1 <= c and 3 * c <= n or n <= c) or c + n > 2 ** 52:
+        raise RangeError("the tail must start in [1, n/3] or at n or "
+                         "later, with c + n <= 2^52")
+    p, bf = _tail_exponents(a, b)
+    if c < n:
+        return (n ** -p * _tau_head_series(n, a, b, c)
+                + _tau_tail_integral(n, a, b, n))
     s = n / (c + n)
     r, total = 1.0, 0.0
     for k in count():
@@ -258,19 +299,49 @@ def _tau_tail_integral(n: int, a, b, c) -> float:
         total += term
         if term <= total * 2.0 ** -60:
             return (c + n) ** -p * total
-        r *= s * (b + k) / (k + 1)
+        r *= s * (bf + k) / (k + 1)
+
+
+def _tau_head_series(n: int, a, b, c) -> float:
+    """S with n^-p S the integral over c < t < n of t^-b (t+n)^-a, for
+    1 <= c <= n/3, p = a + b - 1.
+
+    w = t / (t + n) turns the integral into n^-p times the integral of
+    w^-b (1-w)^(p-1) from w0 = c / (c + n) to 1/2, and (1-w)^(p-1) is the
+    sum over k of (1-p)_k / k! w^k, all positive as 0 < p < 1. So S is the
+    sum over k of t_k = (1-p)_k / k! 2^-x (1 - (2 w0)^x) / x, x = k + 1 - b,
+    and each bracket is -expm1(x ln(2 w0)) with ln(2 w0) <= -ln 2: it
+    cannot cancel. The weights (1-p)_k / k! fall, so for j > k,
+    t_j < (1-p)_k / k! 2^-x / x 2^(k-j); for k >= 1 (x >= 1) the bracket is
+    at least 1/2, so the remainder after t_k is at most 2 t_k. The sum
+    stops at the first term below 2^-61 of the sum so far, which is never
+    t_0, and it is taken by fsum. By `_tau_head_rel_error`, it stops by
+    k = _HEAD_TERMS - 1."""
+    a, b = _as_fraction(a), _as_fraction(b)
+    x0, rise = float(1 - b), float(2 - a - b)
+    log_w = math.log(2 * c / (c + n))
+    half = 2.0 ** -x0
+    coef, terms, total = 1.0, [], 0.0
+    for k in count():
+        x = x0 + k
+        term = coef * math.ldexp(half, -k) * -math.expm1(x * log_w) / x
+        terms.append(term)
+        total += term
+        if term <= total * 2.0 ** -61:
+            return math.fsum(terms)
+        coef *= (k + rise) / (k + 1)
 
 
 def _tau_tail_rel_error(n: int, a, b, c) -> float:
     """rho with |computed - exact| <= rho * exact for `_tau_tail_integral`.
 
-    s takes one rounding, and so do b and p (|b' - b| <= u b <= u (b + k),
-    likewise for p). A step of the recurrence adds six: b + k, its product
-    with s, the division by k + 1, the update of r, and the errors of b
-    and s. Term k then carries at most 6k + 3 (p + k, the error of p and
-    the division), and the running sum of at most _TAIL_TERMS terms
-    K = _TAIL_TERMS - 1 more: term k is within gamma(6k + 3 + K) of its
-    exact value. Exact terms fall by a factor below s, so term_k <=
+    From c >= n: s takes one rounding, and so do b and p (|b' - b| <= u b
+    <= u (b + k), likewise for p). A step of the recurrence adds six: b + k,
+    its product with s, the division by k + 1, the update of r, and the
+    errors of b and s. Term k then carries at most 6k + 3 (p + k, the error
+    of p and the division), and the running sum of at most _TAIL_TERMS
+    terms K = _TAIL_TERMS - 1 more: term k is within gamma(6k + 3 + K) of
+    its exact value. Exact terms fall by a factor below s, so term_k <=
     s^k term_0 <= s^k S and the sum over k of k term_k is at most
     s / (1 - s)^2 S: the roundings add at most
     (6 s / (1 - s)^2 + 3 + K) u / (1 - 7 K u) of S. At s <= 1/2 the
@@ -279,13 +350,59 @@ def _tau_tail_rel_error(n: int, a, b, c) -> float:
     (2^-60 of the computed sum, with room for the rounding of both). The
     power (c + n)^-p is within _POW_ULPS ulps, its exponent's rounding
     scales it by at most t (1 + t), t = u p ln(c + n), and the final
-    product rounds once."""
+    product rounds once.
+
+    From c <= n/3 the value is a sum of two positive parts, so its
+    relative error is at most the larger of theirs, `_tau_head_rel_error`
+    and the bound from n, plus the rounding of the sum."""
+    if c < n:
+        return _compose(max(_tau_head_rel_error(n, a, b, c),
+                            _tau_tail_rel_error(n, a, b, n)), _U)
     p, _ = _tail_exponents(a, b)
     s = n / (c + n)
     k = _TAIL_TERMS - 1
     series = (6 * s / (1 - s) ** 2 + 3 + k) * _U / (1 - 7 * k * _U)
     t = _U * p * math.log(c + n)
     return _compose(2 * _POW_ULPS * _U, t * (1 + t), series, 2.0 ** -59, _U)
+
+
+def _tau_head_rel_error(n: int, a, b, c) -> float:
+    """rho with |computed - exact| <= rho * exact for n^-p times
+    `_tau_head_series`, 1 <= c <= n/3.
+
+    Length. t_0 >= ln 2 2^-2(1-b), since 1 - 2^-y >= y ln 2 2^-y, and for
+    k >= 1 t_k <= 2^-k 2^-(1-b) / k, so t_k / t_0 <= 2^(1-k) / (k ln 2):
+    below 2^-61 (with room for the roundings) from k = 57 on, and at most
+    _HEAD_TERMS = 58 terms are made. The remainder after the last is at
+    most twice it, below 2^-59 of S.
+
+    Rounding. 1 - b and 1 - p are rounded once from exact values, x = k +
+    (1 - b) once more (two factors in all). 2 w0 = 2c / (c + n) rounds
+    once, which moves ln(2 w0) by at most u / ln 2 of itself, and the log
+    adds _POW_ULPS ulps: within 10 u. x ln(2 w0) is then within
+    eta = compose(gamma_2, 10 u, u), and for y < 0 a relative error eta in
+    y moves expm1(y) by at most eta exp(|y| eta) of itself
+    (|y| e^y <= 1 - e^y), with |y| <= _HEAD_TERMS (|ln(2 w0)| + 1); expm1
+    adds _POW_ULPS ulps. 2^-(1-b) is one power, its exponent's rounding
+    worth t (1 + t), t = u ln 2 (1 - b), and the ldexp is exact. A step of
+    the weights takes four roundings (the error of 1 - p, the sum, the
+    quotient, the product), so t_k is within gamma(4k + 5) of its exact
+    value times the factors above. Since the sum over k of k t_k is at
+    most 2^-(1-b) <= 2^(1-b) t_0 / ln 2 <= 3 S, the terms' roundings add
+    at most 17 u / (1 - (4 _HEAD_TERMS + 5) u) of S, composed with those
+    factors and the truncation; fsum rounds once. n^-p is one more power
+    (t = u p ln n) and one product."""
+    p, _ = _tail_exponents(a, b)
+    log_w = abs(math.log(2 * c / (c + n)))
+    eta = _compose(_gamma(2), 10 * _U, _U)
+    y = _HEAD_TERMS * (log_w + 1)
+    bracket = _compose(eta * math.exp(eta * y), 2 * _POW_ULPS * _U)
+    t = _U * math.log(2) * float(1 - _as_fraction(b))
+    weights = 17 * _U / (1 - (4 * _HEAD_TERMS + 5) * _U)
+    series = _compose(weights, bracket, 2 * _POW_ULPS * _U, t * (1 + t),
+                      2.0 ** -59, _U)
+    t = _U * p * math.log(n)
+    return _compose(2 * _POW_ULPS * _U, t * (1 + t), series, _U)
 
 
 def tau(spec: SumSpec) -> TauResult:
@@ -297,7 +414,11 @@ def tau(spec: SumSpec) -> TauResult:
     majorant (integral from X+1/2); both integrals have a closed
     incomplete-Beta form, summed in float64 (`_tau_tail_integral`). The
     sandwich width shrinks like f(X)/X, so the cutoff stays small even
-    for tight tolerances.
+    for tight tolerances: it starts at max(m + 1, 1024) for every n and
+    doubles until the bound fits, except that a cut whose tails would
+    start between n/3 and n, where neither series of the integral is
+    proved, moves up to n. So the partial sum has 1024 terms at a loose
+    tolerance however large n is.
 
     The error bound is proved under the assumptions stated above: the
     sandwich half-width, plus the rounding of both sides of the sandwich
@@ -326,7 +447,7 @@ def tau(spec: SumSpec) -> TauResult:
 
     # f(m+1) plus the integral from m+1 of t^-(alpha+beta) >= f(t)
     partial_bound = _SAFETY * (term(m + 1) + (m + 1) ** -excess / excess)
-    cut = max(m + 1, n, 1 << 10)
+    cut = _tail_cut(max(m + 1, 1 << 10), n)
     while True:
         upper = _tau_tail_integral(n, a, b, cut + 0.5)
         lower = _tau_tail_integral(n, a, b, cut + 1) + term(cut + 1) / 2
@@ -345,12 +466,19 @@ def tau(spec: SumSpec) -> TauResult:
             raise RangeError(
                 f"tail tolerance {tol!r} is out of reach: the rounding "
                 f"bound alone is {_SAFETY * rounding!r} at cut {cut}")
-        cut *= 2
+        cut = _tail_cut(2 * cut, n)
     mid = (upper + lower) / 2
     partial, = _power_sums((factors,), m + 1, cut)
     majorant = cut ** -excess / excess
     return TauResult(value=partial + mid, error_bound=error,
                      majorant_bound=majorant, cutoff=cut)
+
+
+def _tail_cut(cut: int, n: int) -> int:
+    """cut, or n where the tails from cut + 1/2 and cut + 1 would start
+    between n/3 and n, which neither series of `_tau_tail_integral`
+    covers."""
+    return n if 3 * (cut + 1) > n > cut else cut
 
 
 @dataclass(frozen=True)
@@ -649,22 +777,22 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.flatnonzero(np.diff(values, prepend=-1))]
 
 
-def _moment(n: int, cfg: SampleConfig, engine: str, finish) -> float:
-    """The engine dispatch shared by both moments: "auto" takes the loop up
+def _moment(n: int, cfg: SampleConfig, engine: str, finish, zero=0.0):
+    """The engine dispatch shared by the moments: "auto" takes the loop up
     to n = 4096 and the transform beyond; `finish` turns the chosen
-    engine's rows into the moment. Exactly 0 below 3m + 6, the smallest
-    sum of three distinct integers above m, and wherever no three residue
-    classes reach n."""
+    engine's rows into the moment, or `_moments` into both. Exactly `zero`
+    below 3m + 6, the smallest sum of three distinct integers above m, and
+    wherever no three residue classes reach n."""
     (n,) = _as_ints((n,), "n")
     if engine == "auto":
         engine = "loop" if n <= 4096 else "transform"
     if engine not in ("loop", "transform"):
         raise RangeError("engine must be auto, loop, or transform")
     if n < 3 * cfg.m + 6:
-        return 0.0
+        return zero
     q = _prob_array(cfg, n)
     if not _residues_reach(n, cfg.modulus, q):
-        return 0.0
+        return zero
     rows = _loop_rows if engine == "loop" else _transform_rows
     return finish(rows, n, cfg.modulus, q)
 
@@ -700,8 +828,11 @@ def exact_expectation_Q(n: int, cfg: SampleConfig,
 
 
 def _expectation(rows, n: int, modulus: int, q: np.ndarray) -> float:
-    q1, pair_sum = rows(n, modulus, q, q)
-    return math.fsum((q1 * pair_sum).tolist()) / 6.0
+    return _mean_sum(*rows(n, modulus, q, q))
+
+
+def _mean_sum(q1: np.ndarray, pair_sum: np.ndarray) -> float:
+    return math.fsum(_exact_parts(q1 * pair_sum)) / 6.0
 
 
 def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
@@ -724,11 +855,38 @@ def exact_delta_Q(n: int, cfg: SampleConfig, engine: str = "auto") -> float:
 
 
 def _delta(rows, n: int, modulus: int, q: np.ndarray) -> float:
-    support = (q > 0).astype(np.float64)
-    q1, count, pair_sum, pair_sq = rows(n, modulus, q, support, q, q * q)
+    return _delta_sum(*rows(n, modulus, q, *_delta_weights(q)))
+
+
+def _delta_weights(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Delta's weight arrays: the 0/1 support (pair counts), q and q^2."""
+    return (q > 0).astype(np.float64), q, q * q
+
+
+def _delta_sum(q1, count, pair_sum, pair_sq) -> float:
     terms = q1 * ((pair_sum / 2.0) ** 2 - pair_sq / 2.0)
     terms[count < 3] = 0.0
-    return math.fsum(terms.tolist())
+    return math.fsum(_exact_parts(terms))
+
+
+def _moments(rows, n: int, modulus: int, q: np.ndarray):
+    """(E, Delta) from Delta's one rows pass: its q row is the row E sums,
+    made the same way, so both equal separate calls bit for bit. Where the
+    loop's cost rule sums one weight array another way than three, E takes
+    its own pass."""
+    q1, count, pair_sum, pair_sq = rows(n, modulus, q, *_delta_weights(q))
+    x1s = _first_elements(n, q)
+    if rows is _loop_rows and (_by_class(n, modulus, x1s, 1)
+                               != _by_class(n, modulus, x1s, 3)):
+        mean = _expectation(rows, n, modulus, q)
+    else:
+        mean = _mean_sum(q1, pair_sum)
+    return mean, _delta_sum(q1, count, pair_sum, pair_sq)
+
+
+def _first_elements(n: int, q: np.ndarray) -> np.ndarray:
+    """The x1 in [1, n - 3] with q[x1] > 0."""
+    return np.flatnonzero(q[1:n - 2]) + 1
 
 
 def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
@@ -741,19 +899,27 @@ def _loop_rows(n: int, modulus: int, q: np.ndarray, *weights):
 
     Both ways below sum weights by direct convolutions; only the 0/1
     support's counts come from a rounded FFT. Summing the kept
-    pairs of classes takes a pass per residue class of x1, about 25 us
-    on a 2-vCPU host; one convolution of all pairs less the dropped ones
-    takes about 0.15 ns * n^2 per weight array, and a pass over rows and
-    offsets that only stays small while the modulus exceeds n / 16. So
-    the classes are summed when the modulus is at most n / 16, or when the
-    classes of x1 number at most w n^2 / 2^18 for w weight arrays."""
-    x1s = np.flatnonzero(q[1:n - 2]) + 1
-    ws = np.array(weights)
-    by_class = modulus > 1 and (
-        16 * modulus <= n
-        or 2 ** 18 * len(_distinct(x1s % modulus)) <= len(ws) * n * n)
+    pairs of classes takes a pass per residue class of x1, about 25-40 us
+    on a 2-vCPU host; all pairs less the dropped ones take one
+    convolution per weight array and a pass over rows and offsets that
+    only stays small while the modulus exceeds n / 16. So the classes are
+    summed when the modulus is at most n / 16, or when the classes of x1
+    number at most w n^2 / 2^18 for w weight arrays. That rule was set for
+    a convolution of every entry, about 0.15 ns * n^2; making only the
+    entries the rows read (about a quarter of the products) takes
+    0.05-0.1 ns * n^2 on the plain model at n of 2000 to 8000, so the rule
+    leans a little to the classes."""
+    x1s = _first_elements(n, q)
+    by_class = _by_class(n, modulus, x1s, len(weights))
     pair_sums = _pair_sums_by_class if by_class else _pair_sums_by_exclusion
-    return q[x1s], *pair_sums(n, modulus, ws, x1s)
+    return q[x1s], *pair_sums(n, modulus, np.array(weights), x1s)
+
+
+def _by_class(n: int, modulus: int, x1s: np.ndarray, arrays: int) -> bool:
+    """The loop's cost rule (see `_loop_rows`) for `arrays` weight arrays."""
+    return modulus > 1 and (
+        16 * modulus <= n
+        or 2 ** 18 * len(_distinct(x1s % modulus)) <= arrays * n * n)
 
 
 def _pair_sums_by_exclusion(n: int, modulus: int, ws: np.ndarray,
@@ -774,6 +940,7 @@ def _pair_sums_by_exclusion(n: int, modulus: int, ws: np.ndarray,
     ok[:, 2 * len(ks):] &= odd == 0
     x2[~ok] = 0                     # w[0] = 0: 0 <= m is never admissible
     us = u[:, 0]
+    top = int(us.max(initial=0))
     out = np.empty((len(ws), len(x1s)))
     for w, row in zip(ws, out):
         dropped = (w[x2] * w[u - x2]).sum(axis=1)
@@ -783,7 +950,7 @@ def _pair_sums_by_exclusion(n: int, modulus: int, ws: np.ndarray,
             # adding 0.0 turns the -0.0 of a tiny negative into 0.0
             full = np.rint(_self_convolution(w)) + 0.0
         else:
-            full = np.convolve(w, w)
+            full = _head_self_convolution(w, top)
         row[:] = full[us] - dropped
         # a row that dropped more than it kept lost bits to cancellation
         # (x1 = 1 when gamma is large): sum its kept pairs directly
@@ -848,7 +1015,7 @@ def _transform_rows(n: int, modulus: int, q: np.ndarray, *weights):
     by the classes of q's support, takes one FFT: G2 squares its classes
     in place and H multiplies the pairs (s1, c), so the transient memory
     is about three transforms of one array's classes."""
-    x1s = np.flatnonzero(q[1:n - 2]) + 1
+    x1s = _first_elements(n, q)
     us = n - x1s
     p = modulus if modulus > 1 else n + 1
     if p > n:
@@ -894,6 +1061,36 @@ def _self_convolution(w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(f, size)[:nout]
 
 
+def _head_self_convolution(w: np.ndarray, top: int) -> np.ndarray:
+    """np.convolve(w, w)[:top + 1] for nonnegative w, each entry a direct
+    sum of products. Entries up to top read only the window v = w[lo:
+    top - lo + 1], lo the first nonzero place. Cut into blocks of
+    _CONV_BLOCK, the pairs of blocks (i, j) with i <= j and i + j below
+    the number of blocks reach those entries: block i against itself, then
+    against the rest of the window that it reaches, doubled (exactly, as
+    each product stands for a pair and its swap). When the window fits in
+    one block this is np.convolve itself."""
+    nz = np.flatnonzero(w[:top + 1])
+    lo = int(nz[0]) if len(nz) else top + 1
+    v = w[lo:top - lo + 1]
+    if len(v) <= _CONV_BLOCK:
+        return np.convolve(w, w)[:top + 1]
+    out = np.zeros(top + 1)
+    head = out[2 * lo:]                     # head[j] is the entry 2 lo + j
+    size = len(v)
+    for start in range(0, (size + 1) // 2, _CONV_BLOCK):
+        block = v[start:start + _CONV_BLOCK]
+        own = np.convolve(block, block)[:size - 2 * start]
+        head[2 * start:2 * start + len(own)] += own
+        rest = v[start + _CONV_BLOCK:size - start]
+        if len(rest):
+            pairs = np.convolve(block, rest)[:size - 2 * start - _CONV_BLOCK]
+            pairs *= 2
+            head[2 * start + _CONV_BLOCK:
+                 2 * start + _CONV_BLOCK + len(pairs)] += pairs
+    return out
+
+
 def _class_matrix(ws: np.ndarray, nz: np.ndarray, modulus: int):
     """The residue classes of the positions nz, ascending, and the weight
     arrays at those positions laid out by class: cw[:, i, j] is the
@@ -907,11 +1104,13 @@ def _class_matrix(ws: np.ndarray, nz: np.ndarray, modulus: int):
 def janson_threshold(cfg: SampleConfig, targets, engine: str = "auto"):
     """Rows (n, mean, clustering, mean > clustering) over the targets, and
     the smallest target from which the comparison holds onward (None if
-    it fails at the last target)."""
+    it fails at the last target). Each target takes one pass of rows for
+    both moments (`_moments`), and its mean and clustering equal
+    `exact_expectation_Q` and `exact_delta_Q` with the same engine bit
+    for bit."""
     rows = []
     for n in _as_ints(targets, "targets"):
-        mu = exact_expectation_Q(n, cfg, engine)
-        delta = exact_delta_Q(n, cfg, engine)
+        mu, delta = _moment(n, cfg, engine, _moments, (0.0, 0.0))
         rows.append((n, mu, delta, delta < mu))
     threshold = None
     for n, _, _, ok in reversed(rows):
@@ -928,8 +1127,8 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
     trial seeds derived from the master seed by unit offsets. The family
     specs are built, and so validated, before any sample is drawn. The
     trials share one pass over the model's blocks, which do not depend on
-    the seed; each block goes through `_accept` once per trial seed, so
-    every trial's sample is the one `sample_sequence` draws."""
+    the seed; each block goes through `_accept` once with every trial
+    seed, so every trial's sample is the one `sample_sequence` draws."""
     (trials,) = _as_ints((trials,), "trials")
     if trials < 2:
         raise RangeError("trials must be at least 2")
@@ -939,11 +1138,11 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
                         epsilon=epsilon) for t in targets]
     base = cfg.seed if master_seed is None else \
         _as_ints((master_seed,), "master seed")[0]
-    confs = [replace(cfg, seed=(base + i) % 2 ** 64) for i in range(trials)]
-    kept = [[] for _ in confs]
+    seeds = [(base + i) % 2 ** 64 for i in range(trials)]
+    kept = [[] for _ in seeds]
     for xs, t in _blocks(cfg, horizon):
-        for conf, parts in zip(confs, kept):
-            parts.append(xs[_accept(conf, xs, t)])
+        for parts, keep in zip(kept, _accept(cfg.gamma, seeds, xs, t)):
+            parts.append(xs[keep])
     counts = np.zeros((trials, len(specs)))
     for i, parts in enumerate(kept):
         sample = np.concatenate(parts).tolist() if parts else []

@@ -22,9 +22,10 @@ k^q x^p < 2^(53 q) for gamma = p/q, or for large q from the sign of
 q ln k + p ln x - 53 q ln 2 in correctly rounded `decimal` logarithms. So
 a seeded sample does not depend on the platform's `pow`.
 
-The rule has one implementation, `_accept` on a block of candidates;
-`contains` runs it on a block of one. The tests pin it bit for bit to an
-independent scalar oracle in Python integers.
+The rule has one implementation, `_accept` on a block of candidates for
+any number of seeds; `sample_sequence` and `contains` pass one seed, and
+`contains` a block of one. The tests pin it bit for bit to an independent
+scalar oracle in Python integers.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def contains(config: SampleConfig, x: int) -> bool:
         return False
     xs = np.array([x], dtype=np.uint64)
     t = np.power(xs.astype(np.float64), -float(config.gamma))
-    return bool(_accept(config, xs, t)[0])
+    return bool(_accept(config.gamma, (config.seed,), xs, t)[0][0])
 
 
 def _uniform_array(seed: int, xs: np.ndarray) -> np.ndarray:
@@ -248,22 +249,27 @@ def _blocks(config: SampleConfig, horizon: int):
             yield xs, np.power(xs.astype(np.float64), g)
 
 
-def _accept(config: SampleConfig, xs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The accept mask of a block with thresholds t = fl(x^-gamma): the
-    float comparison, with candidates inside the margin decided exactly."""
-    u = _uniform_array(config.seed, xs)
-    keep = u < t
-    band = np.abs(u - t) <= _margin(t, int(xs[-1]), float(config.gamma))
-    for i in np.flatnonzero(band):
-        x = int(xs[i])
-        keep[i] = _exact_accept(mix64(config.seed + x * _GOLDEN) >> 11, x,
-                                config.gamma)
-    return keep
+def _accept(gamma: Fraction, seeds, xs: np.ndarray,
+            t: np.ndarray) -> list[np.ndarray]:
+    """The accept masks of a block with thresholds t = fl(x^-gamma), one
+    per seed: the float comparison, with candidates inside the margin
+    (made once for the block) decided exactly."""
+    margin = _margin(t, int(xs[-1]), float(gamma))
+    masks = []
+    for seed in seeds:
+        u = _uniform_array(seed, xs)
+        keep = u < t
+        for i in np.flatnonzero(np.abs(u - t) <= margin):
+            x = int(xs[i])
+            keep[i] = _exact_accept(mix64(seed + x * _GOLDEN) >> 11, x, gamma)
+        masks.append(keep)
+    return masks
 
 
 def sample_sequence(config: SampleConfig, horizon: int) -> "IntSeq":
     """All sampled elements in [1, horizon], vectorized."""
-    kept = [xs[_accept(config, xs, t)] for xs, t in _blocks(config, horizon)]
+    kept = [xs[_accept(config.gamma, (config.seed,), xs, t)[0]]
+            for xs, t in _blocks(config, horizon)]
     elements = tuple(np.concatenate(kept).tolist()) if kept else ()
     return IntSeq(elements=elements, config=config, horizon=horizon)
 
@@ -331,7 +337,11 @@ class IntSeq:
     def load(cls, path: Union[str, os.PathLike]) -> "IntSeq":
         path = os.fspath(path)
         with open(path) as fh:
-            elements = tuple(int(line) for line in fh if line.strip())
+            lines = [line for line in fh if line.strip()]
+        try:
+            elements = tuple(map(int, lines))
+        except ValueError as exc:
+            raise RangeError(f"elements must be integers: {exc}") from exc
         with open(path + ".config.json") as fh:
             sidecar = json.load(fh)
         config = SampleConfig.from_json(json.dumps(sidecar["config"]))

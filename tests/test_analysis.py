@@ -135,6 +135,32 @@ class TestSigma:
             == brute.sigma(alpha, beta, n, m)
 
 
+class TestExactParts:
+    def test_fsum_of_parts_is_fsum_of_terms(self):
+        """Bit for bit, on blocks like sigma's and on arrays that span the
+        whole float range, with signs, subnormals and exact cancellation;
+        terms that are not finite or not below 2^960 pass through."""
+        rng = np.random.default_rng(2026)
+        cases = [np.zeros(0), np.zeros(4), np.array([-0.0]),
+                 np.array([5e-324, 5e-324, -1e-310]),
+                 np.array([1e300, 1.0, -1e300]), np.array([2.0 ** 1000, 1.0]),
+                 # a tie broken only by the last term, two passes down
+                 np.array([1.0, 2.0 ** -53, 2.0 ** -200]),
+                 np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
+                 np.power(np.arange(1.0, 4097.0), -float(G))
+                 * np.power(10 ** 5 - np.arange(1.0, 4097.0), -float(G))]
+        for size in rng.integers(1, 5000, 120).tolist():
+            cases.append(rng.standard_normal(size)
+                         * np.exp(rng.standard_normal(size) * 40))
+            cases.append(rng.random(size) * 10.0 ** -rng.integers(0, 320))
+        for terms in cases:
+            parts = analysis._exact_parts(terms)
+            got, want = math.fsum(parts), math.fsum(terms.tolist())
+            assert (got.hex() == want.hex()
+                    or math.isnan(got) and math.isnan(want))
+        assert len(analysis._exact_parts(cases[9])) <= 3
+
+
 class TestTau:
     def test_divergent(self):
         with pytest.raises(NonConvergent):
@@ -190,6 +216,20 @@ class TestTau:
         ref = series_reference.tau(G, G, n, m)
         assert abs(res.value - ref) <= res.error_bound <= tol
 
+    @pytest.mark.parametrize("n,cut", [(3162, 1024), (31623, 1024),
+                                       (100000, 1024),
+                                       # tails from 1024.5 would start
+                                       # between n/3 and n: cut at n
+                                       (2000, 2000)])
+    @pytest.mark.parametrize("m", [0, 100])
+    def test_cut_starts_at_1024_for_every_n(self, n, cut, m):
+        # the partial sum stops at 1024 however large n is, and the tails
+        # from below n keep the bound
+        res = tau(SumSpec(G, G, n, m, Fraction(1, 10 ** 6)))
+        ref = series_reference.tau(G, G, n, m)
+        assert res.cutoff == cut
+        assert abs(res.value - ref) <= res.error_bound <= 1e-6
+
     def test_tolerance_below_rounding_raises(self):
         # the bracket width alone cancels to 0.0 here; the rounding of
         # the partial sum does not
@@ -205,16 +245,20 @@ class TestTau:
 
 
 class TestTauTail:
-    # every start that tau asks for is at least n: n + 1/2 and n + 1 are
-    # the slowest series (s just below 1/2), 2n a faster one
+    # from n on: n + 1/2 and n + 1 are the slowest series (s just below
+    # 1/2), 2n a faster one; below n, the starts of tau's first cut and
+    # the last start the series in t / (t + n) takes, n/3
     STARTS = [(n, c) for n in (1, 10, 1000, 31623, 10 ** 6)
-              for c in (Fraction(2 * n + 1, 2), n + 1, 2 * n)]
+              for c in (Fraction(2 * n + 1, 2), n + 1, 2 * n,
+                        Fraction(2049, 2), 1025, n // 3)
+              if c >= n or 1 <= c <= Fraction(n, 3)]
+    ALPHA_BETA = [(G, G), (Fraction(19, 27), Fraction(19, 27)),
+                  (Fraction(51, 100), Fraction(99, 100)),
+                  (Fraction(99, 100), Fraction(51, 100))]
 
-    @pytest.mark.parametrize("alpha,beta", [
-        (G, G), (Fraction(19, 27), Fraction(19, 27)),
-        (Fraction(51, 100), Fraction(99, 100)),
-        (Fraction(99, 100), Fraction(51, 100))])
+    @pytest.mark.parametrize("alpha,beta", ALPHA_BETA)
     def test_within_proved_bound(self, alpha, beta):
+        assert sum(c < n for n, c in self.STARTS) == 8
         for n, c in self.STARTS:
             got = _tau_tail_integral(n, alpha, beta, float(c))
             ref = series_reference.tau_tail_integral(alpha, beta, n, c)
@@ -222,11 +266,27 @@ class TestTauTail:
             assert 0 < rho < 100 * analysis._U
             assert abs(got - ref) <= rho * ref, (n, c)
 
+    @pytest.mark.parametrize("alpha,beta", ALPHA_BETA)
+    def test_head_within_its_own_bound(self, alpha, beta):
+        # the integral from c to n alone, n^-p times the series in
+        # t / (t + n), against the difference of two quadratures
+        p = float(alpha + beta - 1)
+        for n, c in self.STARTS:
+            if c >= n:
+                continue
+            got = n ** -p * analysis._tau_head_series(n, alpha, beta, float(c))
+            ref = (series_reference.tau_tail_integral(alpha, beta, n, c)
+                   - series_reference.tau_tail_integral(alpha, beta, n, n))
+            rho = analysis._tau_head_rel_error(n, alpha, beta, float(c))
+            assert 0 < rho < 100 * analysis._U
+            assert abs(got - ref) <= rho * ref, (n, c)
+
     def test_start_below_n_raises(self):
-        with pytest.raises(RangeError):
-            _tau_tail_integral(10, G, G, 9.5)
-        with pytest.raises(RangeError):
-            _tau_tail_integral(10, G, G, 2 ** 52)
+        # below 1, between n/3 and n (neither series is proved there), and
+        # where c + n passes 2^52
+        for c in (0.5, 3.5, 9.5, 2 ** 52):
+            with pytest.raises(RangeError):
+                _tau_tail_integral(10, G, G, c)
 
 
 class TestPowerSum:
@@ -733,6 +793,81 @@ class TestLoopEngines:
         assert done.returncode == 0, done.stderr
 
 
+class TestHeadSelfConvolution:
+    @pytest.mark.parametrize("g", [G, Fraction(5)])
+    @pytest.mark.parametrize("blocks", [1, 2, 9])
+    def test_equals_np_convolve_within_rounding(self, g, blocks):
+        """Every entry u up to top against np.convolve(w, w): both sum the
+        same u + 1 products of one sign, each within gamma_(u+1) of the
+        exact sum, so they differ by at most 2 gamma_(u+2) of the larger;
+        bit for bit when the window fits in one block. w is nonzero past
+        the window, where no entry up to top reads it."""
+        size = analysis._CONV_BLOCK
+        rng = np.random.default_rng(blocks)
+        for lo in (1, 37):
+            window = blocks * size - int(rng.integers(0, size // 2))
+            top = window - 1 + 2 * lo
+            w = np.zeros(top + 300)
+            x = np.arange(lo, len(w))
+            w[x] = rng.random(len(x)) * x ** -float(g)
+            got = analysis._head_self_convolution(w, top)
+            want = np.convolve(w, w)[:top + 1]
+            bound = 2 * np.array([analysis._gamma(u + 2)
+                                  for u in range(top + 1)])
+            assert len(got) == top + 1
+            assert (np.abs(got - want) <= bound * np.maximum(got, want)).all()
+            assert np.array_equal(got == 0, want == 0)
+            if blocks == 1:
+                assert np.array_equal(got, want)
+
+    def test_all_zero_weights(self):
+        got = analysis._head_self_convolution(np.zeros(3000), 2500)
+        assert np.array_equal(got, np.zeros(2501))
+
+    @pytest.mark.parametrize("cfg", [
+        SampleConfig(gamma=G, m=0, modulus=1, residues=(0,)),
+        SampleConfig(gamma=G, m=10, modulus=1000,
+                     residues=random.Random(7).sample(range(1000), 500))])
+    def test_rows_over_several_blocks_match_the_scan(self, cfg):
+        # at n = 2000 both moments take the exclusion path, whose window
+        # spans four blocks
+        n = 2000
+        q = analysis._prob_array(cfg, n)
+        x1s = analysis._first_elements(n, q)
+        assert not any(analysis._by_class(n, cfg.modulus, x1s, arrays)
+                       for arrays in (1, 3))
+        window = n - int(x1s.min()) - 2 * int(np.argmax(q > 0)) + 1
+        assert window > 3 * analysis._CONV_BLOCK
+        want = brute.triple_moments(n, cfg.modulus, q)
+        got = (analysis._expectation(analysis._loop_rows, n, cfg.modulus, q),
+               analysis._delta(analysis._loop_rows, n, cfg.modulus, q))
+        for w, v in zip(want, got):
+            assert w > 0 and v == pytest.approx(w, rel=1e-14, abs=0)
+
+
+class TestJansonOnePass:
+    @pytest.mark.parametrize("cfg,targets", [
+        (PLAIN100, (250, 400, 1990, 5000)),
+        (CFG5, (5, 31, 61, 201)),
+        # 1035: the loop sums one weight array by exclusion, three by
+        # class, and the two ways differ in the last bit of E
+        (CFG156, (300, 1035, 1990, 2000))])
+    @pytest.mark.parametrize("engine", ["auto", "loop", "transform"])
+    def test_rows_equal_separate_calls(self, cfg, targets, engine):
+        _, rows = janson_threshold(cfg, targets, engine)
+        for n, mu, delta, _ in rows:
+            assert mu.hex() == exact_expectation_Q(n, cfg, engine).hex()
+            assert delta.hex() == exact_delta_Q(n, cfg, engine).hex()
+        assert sum(mu > 0 for _, mu, _, _ in rows) >= 2
+
+    def test_cost_rule_differs_at_the_probe(self):
+        n = 1035
+        q = analysis._prob_array(CFG156, n)
+        x1s = analysis._first_elements(n, q)
+        assert not analysis._by_class(n, CFG156.modulus, x1s, 1)
+        assert analysis._by_class(n, CFG156.modulus, x1s, 3)
+
+
 class TestUnreachableResidues:
     def test_matches_residue_triples(self):
         sums = {sum(t) % CFG156.modulus
@@ -890,12 +1025,13 @@ class TestMonteCarlo:
                                             ("CUSTOM", UnsupportedKind)])
     def test_bad_spec_fails_before_sampling(self, monkeypatch, kind, error):
         # the trials share one pass of blocks, and each trial's sample is
-        # drawn by the accept rule on every block: it is the probe
+        # drawn by the accept rule on every block with every trial seed: it
+        # is the probe
         calls = []
 
-        def counting(cfg, xs, t):
-            calls.append(cfg.seed)
-            return _accept(cfg, xs, t)
+        def counting(gamma, seeds, xs, t):
+            calls.extend(seeds)
+            return _accept(gamma, seeds, xs, t)
 
         monkeypatch.setattr(analysis, "_accept", counting)
         with pytest.raises(error):

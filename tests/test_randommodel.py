@@ -414,6 +414,15 @@ class TestIntSeq:
         with pytest.raises(RangeError):
             IntSeq.load(path)
 
+    def test_load_reads_integers_only(self, tmp_path):
+        # a line "1.5" raised int()'s bare ValueError
+        seq = sample_sequence(_ruzsa_config(seed=11), 5000)
+        path = tmp_path / "seq.txt"
+        seq.save(path)
+        path.write_text("1\n1.5\n")
+        with pytest.raises(RangeError):
+            IntSeq.load(path)
+
     def test_tampered_elements_fail_verify(self, tmp_path):
         cfg = _ruzsa_config(seed=11)
         seq = sample_sequence(cfg, 5000)
