@@ -32,7 +32,7 @@ import numpy as np
 
 from .numbertheory import (NotPrime, RangeError, _as_ints, _flattened_graph,
                            _int_fields, is_prime, power_table)
-from .sidoncore import convolution_profile_array
+from .sidoncore import rep_profile
 
 __all__ = [
     "CurveParams",
@@ -196,23 +196,11 @@ def triple_rep_count(p: int, g: int, a: int, b: int,
 
 def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
     """Counts for every target (a, b), read off the ordered 3-fold sum
-    profile of the Ruzsa set at z = crt_flatten(a, b, p).
-
-    distinct="pairwise" drops the triples with a repeated element by
-    inclusion-exclusion over the three coordinate equalities: each fixes a
-    sum 2a + a', and all three together fix 3a.
-    """
-    if distinct not in ("none", "pairwise"):
-        raise RangeError(f"unknown distinct flag {distinct!r}")
-    elems = _flattened_graph(p, g)
-    N = (p - 1) * p
-    counts = convolution_profile_array(elems, 3, N)
-    if distinct == "pairwise":
-        a = np.array(elems, dtype=np.int64)
-        counts -= 3 * np.bincount(((2 * a[:, None] + a) % N).ravel(), minlength=N)
-        counts += 2 * np.bincount(3 * a % N, minlength=N)
-    return {(z % (p - 1), z % p): int(counts[z])
-            for z in np.flatnonzero(counts).tolist()}
+    profile of the Ruzsa set (pairwise distinct for distinct="pairwise")
+    at z = crt_flatten(a, b, p)."""
+    profile = rep_profile(_flattened_graph(p, g), 3, modulus=(p - 1) * p,
+                          distinct=distinct)
+    return {(z % (p - 1), z % p): n for z, n in profile.counts.items()}
 
 
 def repeated_coordinate_count(p: int, g: int, a: int, b: int) -> int:

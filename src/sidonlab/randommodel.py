@@ -214,9 +214,10 @@ def contains(config: SampleConfig, x: int) -> bool:
     return bool(_accept(config.gamma, (config.seed,), xs, t)[0][0])
 
 
-def _uniform_array(seed: int, xs: np.ndarray) -> np.ndarray:
+def _uniform_array(seed: int, xg: np.ndarray) -> np.ndarray:
+    """uniform_unit(seed, x) over a block, from xg = x * golden mod 2^64."""
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + xs * np.uint64(_GOLDEN)
+        z = np.uint64(seed) + xg
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
@@ -255,9 +256,10 @@ def _accept(gamma: Fraction, seeds, xs: np.ndarray,
     per seed: the float comparison, with candidates inside the margin
     (made once for the block) decided exactly."""
     margin = _margin(t, int(xs[-1]), float(gamma))
+    xg = xs * np.uint64(_GOLDEN)  # the seed-independent half, made once
     masks = []
     for seed in seeds:
-        u = _uniform_array(seed, xs)
+        u = _uniform_array(seed, xg)
         keep = u < t
         for i in np.flatnonzero(np.abs(u - t) <= margin):
             x = int(xs[i])

@@ -9,10 +9,9 @@ dense constructions are provided: the Erdos-Turan set
 and the Ruzsa set, the graph {(x, g^x)} of the discrete exponential flattened
 through the CRT isomorphism Z_{p-1} x Z_p = Z_{(p-1)p}.
 
-Representation counts are exact integers, and the convention picks the one
-way they are made: cyclic, ordered counts with no distinctness constraint
-come from an integer convolution, every other convention from enumerating
-the tuples.
+Representation counts are exact integers made by shift-adding int64 count
+arrays: ordered counts with repetition fold the indicator, and the other
+conventions are its symmetric functions by Newton's identities.
 
 Pair sums a + a' (a <= a') have one index, `_pair_sums`: every such sum,
 sorted stably, so that equal sums form runs in scan order. `is_sidon`
@@ -22,12 +21,11 @@ longest run.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
-from typing import Iterable, Optional, Sequence
+from math import comb, factorial, perm
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -146,10 +144,7 @@ class RepProfile:
         h, n = self.arity, set_size
         if self.distinct == "none":
             return n**h if self.convention == "ordered" else comb(n + h - 1, h)
-        falling = 1
-        for i in range(h):
-            falling *= n - i
-        return max(falling, 0) if self.convention == "ordered" else comb(n, h)
+        return perm(n, h) if self.convention == "ordered" else comb(n, h)
 
 
 def erdos_turan_set(p: int) -> ModSet:
@@ -245,25 +240,21 @@ def b2g_bound(setlike, mode: str = "integer", modulus: Optional[int] = None) -> 
     return int(np.diff(edges, prepend=0, append=len(ranked)).max(initial=0))
 
 
-def _brute_profile_counts(elems: Sequence[int], h: int, mode: str,
-                          modulus: Optional[int], convention: str,
-                          distinct: str) -> dict:
-    counts: dict[int, int] = {}
-    if convention == "ordered":
-        tuples: Iterable = itertools.product(elems, repeat=h)
-        if distinct == "pairwise":
-            tuples = (t for t in tuples if len(set(t)) == h)
-    else:
-        if distinct == "pairwise":
-            tuples = itertools.combinations(elems, h)
-        else:
-            tuples = itertools.combinations_with_replacement(elems, h)
-    for t in tuples:
-        s = sum(t)
-        if mode == "cyclic":
-            s %= modulus
-        counts[s] = counts.get(s, 0) + 1
-    return counts
+def _arity(h) -> int:
+    (h,) = _as_ints((h,), "h")
+    if h < 1:
+        raise RangeError(f"need h >= 1, got {h}")
+    return h
+
+
+def _shift_add(cur: np.ndarray, shifts) -> np.ndarray:
+    """cur rotated by every s in shifts (ints in [0, len(cur))), summed."""
+    N = len(cur)
+    out = np.zeros(N, dtype=np.int64)
+    for s in shifts:
+        out[s:] += cur[: N - s]
+        out[:s] += cur[N - s:]
+    return out
 
 
 def convolution_profile_array(setlike, h: int, modulus: Optional[int] = None) -> np.ndarray:
@@ -272,52 +263,71 @@ def convolution_profile_array(setlike, h: int, modulus: Optional[int] = None) ->
     Exact integer arithmetic: the first fold is a bincount of pairwise sums,
     later folds are shift-adds of the indicator. No floating point anywhere.
     """
-    elems, modulus = _coerce_elements(setlike, "cyclic", modulus)
-    (h,) = _as_ints((h,), "h")
-    if h < 1:
-        raise RangeError(f"need h >= 1, got {h}")
-    n = len(elems)
-    if n > 0 and n**h >= 1 << 62:
+    elems, N = _coerce_elements(setlike, "cyclic", modulus)
+    h = _arity(h)
+    if len(elems)**h >= 1 << 62:
         raise RangeError("counts could overflow int64 for this |A| and h")
-    N = modulus
     a = np.array(elems, dtype=np.int64)
     if h == 1:
-        ind = np.zeros(N, dtype=np.int64)
-        ind[a] = 1
-        return ind
+        return np.bincount(a, minlength=N).astype(np.int64, copy=False)
     pair_sums = a[:, None] + a
     pair_sums %= N
     cur = np.bincount(pair_sums.ravel(), minlength=N).astype(np.int64, copy=False)
     for _ in range(h - 2):
-        nxt = np.zeros(N, dtype=np.int64)
-        for e in elems:
-            nxt[e:] += cur[: N - e]
-            nxt[:e] += cur[N - e:]
-        cur = nxt
+        cur = _shift_add(cur, elems)
     return cur
+
+
+def _counts_array(elems: Sequence[int], h: int, N: int, convention: str,
+                  distinct: str) -> np.ndarray:
+    """h-fold sum counts of the distinct residues elems in Z_N, int64.
+
+    Ordered with repetition is `convolution_profile_array`; the rest follow
+    Newton's identities k s_k = sum_{i=1..k} c^(i-1) s_{k-i} * p_i for the
+    elementary (c = -1, pairwise distinct) or complete (c = 1) symmetric
+    functions s of the indicator: p_i counts the dilate i A, the product
+    shifts s_{k-i} by each i a, and ordered pairwise distinct is h! e_h
+    (0 for h > n). No overflow: s_j totals at most C(n + j - 1, j) <= n^j,
+    so each term is nonnegative with total at most n^k, each partial sum of
+    step k lies within k n^k <= h n^h < 2^62, and h! e_h <= n^h; h N < 2^63
+    keeps int64 indexes and pair sums. Both guards raise before any array."""
+    if h * N >= 1 << 63:
+        raise RangeError("h * window must stay below 2^63")
+    if convention == "ordered" and distinct == "none":
+        return convolution_profile_array(elems, h, N)
+    n = len(elems)
+    if h * n**h >= 1 << 62:
+        raise RangeError("counts could overflow int64 for this |A| and h")
+    c = -1 if distinct == "pairwise" else 1
+    dilates = [[i * e % N for e in elems] for i in range(h + 1)]
+    sym = [None]
+    for k in range(1, h + 1):
+        acc = np.bincount(dilates[k], minlength=N).astype(np.int64) * c ** (k - 1)
+        for i in range(1, k):
+            acc += _shift_add(sym[k - i], dilates[i]) * c ** (i - 1)
+        sym.append(acc // k)
+    return sym[h] * factorial(h) if convention == "ordered" and h <= n else sym[h]
 
 
 def rep_profile(setlike, h: int, mode: str = "cyclic",
                 modulus: Optional[int] = None, convention: str = "ordered",
                 distinct: str = "none") -> RepProfile:
-    """Exact h-fold sum counts under an explicit convention.
+    """Exact h-fold sum counts under an explicit convention, keys ascending.
 
-    Cyclic, ordered counts with no distinctness constraint come from the
-    convolution kernel; every other convention enumerates the tuples.
-    """
+    Every convention takes 8 bytes per residue of a window: Z_modulus in
+    cyclic mode, and in integer mode the h (max A - min A) + 1 sums of
+    A - min A, which no sum leaves, with h min A added back to the keys."""
     if convention not in ("ordered", "unordered"):
         raise RangeError(f"unknown convention {convention!r}")
     if distinct not in ("none", "pairwise"):
         raise RangeError(f"unknown distinct flag {distinct!r}")
-    (h,) = _as_ints((h,), "h")
-    if h < 1:
-        raise RangeError(f"need h >= 1, got {h}")
+    h = _arity(h)
     elems, modulus = _coerce_elements(setlike, mode, modulus)
-    if mode == "cyclic" and convention == "ordered" and distinct == "none":
-        arr = convolution_profile_array(elems, h, modulus)
-        counts = {int(i): int(c) for i, c in enumerate(arr) if c}
-    else:
-        counts = _brute_profile_counts(elems, h, mode, modulus, convention, distinct)
+    base = min(elems, default=0) if mode == "integer" else 0
+    elems = [e - base for e in elems]
+    window = modulus if mode == "cyclic" else h * max(elems, default=0) + 1
+    arr = _counts_array(elems, h, window, convention, distinct)
+    counts = {h * base + k: c for k, c in enumerate(arr.tolist()) if c}
     return RepProfile(arity=h, mode=mode,
                       modulus=modulus if mode == "cyclic" else None,
                       convention=convention, distinct=distinct, counts=counts)
@@ -328,12 +338,11 @@ def basis_order_check(modset: ModSet, h: int,
     """Is every residue of Z_N a sum of h elements of the set?
 
     repetition "forbidden" restricts to sums of pairwise-distinct elements.
-    Returns (covered, sorted uncovered residues).
-    """
+    Returns (covered, sorted uncovered residues), the zeros of the ordered
+    counts (whose support is the unordered one's)."""
     if repetition not in ("allowed", "forbidden"):
         raise RangeError(f"unknown repetition flag {repetition!r}")
-    distinct = "pairwise" if repetition == "forbidden" else "none"
-    profile = rep_profile(modset, h, mode="cyclic", convention="unordered",
-                          distinct=distinct)
-    uncovered = [r for r in range(modset.modulus) if r not in profile.counts]
+    counts = _counts_array(modset.elements, _arity(h), modset.modulus, "ordered",
+                           "pairwise" if repetition == "forbidden" else "none")
+    uncovered = np.flatnonzero(counts == 0).tolist()
     return (not uncovered, uncovered)

@@ -8,11 +8,14 @@ sampler that built every x in [1, horizon] before the streamed residue
 blocks, the scalar accept rule that `contains` ran in Python integers
 before it moved onto the block rule, a literal reading of the deletion lifts' removal rule, and the
 per-x1 scan behind the triple family's moments before the loop engines
-moved onto direct convolutions, and the split sum over every x that
-sigma made before it halved the symmetric case. They live here, outside
-`src/`, as exact oracles only.
+moved onto direct convolutions, the split sum over every x that
+sigma made before it halved the symmetric case, and the tuple enumeration
+behind every representation profile convention before they all moved onto
+the shift-add kernel. They live here, outside `src/`, as exact oracles
+only.
 """
 
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -151,6 +154,25 @@ def sidon_witness(elems, mode, modulus):
     return None
 
 
+def profile_counts(elems, h, mode, modulus, convention, distinct):
+    """Sum -> count over the h-tuples of elems (ordered or sorted, with
+    repetition or pairwise distinct), summed in Z (mode "integer") or in
+    Z_modulus, one tuple at a time."""
+    if convention == "ordered":
+        tuples = itertools.product(elems, repeat=h)
+        if distinct == "pairwise":
+            tuples = (t for t in tuples if len(set(t)) == h)
+    elif distinct == "pairwise":
+        tuples = itertools.combinations(elems, h)
+    else:
+        tuples = itertools.combinations_with_replacement(elems, h)
+    counts = {}
+    for t in tuples:
+        s = sum(t) % modulus if mode == "cyclic" else sum(t)
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
 def removals(A, limit):
     """Element -> removal witness of the deletion lifts (limit 2 Sidon,
     limit 3 B2[2]): A's unordered pairs (u <= v) grouped by sum once, then
@@ -187,7 +209,7 @@ def sample_elements(config, horizon):
     """The full-range sample: u < fl(x^-gamma) by a single float
     comparison over all admissible x."""
     xs = admissible(config, horizon)
-    u = _uniform_array(config.seed, xs)
+    u = _uniform_array(config.seed, xs * np.uint64(_GOLDEN))
     thresh = np.power(xs.astype(np.float64), -float(config.gamma))
     return tuple(int(v) for v in xs[u < thresh])
 

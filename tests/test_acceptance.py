@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import brute_scans as brute
 from test_sunflower import _oracle_exists
 
 from sidonlab.analysis import (check_lemma_ab, check_lemma_abab,
@@ -26,7 +27,7 @@ from sidonlab.deletionlab import (FamilySpec, b2_2_lift, destruction_audit,
                                   enumerate_family, sidon_lift)
 from sidonlab.numbertheory import is_prime, primitive_root
 from sidonlab.randommodel import sample_sequence
-from sidonlab.sidoncore import (ModSet, _brute_profile_counts, b2g_bound,
+from sidonlab.sidoncore import (ModSet, b2g_bound,
                                 convolution_profile_array, erdos_turan_set,
                                 is_sidon, rep_profile, ruzsa_set)
 from sidonlab.sunflower import find_vectorial_sunflower
@@ -127,12 +128,18 @@ def test_criterion_05_engine_equivalence_random_modsets():
         size = rng.randrange(2, min(modulus, 70) + 1)
         elements = tuple(sorted(rng.sample(range(modulus), size)))
         h = rng.randrange(1, 4)
-        brute = _brute_profile_counts(elements, h, "cyclic", modulus,
-                                      "ordered", "none")
-        conv = rep_profile(ModSet(modulus, elements), h)
-        assert conv.counts == brute, (trial, modulus, size, h)
-    _verdict(5, "brute and convolution profiles identical on "
-                "100 random ModSets (N <= 2000, h <= 3)", started)
+        ms = ModSet(modulus, elements)
+        want = brute.profile_counts(elements, h, "cyclic", modulus,
+                                    "ordered", "none")
+        assert rep_profile(ms, h).counts == want, (trial, modulus, size, h)
+        for distinct in ("none", "pairwise"):
+            want = brute.profile_counts(elements, h, "cyclic", modulus,
+                                        "unordered", distinct)
+            got = rep_profile(ms, h, convention="unordered", distinct=distinct)
+            assert got.counts == want, (trial, modulus, size, h, distinct)
+    _verdict(5, "tuple-enumeration and shift-add profiles identical on "
+                "100 random ModSets (N <= 2000, h <= 3), ordered and both "
+                "unordered conventions", started)
 
 
 def test_criterion_06_big_profile_performance():

@@ -24,7 +24,7 @@ from sidonlab.randommodel import (
     sample_sequence,
     uniform_unit,
 )
-from sidonlab.randommodel import (_blocks, _exact_accept, _margin,
+from sidonlab.randommodel import (_GOLDEN, _blocks, _exact_accept, _margin,
                                   _uniform_array)
 from sidonlab.sidoncore import ruzsa_set
 
@@ -59,7 +59,7 @@ class TestCounter:
 
     def test_vector_path_bitwise_equal(self):
         xs = np.arange(1, 2001, dtype=np.uint64)
-        vec = _uniform_array(12345, xs)
+        vec = _uniform_array(12345, xs * np.uint64(_GOLDEN))
         scl = np.array([uniform_unit(12345, int(x)) for x in xs])
         assert np.array_equal(vec, scl)
 

@@ -10,7 +10,6 @@ from sidonlab import numbertheory
 from sidonlab.numbertheory import (NotGenerator, RangeError, crt_flatten,
                                    primitive_root)
 from sidonlab.sidoncore import (
-    _brute_profile_counts,
     ModSet,
     NotOddPrime,
     b2g_bound,
@@ -219,9 +218,10 @@ def test_b2g_bound_matches_brute_profile():
         if len({e % modulus for e in elems}) == size:
             cases.append(("cyclic", modulus))
         for mode, mod in cases:
-            profile = rep_profile(elems, 2, mode=mode, modulus=mod,
-                                  convention="unordered")
-            want = max(profile.counts.values(), default=0)
+            # moduli near 2^63 hold no dense window: count with the oracle
+            counts = brute.profile_counts(elems, 2, mode, mod, "unordered",
+                                          "none")
+            want = max(counts.values(), default=0)
             assert b2g_bound(elems, mode=mode, modulus=mod) == want
             checked += mode == "cyclic" and want > 1
     assert checked > 20
@@ -246,6 +246,67 @@ def test_rep_profile_integer_mode():
     assert prof.modulus is None
 
 
+def test_rep_profile_matches_tuple_oracle_sweep():
+    # every convention, distinct flag and mode at h = 1..4 against the
+    # tuple enumeration, with empty sets, cyclic moduli 1 and 2 and integer
+    # bases far outside int64
+    rng = random.Random(2021)
+    cases = [([], "integer", None), ([], "cyclic", 1), ([0], "cyclic", 1),
+             ([1], "cyclic", 2), ([0, 1], "cyclic", 2)]
+    for _ in range(100):
+        size = rng.randrange(0, 8)
+        base = rng.choice([0, -50, 10 ** 20])
+        cases.append(([base + x for x in rng.sample(range(4 * size + 3), size)],
+                      "integer", None))
+        modulus = rng.choice([1, 2, rng.randrange(3, 80)])
+        size = rng.randrange(0, min(modulus, 7) + 1)
+        cases.append((rng.sample(range(modulus), size), "cyclic", modulus))
+    for elems, mode, modulus in cases:
+        for h in (1, 2, 3, 4):
+            for convention in ("ordered", "unordered"):
+                for distinct in ("none", "pairwise"):
+                    prof = rep_profile(elems, h, mode=mode, modulus=modulus,
+                                       convention=convention,
+                                       distinct=distinct)
+                    want = brute.profile_counts(sorted(elems), h, mode,
+                                                modulus, convention, distinct)
+                    assert prof.counts == want, (elems, mode, modulus, h,
+                                                 convention, distinct)
+                    assert list(prof.counts) == sorted(prof.counts)
+                    assert prof.total() == prof.expected_total(len(elems))
+
+
+def test_profile_overflow_guards():
+    # h n^h < 2^62 bounds every partial sum of the symmetric-function
+    # counts: at n = 2, h = 56 passes (56 2^56 < 2^62) and h = 57 does not
+    prof = rep_profile([0, 1], 56, modulus=5, convention="unordered")
+    assert prof.total() == 57
+    for convention in ("ordered", "unordered"):
+        # h! alone is past int64 here, but e_h = 0 for h > n
+        assert rep_profile([0, 1], 56, modulus=5, convention=convention,
+                           distinct="pairwise").counts == {}
+    for convention in ("ordered", "unordered"):
+        with pytest.raises(RangeError, match="overflow"):
+            rep_profile([0, 1], 57, modulus=5, convention=convention,
+                        distinct="pairwise")
+    # windows need h N < 2^63 for int64 indexes and pair sums, checked
+    # before any array is made
+    for convention, distinct in itertools.product(("ordered", "unordered"),
+                                                  ("none", "pairwise")):
+        with pytest.raises(RangeError, match="window"):
+            rep_profile([0, 1], 2, modulus=1 << 62, convention=convention,
+                        distinct=distinct)
+        with pytest.raises(RangeError, match="window"):
+            rep_profile([0, 10 ** 20], 2, mode="integer",
+                        convention=convention, distinct=distinct)
+    with pytest.raises(RangeError, match="window"):
+        basis_order_check(ModSet(1 << 62, (0, 1)), 2, repetition="forbidden")
+    # the ordered count with repetition keeps its own n^h < 2^62 guard
+    with pytest.raises(RangeError, match="overflow"):
+        convolution_profile_array([0, 1], 62, modulus=5)
+    assert int(convolution_profile_array([0, 1], 61, modulus=5).sum()) == 2 ** 61
+
+
 def test_engines_agree_random_sweep():
     rng = random.Random(20260816)
     for trial in range(100):
@@ -254,17 +315,17 @@ def test_engines_agree_random_sweep():
         max_size = min(N, 60 if h == 2 else 36)
         size = rng.randrange(1, max_size + 1)
         ms = ModSet(N, tuple(rng.sample(range(N), size)))
-        brute = _brute_profile_counts(ms.elements, h, "cyclic", N,
-                                      "ordered", "none")
+        want = brute.profile_counts(ms.elements, h, "cyclic", N,
+                                    "ordered", "none")
         conv = rep_profile(ms, h, convention="ordered", distinct="none")
-        assert conv.counts == brute, (trial, N, h, size)
+        assert conv.counts == want, (trial, N, h, size)
 
 
 def test_convolution_array_matches_counts():
     ms = ModSet(50, (0, 1, 4, 9, 11))
     arr = convolution_profile_array(ms, 3)
-    brute = _brute_profile_counts(ms.elements, 3, "cyclic", 50, "ordered", "none")
-    assert {i: c for i, c in enumerate(arr.tolist()) if c} == brute
+    want = brute.profile_counts(ms.elements, 3, "cyclic", 50, "ordered", "none")
+    assert {i: c for i, c in enumerate(arr.tolist()) if c} == want
     assert int(arr.sum()) == 5**3
 
 
