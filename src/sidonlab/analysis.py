@@ -54,14 +54,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import chain, count, islice
 
 import numpy as np
 
 from .deletionlab import FamilySpec, _family, _family_size
-from .numbertheory import RangeError, _as_ints, _int_fields
-from .randommodel import SampleConfig, _accept, _as_fraction, _blocks
+from .numbertheory import RangeError, _as_fraction, _as_ints, _int_fields
+from .randommodel import SampleConfig, _accept, _blocks
 
 __all__ = [
     "NonConvergent",
@@ -266,32 +267,36 @@ def _power(xs: np.ndarray, c: int, e: float) -> np.ndarray:
     return xs + c if e == 1 else np.power(xs + c, e)
 
 
-def _tail_exponents(a, b) -> tuple[float, float]:
-    """p = a + b - 1 and b, each rounded once from its exact value."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    return float(a + b - 1), float(b)
+def _tau_tails(n: int, p: float, b: float, x0: float, rise: float):
+    """c -> (I, rho), I the integral over t > c of t^-b (t+n)^-a, a + b > 1,
+    0 < b < 1, for c in [1, n/3] or c >= n, with c + n <= 2^52 (exact for
+    the integer and half-integer starts tau asks for), and rho with
+    |computed - exact| <= rho * exact; p = a + b - 1, b, x0 = 1 - b and
+    rise = 2 - a - b each rounded once. From c >= n it is
+    `_tau_tail_integral`. From c <= n/3 it is n^-p `_tau_head_series` plus
+    the integral from n, made at most once: two positive parts, so rho is
+    the larger of theirs plus the rounding of the sum."""
+    @cache
+    def tail(c):
+        if not (1 <= c and 3 * c <= n or n <= c) or c + n > 2 ** 52:
+            raise RangeError("the tail must start in [1, n/3] or at n or "
+                             "later, with c + n <= 2^52")
+        if c >= n:
+            return _tau_tail_integral(n, p, b, c), _tau_tail_rel_error(n, p, c)
+        value, rho = tail(n)
+        return (n ** -p * _tau_head_series(n, x0, rise, c) + value,
+                _compose(max(_tau_head_rel_error(n, p, x0, c), rho), _U))
+    return tail
 
 
-def _tau_tail_integral(n: int, a, b, c) -> float:
-    """The integral over t > c of t^-b (t+n)^-a, a + b > 1, 0 < b < 1, for
-    a start c in [1, n/3] or at n or later, with c + n <= 2^52.
+def _tau_tail_integral(n: int, p: float, b: float, c) -> float:
+    """The integral over t > c >= n of t^-b (t+n)^-a, p = a + b - 1.
 
-    From c >= n it is n^(1-a-b) B(s; p, 1-b) with p = a + b - 1 and
-    s = n / (c + n), which is (c + n)^-p times the positive series sum over
-    k of (b)_k / k! s^k / (p + k). There s <= 1/2, and each term is below
-    s times the one before: the remainder after a term is at most that
-    term. The sum stops at the first term below 2^-60 of the sum so far.
-    From c <= n/3 it is the integral from c to n, n^-p times
-    `_tau_head_series`, plus the one from n. c + n <= 2^52 keeps c + n
-    exact for the integer and half-integer starts that tau asks for;
-    `_tau_tail_rel_error` bounds the rest of the rounding."""
-    if not (1 <= c and 3 * c <= n or n <= c) or c + n > 2 ** 52:
-        raise RangeError("the tail must start in [1, n/3] or at n or "
-                         "later, with c + n <= 2^52")
-    p, bf = _tail_exponents(a, b)
-    if c < n:
-        return (n ** -p * _tau_head_series(n, a, b, c)
-                + _tau_tail_integral(n, a, b, n))
+    It is n^(1-a-b) B(s; p, 1-b) with s = n / (c + n), which is (c + n)^-p
+    times the positive series sum over k of (b)_k / k! s^k / (p + k).
+    There s <= 1/2, and each term is below s times the one before: the
+    remainder after a term is at most that term. The sum stops at the
+    first term below 2^-60 of the sum so far."""
     s = n / (c + n)
     r, total = 1.0, 0.0
     for k in count():
@@ -299,12 +304,12 @@ def _tau_tail_integral(n: int, a, b, c) -> float:
         total += term
         if term <= total * 2.0 ** -60:
             return (c + n) ** -p * total
-        r *= s * (bf + k) / (k + 1)
+        r *= s * (b + k) / (k + 1)
 
 
-def _tau_head_series(n: int, a, b, c) -> float:
+def _tau_head_series(n: int, x0: float, rise: float, c) -> float:
     """S with n^-p S the integral over c < t < n of t^-b (t+n)^-a, for
-    1 <= c <= n/3, p = a + b - 1.
+    1 <= c <= n/3, p = a + b - 1, x0 = 1 - b and rise = 2 - a - b = 1 - p.
 
     w = t / (t + n) turns the integral into n^-p times the integral of
     w^-b (1-w)^(p-1) from w0 = c / (c + n) to 1/2, and (1-w)^(p-1) is the
@@ -317,8 +322,6 @@ def _tau_head_series(n: int, a, b, c) -> float:
     stops at the first term below 2^-61 of the sum so far, which is never
     t_0, and it is taken by fsum. By `_tau_head_rel_error`, it stops by
     k = _HEAD_TERMS - 1."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    x0, rise = float(1 - b), float(2 - a - b)
     log_w = math.log(2 * c / (c + n))
     half = 2.0 ** -x0
     coef, terms, total = 1.0, [], 0.0
@@ -332,16 +335,16 @@ def _tau_head_series(n: int, a, b, c) -> float:
         coef *= (k + rise) / (k + 1)
 
 
-def _tau_tail_rel_error(n: int, a, b, c) -> float:
+def _tau_tail_rel_error(n: int, p: float, c) -> float:
     """rho with |computed - exact| <= rho * exact for `_tau_tail_integral`.
 
-    From c >= n: s takes one rounding, and so do b and p (|b' - b| <= u b
-    <= u (b + k), likewise for p). A step of the recurrence adds six: b + k,
-    its product with s, the division by k + 1, the update of r, and the
-    errors of b and s. Term k then carries at most 6k + 3 (p + k, the error
-    of p and the division), and the running sum of at most _TAIL_TERMS
-    terms K = _TAIL_TERMS - 1 more: term k is within gamma(6k + 3 + K) of
-    its exact value. Exact terms fall by a factor below s, so term_k <=
+    s takes one rounding, and so do b and p (|b' - b| <= u b <= u (b + k),
+    likewise for p). A step of the recurrence adds six: b + k, its product
+    with s, the division by k + 1, the update of r, and the errors of b
+    and s. Term k then carries at most 6k + 3 (p + k, the error of p and
+    the division), and the running sum of at most _TAIL_TERMS terms
+    K = _TAIL_TERMS - 1 more: term k is within gamma(6k + 3 + K) of its
+    exact value. Exact terms fall by a factor below s, so term_k <=
     s^k term_0 <= s^k S and the sum over k of k term_k is at most
     s / (1 - s)^2 S: the roundings add at most
     (6 s / (1 - s)^2 + 3 + K) u / (1 - 7 K u) of S. At s <= 1/2 the
@@ -350,15 +353,7 @@ def _tau_tail_rel_error(n: int, a, b, c) -> float:
     (2^-60 of the computed sum, with room for the rounding of both). The
     power (c + n)^-p is within _POW_ULPS ulps, its exponent's rounding
     scales it by at most t (1 + t), t = u p ln(c + n), and the final
-    product rounds once.
-
-    From c <= n/3 the value is a sum of two positive parts, so its
-    relative error is at most the larger of theirs, `_tau_head_rel_error`
-    and the bound from n, plus the rounding of the sum."""
-    if c < n:
-        return _compose(max(_tau_head_rel_error(n, a, b, c),
-                            _tau_tail_rel_error(n, a, b, n)), _U)
-    p, _ = _tail_exponents(a, b)
+    product rounds once."""
     s = n / (c + n)
     k = _TAIL_TERMS - 1
     series = (6 * s / (1 - s) ** 2 + 3 + k) * _U / (1 - 7 * k * _U)
@@ -366,7 +361,7 @@ def _tau_tail_rel_error(n: int, a, b, c) -> float:
     return _compose(2 * _POW_ULPS * _U, t * (1 + t), series, 2.0 ** -59, _U)
 
 
-def _tau_head_rel_error(n: int, a, b, c) -> float:
+def _tau_head_rel_error(n: int, p: float, x0: float, c) -> float:
     """rho with |computed - exact| <= rho * exact for n^-p times
     `_tau_head_series`, 1 <= c <= n/3.
 
@@ -392,12 +387,11 @@ def _tau_head_rel_error(n: int, a, b, c) -> float:
     at most 17 u / (1 - (4 _HEAD_TERMS + 5) u) of S, composed with those
     factors and the truncation; fsum rounds once. n^-p is one more power
     (t = u p ln n) and one product."""
-    p, _ = _tail_exponents(a, b)
     log_w = abs(math.log(2 * c / (c + n)))
     eta = _compose(_gamma(2), 10 * _U, _U)
     y = _HEAD_TERMS * (log_w + 1)
     bracket = _compose(eta * math.exp(eta * y), 2 * _POW_ULPS * _U)
-    t = _U * math.log(2) * float(1 - _as_fraction(b))
+    t = _U * math.log(2) * x0
     weights = 17 * _U / (1 - (4 * _HEAD_TERMS + 5) * _U)
     series = _compose(weights, bracket, 2 * _POW_ULPS * _U, t * (1 + t),
                       2.0 ** -59, _U)
@@ -412,17 +406,19 @@ def tau(spec: SumSpec) -> TauResult:
     convex, so the tail beyond a cutoff X sits between the trapezoid
     minorant (integral from X+1, plus half of f(X+1)) and the midpoint
     majorant (integral from X+1/2); both integrals have a closed
-    incomplete-Beta form, summed in float64 (`_tau_tail_integral`). The
+    incomplete-Beta form, summed in float64 (`_tau_tails`). The
     sandwich width shrinks like f(X)/X, so the cutoff stays small even
     for tight tolerances: it starts at max(m + 1, 1024) for every n and
     doubles until the bound fits, except that a cut whose tails would
     start between n/3 and n, where neither series of the integral is
     proved, moves up to n. So the partial sum has 1024 terms at a loose
-    tolerance however large n is.
+    tolerance however large n is. alpha, beta, alpha + beta - 1, 1 - beta
+    and 2 - alpha - beta are rounded once, here, and both sides of the
+    sandwich share one integral from n.
 
     The error bound is proved under the assumptions stated above: the
     sandwich half-width, plus the rounding of both sides of the sandwich
-    (`_tau_tail_rel_error` for the integrals, `_term_rel_error` for
+    (`_tau_tails` for the integrals, `_term_rel_error` for
     f(X+1)), of the partial sum (relative bound from
     `_power_sum_rel_error`, applied to the a priori majorant
     f(m+1) + (m+1)^(1-alpha-beta)/(alpha+beta-1)), of the midpoint and of
@@ -438,9 +434,9 @@ def tau(spec: SumSpec) -> TauResult:
     tol = float(spec.tail_tolerance if spec.tail_tolerance is not None
                 else Fraction(1, 10 ** 9))
     n, m = spec.n, spec.m
-    excess = float(a + b - 1)
-    factors = ((n, -a), (0, -b))
-    af, bf = float(a), float(b)
+    af, bf, excess = float(a), float(b), float(a + b - 1)
+    tail = _tau_tails(n, excess, bf, float(1 - b), float(2 - a - b))
+    factors = ((n, -af), (0, -bf))
 
     def term(y):
         return (n + y) ** -af * y ** -bf
@@ -449,12 +445,12 @@ def tau(spec: SumSpec) -> TauResult:
     partial_bound = _SAFETY * (term(m + 1) + (m + 1) ** -excess / excess)
     cut = _tail_cut(max(m + 1, 1 << 10), n)
     while True:
-        upper = _tau_tail_integral(n, a, b, cut + 0.5)
-        lower = _tau_tail_integral(n, a, b, cut + 1) + term(cut + 1) / 2
-        rho_lower = _compose(max(_tau_tail_rel_error(n, a, b, cut + 1),
-                                 _term_rel_error(factors, cut + 1)), _U)
-        half = (max(upper - lower, 0) / 2
-                + _tau_tail_rel_error(n, a, b, cut + 0.5) * upper
+        upper, rho_upper = tail(cut + 0.5)
+        lower, rho_lower = tail(cut + 1)
+        lower += term(cut + 1) / 2
+        rho_lower = _compose(max(rho_lower, _term_rel_error(factors, cut + 1)),
+                             _U)
+        half = (max(upper - lower, 0) / 2 + rho_upper * upper
                 + rho_lower * lower)
         rho = _power_sum_rel_error(factors, cut)
         rounding = (rho * partial_bound
@@ -476,8 +472,7 @@ def tau(spec: SumSpec) -> TauResult:
 
 def _tail_cut(cut: int, n: int) -> int:
     """cut, or n where the tails from cut + 1/2 and cut + 1 would start
-    between n/3 and n, which neither series of `_tau_tail_integral`
-    covers."""
+    between n/3 and n, which neither series of `_tau_tails` covers."""
     return n if 3 * (cut + 1) > n > cut else cut
 
 
@@ -1128,7 +1123,8 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
     specs are built, and so validated, before any sample is drawn. The
     trials share one pass over the model's blocks, which do not depend on
     the seed; each block goes through `_accept` once with every trial
-    seed, so every trial's sample is the one `sample_sequence` draws."""
+    seed, so every trial's sample is the one `sample_sequence` draws,
+    ascending, distinct and positive: the kind's counter takes it as is."""
     (trials,) = _as_ints((trials,), "trials")
     if trials < 2:
         raise RangeError("trials must be at least 2")
@@ -1145,7 +1141,7 @@ def monte_carlo_family_mean(kind, targets, cfg: SampleConfig, horizon: int,
             parts.append(xs[keep])
     counts = np.zeros((trials, len(specs)))
     for i, parts in enumerate(kept):
-        sample = np.concatenate(parts).tolist() if parts else []
+        sample = tuple(np.concatenate(parts).tolist()) if parts else ()
         for j, spec in enumerate(specs):
             counts[i, j] = _family_size(sample, spec)
     means = counts.mean(axis=0)

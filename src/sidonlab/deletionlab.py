@@ -25,6 +25,9 @@ B2[2] lift removes a1 when a pair sum through a1 is attained by three
 pairwise distinct pairs. T (resp. B) then overcounts the Q-members
 (resp. R-members) the lift can destroy, which is the audited inequality
 |Q_n(lifted)| >= |Q_n(A)| - |T_n(A)|.
+
+A public entry reads its sequence once (`_coerce`, into a sorted tuple of
+distinct positive ints); everything below takes that tuple as it is.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .numbertheory import RangeError, _as_family, _as_ints, _int_fields
-from .randommodel import _as_fraction
+from .numbertheory import (RangeError, _as_family, _as_fraction, _as_ints,
+                           _int_fields)
 
 __all__ = [
     "UnsupportedKind",
@@ -336,12 +339,11 @@ def _family(kind) -> tuple[str, _Family]:
     return key, _FAMILIES[key]
 
 
-def _family_size(A, spec: FamilySpec) -> int:
-    """len(enumerate_family(A, spec)), the one place the audits and Monte
-    Carlo count a family: by the kind's counter where it has one (Q, from
-    pair sums), else by counting its builder's stream, whose members are
-    neither kept nor validated."""
-    A = _coerce(A)
+def _family_size(A: tuple[int, ...], spec: FamilySpec) -> int:
+    """len(enumerate_family(A, spec)) for A as `_coerce` makes it, the one
+    place the audits and Monte Carlo count a family: by the kind's counter
+    where it has one (Q, from pair sums), else by counting its builder's
+    stream, whose members are neither kept nor validated."""
     family = _FAMILIES[spec.kind]
     if family.count:
         return family.count(A, spec)
@@ -386,8 +388,7 @@ def _removals(A, limit: int) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def _lift(A, limit: int) -> tuple[int, ...]:
-    A = _coerce(A)
+def _lift(A: tuple[int, ...], limit: int) -> tuple[int, ...]:
     removed = _removals(A, limit)
     return tuple(x for x in A if x not in removed)
 
@@ -407,12 +408,12 @@ def b22_removals(A) -> dict[int, tuple[int, int, int, int, int]]:
 def sidon_lift(A) -> tuple[int, ...]:
     """Single pass against the original sequence; the result is Sidon, so
     a second pass removes nothing."""
-    return _lift(A, 2)
+    return _lift(_coerce(A), 2)
 
 
 def b2_2_lift(A) -> tuple[int, ...]:
     """Single pass; survivors never share one pair sum three times over."""
-    return _lift(A, 3)
+    return _lift(_coerce(A), 3)
 
 
 class AuditResult(NamedTuple):

@@ -2,13 +2,14 @@
 
 Everything here is plain integer arithmetic with no probabilistic behavior.
 All functions are pure, so they are safe under concurrent callers.
-It holds the package's one reader of caller integers, `_as_ints`, and its
-two applications: `_int_fields` for dataclass fields, `_as_family` for the
-rows of a vector family.
+It holds the package's readers of caller input: `_as_ints` for integers,
+with `_int_fields` for dataclass fields and `_as_family` for the rows of
+a vector family, and `_as_fraction` for exact rationals.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from operator import index
@@ -59,6 +60,11 @@ def _int_fields(obj, *names: str) -> None:
                       f"{type(obj).__name__} {'/'.join(names)}")
     for name, value in zip(names, values):
         object.__setattr__(obj, name, value)
+
+
+def _as_fraction(value) -> Fraction:
+    """value as a Fraction, a tuple read as (numerator, denominator)."""
+    return Fraction(*value) if isinstance(value, tuple) else Fraction(value)
 
 
 def _as_family(rows, what: str) -> tuple[tuple[int, ...], ...]:

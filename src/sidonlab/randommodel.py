@@ -19,13 +19,17 @@ clears t by the proved margin `_margin`, which assumes that `pow` (libm
 for a scalar, `np.power` for an array) is within 4 ulps of the exact power
 of its float arguments. Inside the margin the decision is made in integers,
 k^q x^p < 2^(53 q) for gamma = p/q, or for large q from the sign of
-q ln k + p ln x - 53 q ln 2 in correctly rounded `decimal` logarithms. So
+q ln k + p ln x - 53 q ln 2 in correctly rounded `decimal` logarithms, on
+the word k = u 2^53 the float comparison read (exact, as k < 2^53). So
 a seeded sample does not depend on the platform's `pow`.
 
 The rule has one implementation, `_accept` on a block of candidates for
 any number of seeds; `sample_sequence` and `contains` pass one seed, and
 `contains` a block of one. The tests pin it bit for bit to an independent
 scalar oracle in Python integers.
+
+Each input has one reader: `SampleConfig` reads gamma and the integer
+fields, `_blocks` a horizon and `_accept` each candidate's 53-bit word.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from .numbertheory import RangeError, _as_ints, _int_fields
+from .numbertheory import RangeError, _as_fraction, _as_ints, _int_fields
 from .sidoncore import ModSet
 
 __all__ = [
@@ -65,14 +69,6 @@ _BLOCK = 1 << 16          # candidates per streamed block
 _EXACT_BITS = 1 << 12     # past this size of k^q x^p, compare logarithms
 
 GammaLike = Union[Fraction, str, int, tuple]
-
-
-def _as_fraction(gamma: GammaLike) -> Fraction:
-    if isinstance(gamma, Fraction):
-        return gamma
-    if isinstance(gamma, tuple):
-        return Fraction(*gamma)
-    return Fraction(gamma)
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class SampleConfig:
     @classmethod
     def from_modset(cls, modset: ModSet, gamma: GammaLike, m: int,
                     seed: int = 0) -> "SampleConfig":
-        return cls(gamma=_as_fraction(gamma), m=m, modulus=modset.modulus,
+        return cls(gamma=gamma, m=m, modulus=modset.modulus,
                    residues=tuple(modset.elements), seed=seed)
 
     def to_json(self) -> str:
@@ -254,7 +250,7 @@ def _accept(gamma: Fraction, seeds, xs: np.ndarray,
             t: np.ndarray) -> list[np.ndarray]:
     """The accept masks of a block with thresholds t = fl(x^-gamma), one
     per seed: the float comparison, with candidates inside the margin
-    (made once for the block) decided exactly."""
+    (made once for the block) decided exactly on the compared word."""
     margin = _margin(t, int(xs[-1]), float(gamma))
     xg = xs * np.uint64(_GOLDEN)  # the seed-independent half, made once
     masks = []
@@ -262,8 +258,7 @@ def _accept(gamma: Fraction, seeds, xs: np.ndarray,
         u = _uniform_array(seed, xg)
         keep = u < t
         for i in np.flatnonzero(np.abs(u - t) <= margin):
-            x = int(xs[i])
-            keep[i] = _exact_accept(mix64(seed + x * _GOLDEN) >> 11, x, gamma)
+            keep[i] = _exact_accept(int(u[i] * 2.0 ** 53), int(xs[i]), gamma)
         masks.append(keep)
     return masks
 

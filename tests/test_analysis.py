@@ -19,7 +19,7 @@ import pytest
 
 import brute_scans as brute
 import series_reference
-from sidonlab import analysis
+from sidonlab import analysis, deletionlab
 from sidonlab.analysis import (
     NonConvergent,
     RatioReport,
@@ -29,7 +29,7 @@ from sidonlab.analysis import (
     _power_sums,
     _power_sum_rel_error,
     _tau_tail_integral,
-    _tau_tail_rel_error,
+    _tau_tails,
     check_lemma_ab,
     check_lemma_abab,
     exact_delta_Q,
@@ -194,7 +194,8 @@ class TestTau:
             direct = mpmath.quad(
                 lambda t: t ** -b * (t + n) ** -a,
                 [cut, 10 * cut, 100 * cut, 10000 * cut, mpmath.inf])
-        assert _tau_tail_integral(n, a, b, cut) == pytest.approx(
+        p = float(2 * G - 1)
+        assert _tau_tail_integral(n, p, b, cut) == pytest.approx(
             float(direct), rel=1e-8)
 
     def test_monotone_in_floor(self):
@@ -244,6 +245,13 @@ class TestTau:
         assert abs(res.value - ref) <= res.error_bound <= 1e-10
 
 
+def _rounded(alpha, beta):
+    """alpha + beta - 1, beta, 1 - beta and 2 - alpha - beta, each rounded
+    once from its exact value, as tau passes them to `_tau_tails`."""
+    return (float(alpha + beta - 1), float(beta), float(1 - beta),
+            float(2 - alpha - beta))
+
+
 class TestTauTail:
     # from n on: n + 1/2 and n + 1 are the slowest series (s just below
     # 1/2), 2n a faster one; below n, the starts of tau's first cut and
@@ -260,9 +268,8 @@ class TestTauTail:
     def test_within_proved_bound(self, alpha, beta):
         assert sum(c < n for n, c in self.STARTS) == 8
         for n, c in self.STARTS:
-            got = _tau_tail_integral(n, alpha, beta, float(c))
+            got, rho = _tau_tails(n, *_rounded(alpha, beta))(float(c))
             ref = series_reference.tau_tail_integral(alpha, beta, n, c)
-            rho = _tau_tail_rel_error(n, alpha, beta, float(c))
             assert 0 < rho < 100 * analysis._U
             assert abs(got - ref) <= rho * ref, (n, c)
 
@@ -270,23 +277,40 @@ class TestTauTail:
     def test_head_within_its_own_bound(self, alpha, beta):
         # the integral from c to n alone, n^-p times the series in
         # t / (t + n), against the difference of two quadratures
-        p = float(alpha + beta - 1)
+        p, _, x0, rise = _rounded(alpha, beta)
         for n, c in self.STARTS:
             if c >= n:
                 continue
-            got = n ** -p * analysis._tau_head_series(n, alpha, beta, float(c))
+            got = n ** -p * analysis._tau_head_series(n, x0, rise, float(c))
             ref = (series_reference.tau_tail_integral(alpha, beta, n, c)
                    - series_reference.tau_tail_integral(alpha, beta, n, n))
-            rho = analysis._tau_head_rel_error(n, alpha, beta, float(c))
+            rho = analysis._tau_head_rel_error(n, p, x0, float(c))
             assert 0 < rho < 100 * analysis._U
             assert abs(got - ref) <= rho * ref, (n, c)
+
+    def test_tau_reads_exponents_and_the_tail_from_n_once(self,
+                                                          monkeypatch):
+        # three cuts (1024, 2048, 4096), each with both sides of the
+        # sandwich starting below n/3: six heads and one tail from n
+        spec = SumSpec(G, G, 10 ** 6, 0, Fraction(1, 10 ** 11))
+        want = tau(spec)
+        starts = []
+
+        def spy(n, p, b, c):
+            starts.append(c)
+            return _tau_tail_integral(n, p, b, c)
+
+        monkeypatch.setattr(analysis, "_tau_tail_integral", spy)
+        monkeypatch.setattr(analysis, "_as_fraction", None)
+        assert tau(spec) == want
+        assert want.cutoff == 4096 and starts == [10 ** 6]
 
     def test_start_below_n_raises(self):
         # below 1, between n/3 and n (neither series is proved there), and
         # where c + n passes 2^52
         for c in (0.5, 3.5, 9.5, 2 ** 52):
             with pytest.raises(RangeError):
-                _tau_tail_integral(10, G, G, c)
+                _tau_tails(10, *_rounded(G, G))(c)
 
 
 class TestPowerSum:
@@ -975,6 +999,29 @@ class TestMonteCarlo:
                                             trials=6, master_seed=master)
             assert table == _monte_carlo_oracle(kind, targets, cfg, horizon,
                                                 6, master)
+
+    # the mod-156 Ruzsa model at gamma = 1/5 and m = 0 keeps about 70 of
+    # [1, 3000], so that every table below has a nonzero mean
+    DENSE156 = SampleConfig.from_modset(ruzsa_set(13), gamma="1/5", m=0)
+
+    @pytest.mark.parametrize("kind,cfg,targets,horizon", [
+        ("Q", PLAIN100, [2000, 3000], 3000),
+        ("Q", DENSE156, [2423, 2579], 3000),
+        ("T", DENSE156, [863, 1019], 1000),
+        ("U2", DENSE156, [2000, 2500], 3000)])
+    def test_counts_samples_without_coerce(self, monkeypatch, kind, cfg,
+                                           targets, horizon):
+        # each trial's sample is ascending, distinct and positive as the
+        # blocks make it, so it goes to the kind's counter unread
+        calls = []
+        monkeypatch.setattr(deletionlab, "_coerce", calls.append)
+        table = monte_carlo_family_mean(kind, targets, cfg, horizon,
+                                        trials=6, master_seed=2026)
+        assert calls == []
+        monkeypatch.undo()
+        assert table == _monte_carlo_oracle(kind, targets, cfg, horizon, 6,
+                                            2026)
+        assert any(mean > 0 for _, mean, _ in table)
 
     def test_reads_integers_only(self):
         # target 30.9 used to be read as 30 and master seed 7.8 as 7

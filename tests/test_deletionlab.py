@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -170,7 +171,7 @@ class TestEnumerate:
         spec = FamilySpec("Q", n, modulus=N)
         fam = enumerate_family(A, spec)
         assert set(fam.members) == oracle_q(A, n, N)
-        assert _family_size(A, spec) == len(fam)
+        assert _family_size(tuple(A), spec) == len(fam)
 
     def test_q_modulus_one_is_plain_distinctness(self):
         fam = enumerate_family({1, 2, 3}, FamilySpec("Q", 6, modulus=1))
@@ -192,7 +193,7 @@ class TestEnumerate:
         spec = FamilySpec("R", n, epsilon=eps)
         fam = enumerate_family(A, spec)
         assert set(fam.members) == oracle_r(A, n, eps)
-        assert _family_size(A, spec) == len(fam)
+        assert _family_size(tuple(A), spec) == len(fam)
 
     def test_t_contains_spec_tuple(self):
         fam = enumerate_family(range(1, 7), FamilySpec("T", 6, modulus=1))
@@ -205,7 +206,7 @@ class TestEnumerate:
         fam = enumerate_family(A, spec)
         assert len(fam.members) == len(set(fam.members))
         assert set(fam.members) == oracle_t(A, n, N)
-        assert _family_size(A, spec) == len(fam)
+        assert _family_size(tuple(A), spec) == len(fam)
 
     @pytest.mark.parametrize("n,N,eps", [(12, 1, Fraction(2, 3)),
                                          (12, 2, Fraction(2, 3)),
@@ -215,7 +216,7 @@ class TestEnumerate:
         spec = FamilySpec("B", n, modulus=N, epsilon=eps)
         fam = enumerate_family(A, spec)
         assert set(fam.members) == oracle_b(A, n, N, eps)
-        assert _family_size(A, spec) == len(fam)
+        assert _family_size(tuple(A), spec) == len(fam)
 
     def test_small_family_examples(self):
         v2 = enumerate_family({1, 3, 4, 9}, FamilySpec("V2", 2))
@@ -236,7 +237,7 @@ class TestEnumerate:
                 fam = enumerate_family(A, spec)
                 assert set(fam.members) == oracle_small(A, kind, r)
                 assert len(fam.members) == len(set(fam.members))
-                assert _family_size(A, spec) == len(fam)
+                assert _family_size(tuple(sorted(A)), spec) == len(fam)
 
 
 class TestQCount:
@@ -250,7 +251,8 @@ class TestQCount:
             A = rng.sample(range(1, top), rng.randrange(min(top - 1, 80)))
             n = rng.randrange(1, 3 * top)
             spec = FamilySpec("Q", n, modulus=N)
-            stream = _q_members(sorted(A), spec)
+            A = tuple(sorted(A))
+            stream = _q_members(A, spec)
             assert _family_size(A, spec) == sum(1 for _ in stream)
         # every builder streams its members in one fixed order, ascending
         # tuples (T and B grouped by the set of their Q or R head first),
@@ -280,11 +282,12 @@ class TestQCount:
         ((), 9), ((3,), 9), ((3, 6), 12), ((3, 6), 9)])
     def test_repeated_coordinates_and_tiny_sets(self, A, n, N):
         spec = FamilySpec("Q", n, modulus=N)
-        assert _family_size(A, spec) == len(oracle_q(A, n, N))
+        assert _family_size(tuple(A), spec) == len(oracle_q(A, n, N))
 
     def test_blocks_and_wide_sets(self, monkeypatch):
         rng = random.Random(5)
-        sets = [(rng.sample(range(1, 400), 40), rng.randrange(1, 1200), N)
+        sets = [(tuple(sorted(rng.sample(range(1, 400), 40))),
+                 rng.randrange(1, 1200), N)
                 for N in (1, 5, 156) for _ in range(20)]
         want = [len(oracle_q(A, n, N)) for A, n, N in sets]
         monkeypatch.setattr(deletionlab, "_q_members", None)
@@ -401,6 +404,27 @@ class TestAudit:
         res = destruction_audit(sidon, 14, mode="sidon", epsilon="1/2")
         assert res.q_after == res.q_before and res.holds
 
+    def test_each_entry_reads_its_sequence_once(self, monkeypatch):
+        calls, coerce = [], deletionlab._coerce
+
+        def spy(A):
+            calls.append(A)
+            return coerce(A)
+
+        A = [9, 1, 5, 2, 7, 3, 1, 12, 4]
+        want = [destruction_audit(A, 15, mode="b22"),
+                destruction_audit(A, 15, N=2, mode="sidon", epsilon="1/2")]
+        monkeypatch.setattr(deletionlab, "_coerce", spy)
+        assert [destruction_audit(A, 15, mode="b22"),
+                destruction_audit(A, 15, N=2, mode="sidon",
+                                  epsilon="1/2")] == want
+        assert calls == [A, A]
+        for entry in (sidon_lift, b2_2_lift, sidon_removals, b22_removals,
+                      partial(enumerate_family, spec=FamilySpec("Q", 15))):
+            calls.clear()
+            entry(A)
+            assert calls == [A]
+
     def test_empty_sequence(self):
         assert destruction_audit((), 10, mode="b22") == (0, 0, 0, True)
         assert destruction_audit((), 10, mode="sidon", epsilon="1/2") \
@@ -438,7 +462,7 @@ class TestAudit:
         code = ("import resource\n"
                 "from fractions import Fraction\n"
                 "from sidonlab.deletionlab import FamilySpec, _family_size\n"
-                f"print(_family_size(range(1, 40), {spec}),\n"
+                f"print(_family_size(tuple(range(1, 40)), {spec}),\n"
                 "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         src = str(Path(deletionlab.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code],

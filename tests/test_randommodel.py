@@ -241,6 +241,25 @@ class TestExactRule:
                     err = abs(mpmath.mpf(t) - exact)
                 assert err <= (_margin(t, x, g) - 2.0 ** -1000) / 4
 
+    @pytest.mark.parametrize("gamma", ["7/11", "19/27", "1/1000000",
+                                       "499999/1000000"])
+    def test_exact_branch_decides_on_the_compared_word(self, monkeypatch,
+                                                       gamma):
+        # with every candidate inside the margin, the masks take no word
+        # from mix64 and still equal the scalar oracle, whose words do
+        seeds = (0, 9, 2 ** 64 - 1)
+        monkeypatch.setattr(randommodel, "_margin", lambda t, x, gamma: 1.0)
+        monkeypatch.setattr(randommodel, "mix64", None)
+        for m in (0, 2 ** 62):
+            cfg = SampleConfig(gamma=gamma, m=m, modulus=1, residues=(0,))
+            (xs, t), = _blocks(cfg, m + 200)
+            masks = randommodel._accept(cfg.gamma, seeds, xs, t)
+            for seed, keep in zip(seeds, masks):
+                conf = SampleConfig(gamma=gamma, m=m, modulus=1,
+                                    residues=(0,), seed=seed)
+                assert keep.tolist() == [brute.contains(conf, x)
+                                         for x in xs.tolist()]
+
     def test_all_candidates_through_exact_fallback(self, monkeypatch):
         cases = [(_ruzsa_config(seed=s), 20000) for s in (0, 12345)]
         cases.append((SampleConfig(gamma="7/11", m=100, modulus=1,
