@@ -14,181 +14,26 @@ The package is organized around one pipeline and its supporting machinery:
 
 All engines are deterministic: counting is exact integer arithmetic, sampling
 is counter-based from an explicit seed, and float work is plain IEEE double.
+
+Every name in a library module's ``__all__`` is importable from here; that
+list is the one statement of a module's public names. ``cli`` is left out,
+so importing the package loads no argument parser.
 """
 
-from .analysis import (
-    NonConvergent,
-    RatioReport,
-    SumSpec,
-    TauResult,
-    check_lemma_ab,
-    check_lemma_abab,
-    exact_delta_Q,
-    exact_expectation_Q,
-    gamma_from_epsilon,
-    get_pin,
-    janson_threshold,
-    load_pins,
-    monte_carlo_family_mean,
-    sigma,
-    tau,
-)
-from .curveoracle import (
-    CurveParams,
-    QuadricParams,
-    TorusCloud,
-    curve_point_count,
-    curve_point_table,
-    dyadic_box_coverage,
-    enumerate_quadric,
-    hasse_gap,
-    hasse_slack,
-    repeated_coordinate_count,
-    special_rep4_count,
-    torus_points,
-    triple_rep_count,
-    triple_rep_table,
-)
-from .decomposer import (
-    Decomposition,
-    LiftTarget,
-    NoRepresentation,
-    decompose3_ruzsa,
-    decompose3_zn,
-    decompose4_ruzsa,
-    lift_to_interval,
-)
-from .deletionlab import (
-    AuditResult,
-    FamilySpec,
-    UnsupportedKind,
-    VectorFamily,
-    b2_2_lift,
-    b22_removals,
-    destruction_audit,
-    enumerate_family,
-    sidon_lift,
-    sidon_removals,
-)
-from .numbertheory import (
-    NotGenerator,
-    NotPrime,
-    PrimeNotFound,
-    RangeError,
-    crt_flatten,
-    find_decomposition_prime,
-    is_prime,
-    primitive_root,
-)
-from .randommodel import (
-    IntSeq,
-    SampleConfig,
-    contains,
-    count_variance,
-    expected_count,
-    inclusion_probability,
-    sample_sequence,
-)
-from .sidoncore import (
-    ModSet,
-    NotOddPrime,
-    RepProfile,
-    SidonWitness,
-    b2g_bound,
-    basis_order_check,
-    convolution_profile_array,
-    erdos_turan_set,
-    is_sidon,
-    rep_profile,
-    ruzsa_set,
-)
-from .sunflower import (
-    SunflowerCert,
-    find_classical_sunflower,
-    find_vectorial_sunflower,
-    is_vectorial_sunflower,
-    set_h_embed,
-)
+from . import (analysis, curveoracle, decomposer, deletionlab, numbertheory,
+               randommodel, sidoncore, sunflower)
+from .analysis import *
+from .curveoracle import *
+from .decomposer import *
+from .deletionlab import *
+from .numbertheory import *
+from .randommodel import *
+from .sidoncore import *
+from .sunflower import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NotPrime",
-    "NotGenerator",
-    "PrimeNotFound",
-    "RangeError",
-    "NotOddPrime",
-    "NoRepresentation",
-    "UnsupportedKind",
-    "NonConvergent",
-    "ModSet",
-    "RepProfile",
-    "SidonWitness",
-    "CurveParams",
-    "QuadricParams",
-    "TorusCloud",
-    "Decomposition",
-    "LiftTarget",
-    "SampleConfig",
-    "IntSeq",
-    "FamilySpec",
-    "VectorFamily",
-    "AuditResult",
-    "SunflowerCert",
-    "SumSpec",
-    "TauResult",
-    "RatioReport",
-    "is_prime",
-    "primitive_root",
-    "crt_flatten",
-    "find_decomposition_prime",
-    "erdos_turan_set",
-    "ruzsa_set",
-    "is_sidon",
-    "b2g_bound",
-    "rep_profile",
-    "convolution_profile_array",
-    "basis_order_check",
-    "curve_point_count",
-    "curve_point_table",
-    "hasse_gap",
-    "hasse_slack",
-    "triple_rep_count",
-    "triple_rep_table",
-    "repeated_coordinate_count",
-    "special_rep4_count",
-    "enumerate_quadric",
-    "torus_points",
-    "dyadic_box_coverage",
-    "decompose3_ruzsa",
-    "decompose4_ruzsa",
-    "decompose3_zn",
-    "lift_to_interval",
-    "inclusion_probability",
-    "contains",
-    "sample_sequence",
-    "expected_count",
-    "count_variance",
-    "enumerate_family",
-    "sidon_removals",
-    "b22_removals",
-    "sidon_lift",
-    "b2_2_lift",
-    "destruction_audit",
-    "find_classical_sunflower",
-    "find_vectorial_sunflower",
-    "is_vectorial_sunflower",
-    "set_h_embed",
-    "sigma",
-    "tau",
-    "check_lemma_ab",
-    "check_lemma_abab",
-    "gamma_from_epsilon",
-    "exact_expectation_Q",
-    "exact_delta_Q",
-    "janson_threshold",
-    "monte_carlo_family_mean",
-    "load_pins",
-    "get_pin",
-    "__version__",
-]
+__all__ = [name for module in (numbertheory, sidoncore, curveoracle,
+                               decomposer, randommodel, deletionlab,
+                               sunflower, analysis)
+           for name in module.__all__] + ["__version__"]

@@ -302,7 +302,8 @@ def _cmd_curve_quadric(args):
 
 def _cmd_curve_coverage(args):
     cloud = torus_points(QuadricParams(args.p, args.r1, args.r2))
-    covered, total = dyadic_box_coverage(cloud, args.k)
+    empty, total = dyadic_box_coverage(cloud, args.k)
+    covered = total - empty
     return {"p": args.p, "r1": args.r1, "r2": args.r2, "k": args.k,
             "covered": covered, "total": total, "fraction": covered / total}
 

@@ -6,7 +6,8 @@ Two pipelines:
   set elements by walking the exponent triples of `curveoracle.triple_reps`
   (O(p) per target, one quadratic per x1); the curve identity guarantees
   roughly p of them, at most 9 of which repeat a coordinate. A 4-term
-  variant fixes the fourth part at (0, 1) and decomposes the shifted target.
+  variant fixes the fourth part at (0, 1) and decomposes the shifted target;
+  failing that, it walks the same solver once per first part x1.
 
 * Over Z_N with 4p^2 < N < 5p^2, p = 1 (mod 3), a target n is lifted to an
   integer r1 + r2 * 2p with K <= r1, r2 <= (5p-1)/2 + K, K = ceil(p/4);
@@ -156,7 +157,8 @@ def decompose3_ruzsa(p: int, a: int, b: int, g: Optional[int] = None,
 def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decomposition:
     """Four pairwise-distinct parts for (a, b): fix the part (0, 1), then
     write the shifted target (a, b-1) as three distinct parts avoiding
-    exponent 0. Falls back to an exhaustive distinct 4-tuple search."""
+    exponent 0. Else the first x1 < x2 < x3 (x4 forced, distinct from all
+    three) by the same O(p) solver per x1: O(p^2) at worst."""
     g = _ruzsa_generator(p, g)
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
@@ -167,16 +169,13 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
         return _ruzsa(p, a, b, [(x, pow(g, x, p)) for x in logs] + [(0, 1)],
                       g=g, logs=list(logs), fixed_part=[0, 1],
                       shifted_target=[a, bb])
-    # exhaustive pairwise-distinct 4-tuple search
+    # the first x1 < x2 < x3 with x4 forced and distinct: for each x1, the
+    # triples (x2, x3, x4) of the target less (x1, g^x1), in (x2, x3) order
     pw = power_table(p, g)
     for x1 in range(p - 1):
-        for x2 in range(x1 + 1, p - 1):
-            for x3 in range(x2 + 1, p - 1):
-                x4 = (a - x1 - x2 - x3) % (p - 1)
-                if x4 in (x1, x2, x3):
-                    continue
-                if (pw[x1] + pw[x2] + pw[x3] + pw[x4]) % p != b:
-                    continue
+        for x2, x3, x4 in triple_reps(p, g, (a - x1) % (p - 1),
+                                      (b - pw[x1]) % p):
+            if x1 < x2 < x3 and x4 not in (x1, x2, x3):
                 logs = [x1, x2, x3, x4]
                 return _ruzsa(p, a, b, [(x, pw[x]) for x in logs], g=g,
                               logs=logs)

@@ -26,7 +26,8 @@ a seeded sample does not depend on the platform's `pow`.
 The rule has one implementation, `_accept` on a block of candidates for
 any number of seeds; `sample_sequence` and `contains` pass one seed, and
 `contains` a block of one. The tests pin it bit for bit to an independent
-scalar oracle in Python integers.
+scalar oracle in `tests/brute_scans.py`: the splitmix64 finalizer in Python
+integers and the exact rule with no float comparison.
 
 Each input has one reader: `SampleConfig` reads gamma and the integer
 fields, `_blocks` a horizon and `_accept` each candidate's 53-bit word.
@@ -52,8 +53,6 @@ from .sidoncore import ModSet
 __all__ = [
     "SampleConfig",
     "IntSeq",
-    "mix64",
-    "uniform_unit",
     "inclusion_probability",
     "contains",
     "sample_sequence",
@@ -128,25 +127,6 @@ class SampleConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer: a 64-bit bijective scrambler."""
-    (z,) = _as_ints((z,), "mix64 input")
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
-    return z
-
-
-def uniform_unit(seed: int, x: int) -> float:
-    """Deterministic uniform in [0, 1) for the pair (seed, x): top 53 bits
-    of the scrambled counter."""
-    seed, x = _as_ints((seed, x), "seed and x")
-    return (mix64(seed + x * _GOLDEN) >> 11) * 2.0 ** -53
-
-
 def inclusion_probability(config: SampleConfig, x: int) -> float:
     (x,) = _as_ints((x,), "x")
     if x <= config.m or x % config.modulus not in config.residues:
@@ -211,7 +191,9 @@ def contains(config: SampleConfig, x: int) -> bool:
 
 
 def _uniform_array(seed: int, xg: np.ndarray) -> np.ndarray:
-    """uniform_unit(seed, x) over a block, from xg = x * golden mod 2^64."""
+    """The uniform in [0, 1) of each (seed, x) of a block, from xg = x *
+    golden mod 2^64: the top 53 bits of the splitmix64 finalizer of
+    seed + x * golden."""
     with np.errstate(over="ignore"):
         z = np.uint64(seed) + xg
         z ^= z >> np.uint64(30)

@@ -3,10 +3,10 @@
 These are the O(p^2) (x1, x2) scans and the dictionary pair-sum scan that
 the library used before its O(p) curve solver and vectorised Sidon check,
 the O(p^3) triple loop behind the old `triple_rep_table`, a per-V curve
-point count against a table of squares, the full-range
-sampler that built every x in [1, horizon] before the streamed residue
-blocks, the scalar accept rule that `contains` ran in Python integers
-before it moved onto the block rule, a literal reading of the deletion lifts' removal rule, and the
+point count against a table of squares, the splitmix64 scrambler and the
+accept rule u < x^-gamma in Python integers (or mpmath logarithms), with no
+float comparison, behind a full-range sampler that builds every x in
+[1, horizon], a literal reading of the deletion lifts' removal rule, and the
 per-x1 scan behind the triple family's moments before the loop engines
 moved onto direct convolutions, the split sum over every x that
 sigma made before it halved the symmetric case, and the tuple enumeration
@@ -20,12 +20,14 @@ import math
 import random
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from sidonlab.numbertheory import (crt_flatten, is_prime, is_primitive_root,
                                    primitive_root)
-from sidonlab.randommodel import (_GOLDEN, _exact_accept, _margin,
-                                  _uniform_array, mix64)
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
 
 
 def targets():
@@ -205,27 +207,58 @@ def admissible(config, horizon):
     return xs[mask]
 
 
-def sample_elements(config, horizon):
-    """The full-range sample: u < fl(x^-gamma) by a single float
-    comparison over all admissible x."""
-    xs = admissible(config, horizon)
-    u = _uniform_array(config.seed, xs * np.uint64(_GOLDEN))
-    thresh = np.power(xs.astype(np.float64), -float(config.gamma))
-    return tuple(int(v) for v in xs[u < thresh])
+def mix64(z):
+    """splitmix64 finalizer: a 64-bit bijective scrambler."""
+    z &= _MASK
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def uniform_unit(seed, x):
+    """Deterministic uniform in [0, 1) for the pair (seed, x): top 53 bits
+    of the scrambled counter."""
+    return (mix64(seed + x * _GOLDEN) >> 11) * 2.0 ** -53
+
+
+def below_power(k, x, gamma):
+    """k 2^-53 < x^-gamma for gamma = p/q, exactly: k^q x^p < 2^(53 q) in
+    integers while that stays small, else the sign of q ln k + p ln x -
+    53 q ln 2 in mpmath, each term within 2^(8 - prec) of its size, at
+    doubling precision; it is 0 only for k and x powers of two."""
+    p, q = gamma.numerator, gamma.denominator
+    if k == 0:
+        return True
+    if 53 * q + p * x.bit_length() <= 1 << 16:
+        return k ** q * x ** p < 1 << (53 * q)
+    if k & (k - 1) == 0 and x & (x - 1) == 0:
+        return q * (k.bit_length() - 1) + p * (x.bit_length() - 1) < 53 * q
+    prec = 64
+    while True:
+        with mpmath.workprec(prec):
+            terms = [q * mpmath.log(k), p * mpmath.log(x),
+                     -53 * q * mpmath.log(2)]
+            d = mpmath.fsum(terms)
+            if abs(d) > mpmath.ldexp(mpmath.fsum(map(abs, terms)), 8 - prec):
+                return bool(d < 0)
+        prec *= 2
 
 
 def contains(config, x):
-    """The scalar accept rule: u < fl(x^-gamma) from the Python-int
-    scrambler, with candidates inside the margin decided exactly."""
+    """The scalar accept rule: x is admissible and its uniform from the
+    Python-int scrambler lies below x^-gamma, decided exactly."""
     if x <= config.m or x % config.modulus not in config.residues:
         return False
-    k = mix64(config.seed + x * _GOLDEN) >> 11
-    u = k * 2.0 ** -53
-    g = float(config.gamma)
-    t = float(x) ** -g
-    if abs(u - t) > _margin(t, x, g):
-        return u < t
-    return _exact_accept(k, x, config.gamma)
+    k = int(uniform_unit(config.seed, x) * 2.0 ** 53)
+    return below_power(k, x, config.gamma)
+
+
+def sample_elements(config, horizon):
+    """The full-range sample: the scalar rule on every admissible x."""
+    return tuple(x for x in admissible(config, horizon).tolist()
+                 if contains(config, x))
 
 
 def moments(config, horizon):

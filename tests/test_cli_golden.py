@@ -98,7 +98,7 @@ CASES = [
     ("curve quadric -p 13 --r1 13 --r2 2",
      "277bb0639c2ce67975febb91e605a0b4f745470c3477eb12b62298172984ce3f", 1),
     ("curve coverage -p 101 --r1 1 --r2 2 -k 2",
-     "3592291beb86e7e0c15c3f2ced70f85d34bc9f9aebd9abc3b2fd5efca1047777", 0),
+     "d7976914919ede42677fc22899aafd5aa442cc6ce7e1bea3f3275cac6e1f79b9", 0),
     ("curve coverage -p 101 --r1 1 --r2 2 -k -1",
      "4b8952d950b62a15e21b70a5e0057d9adc36d516e4765d1df7113af789b6a7a7", 1),
     ("decompose ruzsa3 -p 13 -a 5 -b 7",

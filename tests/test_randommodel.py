@@ -20,9 +20,7 @@ from sidonlab.randommodel import (
     count_variance,
     expected_count,
     inclusion_probability,
-    mix64,
     sample_sequence,
-    uniform_unit,
 )
 from sidonlab.randommodel import (_GOLDEN, _blocks, _exact_accept, _margin,
                                   _uniform_array)
@@ -39,28 +37,28 @@ class TestCounter:
     def test_mix64_reference_stream(self):
         # splitmix64 seeded with 0 emits these as its first three outputs
         golden = 0x9E3779B97F4A7C15
-        assert mix64(1 * golden) == 0xE220A8397B1DCDAF
-        assert mix64(2 * golden) == 0x6E789E6AA1B965F4
-        assert mix64(3 * golden) == 0x06C45D188009454F
+        assert brute.mix64(1 * golden) == 0xE220A8397B1DCDAF
+        assert brute.mix64(2 * golden) == 0x6E789E6AA1B965F4
+        assert brute.mix64(3 * golden) == 0x06C45D188009454F
 
     def test_uniform_unit_range(self):
         for seed in (0, 7, 2**63):
-            for x in (1, 2, 10**9, 10**15):
-                u = uniform_unit(seed, x)
-                assert 0.0 <= u < 1.0
-                assert uniform_unit(seed, x) == u
+            xs = np.array([1, 2, 10**9, 10**15], dtype=np.uint64)
+            u = _uniform_array(seed, xs * np.uint64(_GOLDEN))
+            assert ((0.0 <= u) & (u < 1.0)).all()
+            assert np.array_equal(_uniform_array(seed, xs * np.uint64(_GOLDEN)),
+                                  u)
 
     def test_uniform_unit_distribution(self):
-        us = [uniform_unit(42, x) for x in range(1, 100001)]
-        mean = sum(us) / len(us)
-        var = sum((u - mean) ** 2 for u in us) / len(us)
-        assert abs(mean - 0.5) < 0.005
-        assert abs(var - 1 / 12) < 0.003
+        xs = np.arange(1, 100001, dtype=np.uint64)
+        us = _uniform_array(42, xs * np.uint64(_GOLDEN))
+        assert abs(us.mean() - 0.5) < 0.005
+        assert abs(us.var() - 1 / 12) < 0.003
 
     def test_vector_path_bitwise_equal(self):
         xs = np.arange(1, 2001, dtype=np.uint64)
         vec = _uniform_array(12345, xs * np.uint64(_GOLDEN))
-        scl = np.array([uniform_unit(12345, int(x)) for x in xs])
+        scl = np.array([brute.uniform_unit(12345, int(x)) for x in xs])
         assert np.array_equal(vec, scl)
 
 
@@ -245,11 +243,10 @@ class TestExactRule:
                                        "499999/1000000"])
     def test_exact_branch_decides_on_the_compared_word(self, monkeypatch,
                                                        gamma):
-        # with every candidate inside the margin, the masks take no word
-        # from mix64 and still equal the scalar oracle, whose words do
+        # with every candidate inside the margin, the masks still equal the
+        # scalar oracle, which draws its own words and compares no floats
         seeds = (0, 9, 2 ** 64 - 1)
         monkeypatch.setattr(randommodel, "_margin", lambda t, x, gamma: 1.0)
-        monkeypatch.setattr(randommodel, "mix64", None)
         for m in (0, 2 ** 62):
             cfg = SampleConfig(gamma=gamma, m=m, modulus=1, residues=(0,))
             (xs, t), = _blocks(cfg, m + 200)
