@@ -8,9 +8,12 @@ certificate is the computation.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
-from sidonlab import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
-                      decompose4_ruzsa, lift_to_interval)
+from sidonlab import (Decomposition, NoRepresentation, decompose3_ruzsa,
+                      decompose3_zn, decompose4_ruzsa, lift_to_interval)
+from sidonlab.cli import run
 
 # Inside the discrete-log group: decompose the target (a, b) = (5, 9)
 # over Z_{(p-1)p} with p = 31 into three distinct set elements.
@@ -47,8 +50,12 @@ for n in (16, 32, 123):
             row.append(f"{mode}: none")
     print(f"  n = {n:3d}  " + "   ".join(row))
 
-# Certificates serialize; a JSON round trip is enough to re-check a
-# decomposition elsewhere.
-d = decompose3_zn(32, N)
-blob = d.to_json()
-print(f"\ncertificate for n = 32: {json.dumps(json.loads(blob), indent=2)}")
+# Certificates travel as the command line's JSON envelope: the payload
+# that `decompose zn --out` writes rebuilds the Decomposition, whose
+# replay re-checks it wherever the file is read.
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "certificate.json"
+    run(["decompose", "zn", "-N", str(N), "-n", "32", "--out", str(path)])
+    payload = json.loads(path.read_text())["payload"]
+print("\ncertificate for n = 32:", json.dumps(payload, indent=2, sort_keys=True))
+print(f"  rebuilt from the file, replay {Decomposition(**payload).replay()}")

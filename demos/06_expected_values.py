@@ -15,6 +15,7 @@ from fractions import Fraction
 from sidonlab import (SampleConfig, SumSpec, check_lemma_ab,
                       exact_delta_Q, exact_expectation_Q,
                       janson_threshold, monte_carlo_family_mean, sigma, tau)
+from sidonlab.cli import run
 
 gamma = Fraction(7, 11)
 
@@ -33,9 +34,9 @@ grid = tuple((n, m) for n in (100, 1000, 10000) for m in (0, 100))
 report = check_lemma_ab(gamma, gamma, grid)
 print(f"\nlemma ratio sweep: sup ratio {report.sup_ratio:.4f} "
       f"over {len(grid)} grid points")
-print(report.to_csv().splitlines()[0])
-for line in report.to_csv().splitlines()[1:4]:
-    print(line)
+# the command line prints the same report as a table
+run(["analyze", "lemma-ab", "--alpha", str(gamma), "--beta", str(gamma),
+     "--grid", ",".join(f"{n}:{m}" for n, m in grid), "--format", "csv"])
 
 # Exact expectation of the bad-triple count, by direct convolution over
 # the inclusion probabilities. No sampling involved.

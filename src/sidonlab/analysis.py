@@ -491,22 +491,6 @@ class RatioReport:
     def holds(self, slack: float = 1.01) -> bool:
         return self.pinned is not None and self.sup_ratio <= self.pinned * slack
 
-    def to_csv(self) -> str:
-        lines = ["target,value,normalized"]
-        lines += [f"{label},{value!r},{norm!r}" for label, value, norm in self.rows]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "exponent": self.exponent,
-                "rows": [list(r) for r in self.rows],
-                "supRatio": self.sup_ratio,
-                "pinned": self.pinned,
-            },
-            sort_keys=True,
-        )
-
 
 def check_lemma_ab(alpha, beta, grid, *,
                    tail_tolerance=Fraction(1, 10 ** 6)) -> RatioReport:

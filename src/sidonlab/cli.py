@@ -5,8 +5,11 @@ calls exactly one library entry point, and prints a JSON envelope
 
     {"status": "ok"|"error", "payload": ..., "configHash": ...}
 
-on stdout (or to ``--out``). Handlers only read inputs and build payloads;
-`run` alone renders and delivers every envelope, ok and error alike. The
+on stdout (or to ``--out``). The envelope is the one file format: every
+``--in`` reads back what ``--out`` wrote, and the library's data classes
+carry no serializers of their own. Handlers only read inputs and build
+payloads as dicts; `run` alone renders and delivers every envelope, ok
+and error alike. The
 configHash is a SHA-256 over the fully resolved parameters: the parsed
 flags plus what the input readers resolved (elements, modulus, members,
 certificate, model config, generator), each recorded on the namespace as
@@ -36,6 +39,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict, astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +69,9 @@ _DOMAIN_ERRORS = (RangeError, NotPrime, NotGenerator, PrimeNotFound,
                   NonConvergent)
 
 _PLUMBING = frozenset({"out", "format", "threads", "src", "cert_src"})
+
+# the fields of a sunflower certificate, in SunflowerCert's order
+_CERT_KEYS = ("petalIndices", "typeSet", "coreValues")
 
 
 class _UsageError(Exception):
@@ -205,8 +212,20 @@ def _read_set(args, cyclic_only: bool = True) -> None:
                           + " (or supply a file that carries one)")
 
 
+def _descend(data, key: str):
+    """The value under key of an object, or of an ok-envelope's payload;
+    anything else as it is."""
+    if isinstance(data, dict) and "payload" in data:
+        data = data["payload"]
+    if isinstance(data, dict) and key in data:
+        return data[key]
+    return data
+
+
 def _read_members(args) -> None:
-    data = _load_json(args.src)
+    """Set args.members from --in: a bare list of tuples, an object with
+    "members", or a whole envelope (a `family enumerate --out` file)."""
+    data = _descend(_load_json(args.src), "members")
     if not isinstance(data, list):
         raise _UsageError("--in: expected a JSON list of coordinate tuples")
     args.members = [tuple(_json_ints(row, "--in: rows must be integer tuples"))
@@ -232,7 +251,7 @@ def _model_config(args) -> SampleConfig:
             raise _UsageError("--residues is required when --modulus exceeds 1")
     config = SampleConfig(gamma=args.gamma, m=args.m, modulus=modulus,
                           residues=residues, seed=args.seed)
-    args.config = json.loads(config.to_json())
+    args.config = _jsonable(asdict(config))
     return config
 
 
@@ -242,7 +261,7 @@ def _model_config(args) -> SampleConfig:
 def _cmd_construct(args):
     made = (ruzsa_set(args.p, args.g) if args._cmd == "construct.ruzsa"
             else erdos_turan_set(args.p))
-    return json.loads(made.to_json()), _elements_csv(made.elements)
+    return _jsonable(asdict(made)), _elements_csv(made.elements)
 
 
 def _cmd_verify_sidon(args):
@@ -309,19 +328,16 @@ def _cmd_curve_coverage(args):
 
 
 def _cmd_decompose_ruzsa3(args):
-    found = decompose3_ruzsa(args.p, args.a, args.b, g=args.g,
-                             require_distinct=args.distinct)
-    return json.loads(found.to_json())
+    return asdict(decompose3_ruzsa(args.p, args.a, args.b, g=args.g,
+                                   require_distinct=args.distinct))
 
 
 def _cmd_decompose_ruzsa4(args):
-    found = decompose4_ruzsa(args.p, args.a, args.b, g=args.g)
-    return json.loads(found.to_json())
+    return asdict(decompose4_ruzsa(args.p, args.a, args.b, g=args.g))
 
 
 def _cmd_decompose_zn(args):
-    found = decompose3_zn(args.n, args.N, mode=args.search)
-    return json.loads(found.to_json())
+    return asdict(decompose3_zn(args.n, args.N, mode=args.search))
 
 
 def _cmd_sample(args):
@@ -360,20 +376,16 @@ def _cmd_sunflower_find(args):
     _read_members(args)
     cert = find_vectorial_sunflower(args.members, args.k)
     return {"k": args.k, "found": cert is not None,
-            "certificate": json.loads(cert.to_json()) if cert else None}
+            "certificate": (dict(zip(_CERT_KEYS, map(list, astuple(cert))))
+                            if cert else None)}
 
 
 def _cmd_sunflower_check(args):
     _read_members(args)
-    raw = _load_json(args.cert_src, "--cert")
-    if isinstance(raw, dict) and "payload" in raw:
-        raw = raw["payload"]
-    if isinstance(raw, dict) and "certificate" in raw:
-        raw = raw["certificate"]
+    raw = _descend(_load_json(args.cert_src, "--cert"), "certificate")
     message = "--cert: expected integer lists petalIndices/typeSet/coreValues"
     try:
-        lists = [tuple(_json_ints(raw[key], message))
-                 for key in ("petalIndices", "typeSet", "coreValues")]
+        lists = [tuple(_json_ints(raw[key], message)) for key in _CERT_KEYS]
     except (TypeError, KeyError):
         raise _UsageError(message)
     args.certificate = raw
@@ -396,15 +408,21 @@ def _cmd_analyze_tau(args):
             "majorantBound": result.majorant_bound, "cutoff": result.cutoff}
 
 
+def _ratio_report(report):
+    payload = {"exponent": report.exponent,
+               "rows": [list(row) for row in report.rows],
+               "supRatio": report.sup_ratio, "pinned": report.pinned}
+    return payload, _rows_csv(("target", "value", "normalized"), report.rows)
+
+
 def _cmd_analyze_lemma_ab(args):
-    report = check_lemma_ab(args.alpha, args.beta, args.grid,
-                            tail_tolerance=args.tol)
-    return json.loads(report.to_json()), report.to_csv()
+    return _ratio_report(check_lemma_ab(args.alpha, args.beta, args.grid,
+                                        tail_tolerance=args.tol))
 
 
 def _cmd_analyze_lemma_abab(args):
-    report = check_lemma_abab(args.gamma, args.pairs, tail_tolerance=args.tol)
-    return json.loads(report.to_json()), report.to_csv()
+    return _ratio_report(check_lemma_abab(args.gamma, args.pairs,
+                                          tail_tolerance=args.tol))
 
 
 def _cmd_analyze_moment(args):

@@ -23,7 +23,6 @@ used by the integer decomposition pipeline, maps its solutions to the unit
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -164,12 +163,20 @@ def triple_reps(p: int, g: int, a: int, b: int):
     a, b = _as_ints((a, b), "target (a, b)")
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
+    _, solve = _triple_solver(p, g)
+    return solve(a, b)
+
+
+def _triple_solver(p: int, g: int):
+    """The power table of g, and a generator function yielding the triples
+    of `triple_reps` for an in-range target (a, b); the log and square-root
+    tables are built here, once for every target at (p, g)."""
     pw = power_table(p, g)
     log = dict(zip(pw, range(p - 1)))
     root = _sqrt_table(p).tolist()
     n, half = p - 1, (p + 1) // 2
 
-    def solutions():
+    def solve(a: int, b: int):
         for x1 in range(n):
             d = (b - pw[x1]) % p
             s = root[(d * d - 4 * pw[(a - x1) % n]) % p]
@@ -180,7 +187,7 @@ def triple_reps(p: int, g: int, a: int, b: int):
             if hi != lo:
                 yield x1, hi, (a - x1 - hi) % n
 
-    return solutions()
+    return pw, solve
 
 
 def triple_rep_count(p: int, g: int, a: int, b: int,
@@ -262,25 +269,6 @@ class TorusCloud:
 
     params: QuadricParams
     points: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
-
-    def to_csv(self) -> str:
-        meta = {
-            "p": self.params.p,
-            "r1": self.params.r1,
-            "r2": self.params.r2,
-            "splits_into_lines": self.params.splits_into_lines,
-            "count": len(self.points),
-        }
-        lines = ["# " + json.dumps(meta, sort_keys=True)]
-        lines.append(
-            "x1_num,x1_den,x2_num,x2_den,x1sq_num,x1sq_den,x2sq_num,x2sq_den"
-        )
-        for pt in self.points:
-            cells = []
-            for c in pt:
-                cells += [str(c.numerator), str(c.denominator)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def torus_points(params: QuadricParams) -> TorusCloud:

@@ -24,8 +24,7 @@ identities exactly; `Decomposition.replay()` does so.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .numbertheory import (
@@ -36,10 +35,10 @@ from .numbertheory import (
     find_decomposition_prime,
     is_prime,
     is_primitive_root,
-    power_table,
     primitive_root,
 )
-from .curveoracle import QuadricParams, enumerate_quadric, triple_reps
+from .curveoracle import (QuadricParams, _triple_solver, enumerate_quadric,
+                          triple_reps)
 
 __all__ = [
     "NoRepresentation",
@@ -90,9 +89,6 @@ class Decomposition:
     p: int
     mode: Optional[str] = None  # "box" or "exhaustive" for Z_N targets
     certificate: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def replay(self) -> bool:
         """Re-verify every defining identity with exact integer arithmetic."""
@@ -160,21 +156,21 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
     exponent 0. Else the first x1 < x2 < x3 (x4 forced, distinct from all
     three) by the same O(p) solver per x1: O(p^2) at worst."""
     g = _ruzsa_generator(p, g)
+    a, b = _as_ints((a, b), "target (a, b)")
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
     bb = (b - 1) % p
-    for logs in triple_reps(p, g, a, bb):
+    pw, solve = _triple_solver(p, g)
+    for logs in solve(a, bb):
         if 0 in logs or len(set(logs)) < 3:
             continue
-        return _ruzsa(p, a, b, [(x, pow(g, x, p)) for x in logs] + [(0, 1)],
+        return _ruzsa(p, a, b, [(x, pw[x]) for x in logs] + [(0, 1)],
                       g=g, logs=list(logs), fixed_part=[0, 1],
                       shifted_target=[a, bb])
     # the first x1 < x2 < x3 with x4 forced and distinct: for each x1, the
     # triples (x2, x3, x4) of the target less (x1, g^x1), in (x2, x3) order
-    pw = power_table(p, g)
     for x1 in range(p - 1):
-        for x2, x3, x4 in triple_reps(p, g, (a - x1) % (p - 1),
-                                      (b - pw[x1]) % p):
+        for x2, x3, x4 in solve((a - x1) % (p - 1), (b - pw[x1]) % p):
             if x1 < x2 < x3 and x4 not in (x1, x2, x3):
                 logs = [x1, x2, x3, x4]
                 return _ruzsa(p, a, b, [(x, pw[x]) for x in logs], g=g,

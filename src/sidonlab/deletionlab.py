@@ -32,7 +32,6 @@ distinct positive ints); everything below takes that tuple as it is.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -142,17 +141,6 @@ class VectorFamily:
 
     def __contains__(self, t):
         return tuple(t) in self._member_set
-
-    def to_json_lines(self) -> str:
-        meta = {"kind": self.spec.kind, "target": self.spec.target,
-                "convention": self.convention}
-        if _FAMILIES[self.spec.kind].modulus:
-            meta["modulus"] = self.spec.modulus
-        if self.spec.epsilon is not None:
-            meta["epsilon"] = str(self.spec.epsilon)
-        return "\n".join(
-            json.dumps(dict(meta, tuple=list(t)), sort_keys=True)
-            for t in self.members)
 
 
 def _leq_power(x: int, n: int, eps: Fraction) -> bool:

@@ -36,10 +36,7 @@ fields, `_blocks` a horizon and `_accept` each candidate's 53-bit word.
 from __future__ import annotations
 
 import decimal
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -103,28 +100,6 @@ class SampleConfig:
                     seed: int = 0) -> "SampleConfig":
         return cls(gamma=gamma, m=m, modulus=modset.modulus,
                    residues=tuple(modset.elements), seed=seed)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": str(self.gamma),
-                "m": self.m,
-                "modulus": self.modulus,
-                "residues": list(self.residues),
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampleConfig":
-        blob = json.loads(text)
-        return cls(gamma=Fraction(blob["gamma"]), m=blob["m"],
-                   modulus=blob["modulus"], residues=tuple(blob["residues"]),
-                   seed=blob["seed"])
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def inclusion_probability(config: SampleConfig, x: int) -> float:
@@ -266,7 +241,8 @@ def count_variance(config: SampleConfig, horizon: int) -> float:
 
 @dataclass(frozen=True)
 class IntSeq:
-    """A sampled sequence with its provenance, savable as text plus sidecar."""
+    """A sampled sequence with its provenance: the config and horizon that
+    `verify` resamples."""
 
     elements: tuple[int, ...]
     config: SampleConfig
@@ -294,40 +270,6 @@ class IntSeq:
 
     def as_set(self) -> set[int]:
         return set(self.elements)
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        """One element per line; config, horizon, and hash in a sidecar."""
-        path = os.fspath(path)
-        with open(path, "w") as fh:
-            fh.write("\n".join(str(x) for x in self.elements))
-            if self.elements:
-                fh.write("\n")
-        sidecar = {
-            "config": json.loads(self.config.to_json()),
-            "configHash": self.config.config_hash(),
-            "horizon": self.horizon,
-            "count": len(self.elements),
-        }
-        with open(path + ".config.json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "IntSeq":
-        path = os.fspath(path)
-        with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
-        try:
-            elements = tuple(map(int, lines))
-        except ValueError as exc:
-            raise RangeError(f"elements must be integers: {exc}") from exc
-        with open(path + ".config.json") as fh:
-            sidecar = json.load(fh)
-        config = SampleConfig.from_json(json.dumps(sidecar["config"]))
-        if config.config_hash() != sidecar["configHash"]:
-            raise RangeError("sidecar hash does not match its config")
-        return cls(elements=elements, config=config,
-                   horizon=sidecar["horizon"])
 
     def verify(self) -> bool:
         """Resample from the stored config and compare element for element."""

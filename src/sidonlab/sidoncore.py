@@ -21,7 +21,6 @@ longest run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, factorial, perm
@@ -81,33 +80,6 @@ class ModSet:
 
     def __contains__(self, x):
         return x in self._members
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"modulus": self.modulus, "elements": list(self.elements)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModSet":
-        obj = json.loads(text)
-        return cls(modulus=obj["modulus"], elements=tuple(obj["elements"]))
-
-    def to_text(self) -> str:
-        lines = [f"mod {self.modulus}"]
-        lines += [str(e) for e in self.elements]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModSet":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("mod "):
-            raise RangeError("expected first line 'mod N'")
-        try:
-            modulus, *elements = map(int, [lines[0][4:]] + lines[1:])
-        except ValueError as exc:
-            raise RangeError(f"ModSet text must hold integers: {exc}") from exc
-        return cls(modulus=modulus, elements=tuple(elements))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ vectorial one.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -44,16 +43,6 @@ class SunflowerCert:
     petal_indices: tuple[int, ...]
     type_set: tuple[int, ...]
     core_values: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "petalIndices": list(self.petal_indices),
-                "typeSet": list(self.type_set),
-                "coreValues": list(self.core_values),
-            },
-            sort_keys=True,
-        )
 
     def verify(self, members) -> bool:
         """True when the petals are distinct in-range members, the type is

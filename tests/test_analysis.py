@@ -19,7 +19,7 @@ import pytest
 
 import brute_scans as brute
 import series_reference
-from sidonlab import analysis, deletionlab
+from sidonlab import analysis, cli, deletionlab
 from sidonlab.analysis import (
     NonConvergent,
     RatioReport,
@@ -357,12 +357,16 @@ class TestLemmaAb:
         assert not report.with_pin(report.sup_ratio / 2).holds()
         assert not report.holds()
 
-    def test_export(self):
-        report = check_lemma_ab(G, G, [(64, 0)])
-        csv = report.to_csv()
+    def test_export(self, capsys):
+        # the report is written by the CLI's lemma-ab, as a table or JSON
+        argv = ["analyze", "lemma-ab", "--alpha", "7/11", "--beta", "7/11",
+                "--grid", "64:0"]
+        assert cli.run(argv + ["--format", "csv"]) == 0
+        csv = capsys.readouterr().out
         assert csv.splitlines()[0] == "target,value,normalized"
         assert len(csv.splitlines()) == 3
-        assert "supRatio" in report.to_json()
+        assert cli.run(argv) == 0
+        assert "supRatio" in capsys.readouterr().out
 
 
 class TestLemmaAbab:
@@ -1100,7 +1104,10 @@ class TestMonteCarlo:
 
 
 class TestRatioReportType:
-    def test_json_round(self):
+    def test_json_round(self, capsys):
         report = RatioReport(exponent=-0.3, rows=(("x", 1.0, 0.5),),
                              sup_ratio=0.5)
-        assert '"pinned": null' in report.to_json()
+        assert report.pinned is None
+        assert cli.run(["analyze", "lemma-abab", "--gamma", "7/11",
+                        "--pairs", "2:5"]) == 0
+        assert '"pinned": null' in capsys.readouterr().out

@@ -21,13 +21,14 @@ from sidonlab.curveoracle import (CurveParams, QuadricParams,
                                   curve_point_count, dyadic_box_coverage,
                                   enumerate_quadric, torus_points,
                                   triple_rep_count)
-from sidonlab.decomposer import decompose3_ruzsa, decompose3_zn, decompose4_ruzsa
+from sidonlab.decomposer import (Decomposition, decompose3_ruzsa, decompose3_zn,
+                                 decompose4_ruzsa)
 from sidonlab.deletionlab import (FamilySpec, b2_2_lift, destruction_audit,
                                   enumerate_family, sidon_lift)
 from sidonlab.randommodel import SampleConfig, sample_sequence
 from sidonlab.sidoncore import ModSet, b2g_bound, basis_order_check, \
     erdos_turan_set, is_sidon, ruzsa_set
-from sidonlab.sunflower import find_vectorial_sunflower
+from sidonlab.sunflower import SunflowerCert, find_vectorial_sunflower
 
 G = Fraction(7, 11)
 
@@ -55,6 +56,12 @@ def _err(capsys, argv):
     return envelope
 
 
+def _report_payload(report):
+    return {"exponent": report.exponent,
+            "rows": [list(row) for row in report.rows],
+            "supRatio": report.sup_ratio, "pinned": None}
+
+
 def _usage(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -65,17 +72,18 @@ def _usage(capsys, argv):
 class TestConstruct:
     def test_ruzsa_replays_library(self, capsys):
         env = _ok(capsys, ["construct", "ruzsa", "-p", "13"])
-        assert env["payload"] == json.loads(ruzsa_set(13).to_json())
+        assert env["payload"] == {"modulus": 156,
+                                  "elements": list(ruzsa_set(13).elements)}
         assert len(env["payload"]["elements"]) == 12
         assert env["payload"]["modulus"] == 156
 
     def test_erdos_turan_replays_library(self, capsys):
         env = _ok(capsys, ["construct", "erdos-turan", "-p", "7"])
-        assert env["payload"] == json.loads(erdos_turan_set(7).to_json())
+        assert ModSet(**env["payload"]) == erdos_turan_set(7)
 
     def test_explicit_generator(self, capsys):
         env = _ok(capsys, ["construct", "ruzsa", "-p", "13", "-g", "6"])
-        assert env["payload"] == json.loads(ruzsa_set(13, 6).to_json())
+        assert ModSet(**env["payload"]) == ruzsa_set(13, 6)
 
     def test_composite_p_is_domain_error(self, capsys):
         env = _err(capsys, ["construct", "ruzsa", "-p", "10"])
@@ -228,19 +236,19 @@ class TestDecompose:
     def test_ruzsa3_replays_library(self, capsys):
         env = _ok(capsys, ["decompose", "ruzsa3", "-p", "13", "-a", "5",
                            "-b", "7"])
-        want = json.loads(decompose3_ruzsa(13, 5, 7).to_json())
-        assert env["payload"] == want
+        found = Decomposition(**env["payload"])
+        assert found == decompose3_ruzsa(13, 5, 7) and found.replay()
 
     def test_ruzsa4_replays_library(self, capsys):
         env = _ok(capsys, ["decompose", "ruzsa4", "-p", "13", "-a", "5",
                            "-b", "7"])
-        want = json.loads(decompose4_ruzsa(13, 5, 7).to_json())
-        assert env["payload"] == want
+        found = Decomposition(**env["payload"])
+        assert found == decompose4_ruzsa(13, 5, 7) and found.replay()
 
     def test_zn_success(self, capsys):
         env = _ok(capsys, ["decompose", "zn", "-N", "700", "-n", "100"])
-        want = json.loads(decompose3_zn(100, 700).to_json())
-        assert env["payload"] == want
+        found = Decomposition(**env["payload"])
+        assert found == decompose3_zn(100, 700) and found.replay()
 
     def test_zn_no_representation_exits_one(self, capsys):
         env = _err(capsys, ["decompose", "zn", "-N", "700", "-n", "123",
@@ -256,7 +264,9 @@ class TestSample:
         seq = sample_sequence(cfg, 400)
         assert tuple(env["payload"]["elements"]) == seq.elements
         assert env["payload"]["count"] == len(seq.elements)
-        assert env["payload"]["config"] == json.loads(cfg.to_json())
+        assert env["payload"]["config"] == {"gamma": "7/11", "m": 3,
+                                            "modulus": 1, "residues": [0],
+                                            "seed": 9}
 
     def test_ruzsa_p_shortcut(self, capsys):
         env = _ok(capsys, ["sample", "--gamma", "7/11", "--m", "100",
@@ -360,7 +370,10 @@ class TestSunflower:
                            "-k", "4"])
         cert = find_vectorial_sunflower(DISPLAY, 4)
         assert env["payload"]["found"] is True
-        assert env["payload"]["certificate"] == json.loads(cert.to_json())
+        doc = env["payload"]["certificate"]
+        assert set(doc) == {"petalIndices", "typeSet", "coreValues"}
+        assert SunflowerCert(tuple(doc["petalIndices"]), tuple(doc["typeSet"]),
+                             tuple(doc["coreValues"])) == cert
 
     def test_find_reports_absence(self, capsys, tmp_path):
         path = tmp_path / "fam.json"
@@ -383,14 +396,35 @@ class TestSunflower:
     def test_check_rejects_tampered_core(self, capsys, tmp_path):
         fam_path = tmp_path / "fam.json"
         fam_path.write_text(json.dumps([list(v) for v in DISPLAY]))
-        cert = find_vectorial_sunflower(DISPLAY, 4)
-        doc = json.loads(cert.to_json())
-        doc["coreValues"] = [v + 1 for v in doc["coreValues"]]
         cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps(doc))
+        run(["sunflower", "find", "--in", str(fam_path), "-k", "4",
+             "--out", str(cert_path)])
+        envelope = json.loads(cert_path.read_text())
+        doc = envelope["payload"]["certificate"]
+        doc["coreValues"] = [v + 1 for v in doc["coreValues"]]
+        cert_path.write_text(json.dumps(envelope))
         env = _ok(capsys, ["sunflower", "check", "--in", str(fam_path),
                            "--cert", str(cert_path)])
         assert env["payload"] == {"valid": False}
+
+    def test_family_envelope_pipes_into_find_and_check(self, capsys,
+                                                       tmp_path):
+        seq_path, fam_path, cert_path = (tmp_path / name for name in
+                                         ("seq.json", "fam.json", "cert.json"))
+        seq_path.write_text(json.dumps([1, 2, 3, 5, 8, 13, 21, 34, 55]))
+        assert run(["family", "enumerate", "--in", str(seq_path), "--kind",
+                    "T", "--target", "40", "--out", str(fam_path)]) == 0
+        members = json.loads(fam_path.read_text())["payload"]["members"]
+        env = _ok(capsys, ["sunflower", "find", "--in", str(fam_path),
+                           "-k", "2"])
+        cert = find_vectorial_sunflower([tuple(m) for m in members], 2)
+        assert cert is not None and env["payload"]["found"] is True
+        assert env["payload"]["certificate"]["petalIndices"] \
+            == list(cert.petal_indices)
+        cert_path.write_text(json.dumps(env))
+        env = _ok(capsys, ["sunflower", "check", "--in", str(fam_path),
+                           "--cert", str(cert_path)])
+        assert env["payload"] == {"valid": True}
 
     def test_malformed_cert_is_usage_error(self, capsys, tmp_path):
         fam_path = tmp_path / "fam.json"
@@ -460,13 +494,15 @@ class TestAnalyze:
         env = _ok(capsys, ["analyze", "lemma-ab", "--alpha", "7/11",
                            "--beta", "7/11", "--grid", "30:0,100:5"])
         report = check_lemma_ab(G, G, [(30, 0), (100, 5)])
-        assert env["payload"] == json.loads(report.to_json())
+        assert env["payload"] == _report_payload(report)
 
     def test_lemma_ab_csv(self, capsys):
         run(["analyze", "lemma-ab", "--alpha", "7/11", "--beta", "7/11",
              "--grid", "30:0", "--format", "csv"])
         out = capsys.readouterr().out
-        assert out == check_lemma_ab(G, G, [(30, 0)]).to_csv()
+        rows = check_lemma_ab(G, G, [(30, 0)]).rows
+        assert out == "".join(["target,value,normalized\n"] + [
+            f"{label},{value!r},{norm!r}\n" for label, value, norm in rows])
 
     def test_lemma_abab_divergent_exits_one(self, capsys):
         env = _err(capsys, ["analyze", "lemma-abab", "--gamma", "1/2",
@@ -482,7 +518,7 @@ class TestAnalyze:
         env = _ok(capsys, ["analyze", "lemma-abab", "--gamma", "7/11",
                            "--pairs", "2:5"])
         report = check_lemma_abab(G, [(2, 5)])
-        assert env["payload"] == json.loads(report.to_json())
+        assert env["payload"] == _report_payload(report)
 
     def test_expectation_replays_library(self, capsys):
         env = _ok(capsys, ["analyze", "expectation", "--gamma", "7/11",
@@ -642,8 +678,7 @@ class TestFailureIsExplicit:
                               capture_output=True, text=True, env=env,
                               timeout=60)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout)["payload"] == \
-            json.loads(ruzsa_set(13).to_json())
+        assert ModSet(**json.loads(done.stdout)["payload"]) == ruzsa_set(13)
         bad = subprocess.run([sys.executable, "-m", module, "frobnicate"],
                              capture_output=True, text=True, env=env,
                              timeout=60)

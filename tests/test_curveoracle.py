@@ -288,17 +288,6 @@ def test_torus_points_example():
             assert 0 <= c < 1
 
 
-def test_torus_csv_format():
-    cloud = torus_points(QuadricParams(7, 0, 1))
-    text = cloud.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# {")
-    assert lines[1].split(",")[0] == "x1_num"
-    assert len(lines) == 2 + len(cloud.points)
-    row = lines[2].split(",")
-    assert len(row) == 8 and all(cell.lstrip("-").isdigit() for cell in row)
-
-
 def test_dyadic_box_coverage_empty_cloud():
     from sidonlab.curveoracle import TorusCloud
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import brute_scans as brute
+from sidonlab import cli
 from sidonlab.decomposer import (
     Decomposition,
     LiftTarget,
@@ -255,9 +256,12 @@ class TestZnDecompose:
 
 
 class TestSerialization:
-    def test_json_fields(self):
+    # a decomposition is written as the payload of the CLI's decompose
+    def test_json_fields(self, capsys):
+        assert cli.run(["decompose", "zn", "-N", "700", "-n", "1"]) == 0
+        blob = json.loads(capsys.readouterr().out)["payload"]
         d = decompose3_zn(1, 700, mode="exhaustive")
-        blob = json.loads(d.to_json())
+        assert Decomposition(**blob) == d
         assert blob["construction"] == "erdos_turan"
         assert blob["modulus"] == 700 and blob["target"] == 1
         assert blob["parts"] == d.parts
@@ -265,7 +269,9 @@ class TestSerialization:
         assert blob["certificate"]["r1"] + 26 * blob["certificate"]["r2"] \
             == blob["certificate"]["lift_value"]
 
-    def test_json_deterministic(self):
-        d1 = decompose4_ruzsa(13, 3, 5)
-        d2 = decompose4_ruzsa(13, 3, 5)
-        assert d1.to_json() == d2.to_json()
+    def test_json_deterministic(self, capsys):
+        argv = ["decompose", "ruzsa4", "-p", "13", "-a", "3", "-b", "5"]
+        assert cli.run(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == first

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import subprocess
@@ -493,7 +492,6 @@ class TestFamilyType:
         assert [2, 4] in fam and (4, 4) not in fam
         assert fam._member_set is fam._member_set
         assert fam == again and hash(fam) == hash(again)
-        assert fam.to_json_lines() == again.to_json_lines()
 
     def test_invariants_enforced(self):
         spec = FamilySpec("U2", 6)
@@ -525,20 +523,6 @@ class TestFamilyType:
         mixed = VectorFamily(spec=FamilySpec("U2", 9),
                              members=[members[0], [2, 7]])
         assert mixed.members[0] is members[0]
-
-    def test_json_lines(self):
-        fam = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))
-        lines = fam.to_json_lines().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first == {"kind": "U2", "target": 6,
-                         "convention": "ordered-tuples", "tuple": [2, 4]}
-        r = enumerate_family(range(1, 10), FamilySpec("R", 20, epsilon="1/2"))
-        blob = json.loads(r.to_json_lines().splitlines()[0])
-        assert blob["epsilon"] == "1/2"
-        q = enumerate_family(range(1, 10), FamilySpec("Q", 12, modulus=5))
-        blob = json.loads(q.to_json_lines().splitlines()[0])
-        assert blob["modulus"] == 5
 
     def test_positive_elements_required(self):
         with pytest.raises(RangeError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import brute_scans as brute
-from sidonlab import randommodel
+from sidonlab import cli, randommodel
 from sidonlab.analysis import _prob_array
 from sidonlab.numbertheory import RangeError
 from sidonlab.randommodel import (
@@ -336,14 +336,20 @@ class TestConfig:
         assert SampleConfig(gamma=(7, 11), **kw).gamma == Fraction(7, 11)
         assert SampleConfig(gamma=1, **kw).gamma == Fraction(1)
 
-    def test_json_roundtrip_and_hash(self):
-        cfg = _ruzsa_config(seed=5)
-        again = SampleConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.config_hash() == cfg.config_hash()
-        assert _ruzsa_config(seed=6).config_hash() != cfg.config_hash()
-        blob = json.loads(cfg.to_json())
+    def test_json_roundtrip_and_hash(self, capsys):
+        # a config is written as the config of the CLI's sample payload
+        def envelope(seed):
+            assert cli.run(["sample", "--gamma", "7/11", "--m", "100",
+                            "--ruzsa-p", "13", "--horizon", "10",
+                            "--seed", str(seed)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        cfg, env = _ruzsa_config(seed=5), envelope(5)
+        blob = env["payload"]["config"]
+        assert SampleConfig(**blob) == cfg
         assert blob["gamma"] == "7/11"
+        assert envelope(5)["configHash"] == env["configHash"]
+        assert envelope(6)["configHash"] != env["configHash"]
 
     def test_from_modset(self):
         S = ruzsa_set(13)
@@ -398,55 +404,26 @@ class TestIntSeq:
         assert seq.elements == (1, 2) and type(seq.elements[0]) is int
         assert type(seq.horizon) is int
 
-    def test_save_load_verify(self, tmp_path):
+    def test_save_load_verify(self, capsys, tmp_path):
+        # saved as the envelope of `sample --out`, loaded from its payload
         cfg = _ruzsa_config(seed=11)
-        seq = sample_sequence(cfg, 5000)
-        path = tmp_path / "seq.txt"
-        seq.save(path)
-        loaded = IntSeq.load(path)
-        assert loaded == seq
+        path = tmp_path / "seq.json"
+        assert cli.run(["sample", "--gamma", "7/11", "--m", "100",
+                        "--ruzsa-p", "13", "--horizon", "5000", "--seed", "11",
+                        "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())["payload"]
+        loaded = IntSeq(elements=payload["elements"],
+                        config=SampleConfig(**payload["config"]),
+                        horizon=payload["horizon"])
+        assert loaded == sample_sequence(cfg, 5000)
         assert loaded.verify()
 
-    def test_sidecar_contents(self, tmp_path):
+    def test_tampered_elements_fail_verify(self):
         cfg = _ruzsa_config(seed=11)
         seq = sample_sequence(cfg, 5000)
-        path = tmp_path / "seq.txt"
-        seq.save(path)
-        sidecar = json.loads((tmp_path / "seq.txt.config.json").read_text())
-        assert sidecar["configHash"] == cfg.config_hash()
-        assert sidecar["horizon"] == 5000
-        assert sidecar["count"] == len(seq)
-        lines = (tmp_path / "seq.txt").read_text().split()
-        assert [int(v) for v in lines] == list(seq.elements)
-
-    def test_tampered_sidecar_rejected(self, tmp_path):
-        cfg = _ruzsa_config(seed=11)
-        seq = sample_sequence(cfg, 5000)
-        path = tmp_path / "seq.txt"
-        seq.save(path)
-        sidecar = json.loads((tmp_path / "seq.txt.config.json").read_text())
-        sidecar["config"]["seed"] = 12
-        (tmp_path / "seq.txt.config.json").write_text(json.dumps(sidecar))
-        with pytest.raises(RangeError):
-            IntSeq.load(path)
-
-    def test_load_reads_integers_only(self, tmp_path):
-        # a line "1.5" raised int()'s bare ValueError
-        seq = sample_sequence(_ruzsa_config(seed=11), 5000)
-        path = tmp_path / "seq.txt"
-        seq.save(path)
-        path.write_text("1\n1.5\n")
-        with pytest.raises(RangeError):
-            IntSeq.load(path)
-
-    def test_tampered_elements_fail_verify(self, tmp_path):
-        cfg = _ruzsa_config(seed=11)
-        seq = sample_sequence(cfg, 5000)
-        path = tmp_path / "seq.txt"
-        seq.save(path)
-        with open(path, "a") as fh:
-            fh.write("4999\n")
-        assert not IntSeq.load(path).verify()
+        tampered = IntSeq(elements=seq.elements + (4999,), config=cfg,
+                          horizon=5000)
+        assert seq.verify() and not tampered.verify()
 
     def test_container_protocol(self):
         seq = sample_sequence(_ruzsa_config(seed=99991), 5000)

@@ -33,20 +33,11 @@ def test_modset_validation_and_ordering():
         ModSet(0, ())
 
 
-def test_modset_json_and_text_roundtrip():
-    s = ModSet(156, (3, 14, 16, 17))
-    assert ModSet.from_json(s.to_json()) == s
-    assert ModSet.from_text(s.to_text()) == s
-    assert s.to_text().splitlines()[0] == "mod 156"
-    with pytest.raises(RangeError):
-        ModSet.from_text("156\n3\n")
-
-
 def test_modset_membership_is_cached():
     s, t = ModSet(156, (3, 14, 16, 17)), ModSet(156, (17, 16, 14, 3))
     assert 14 in s and 15 not in s and "14" not in s
     assert s._members is s._members
-    assert s == t and hash(s) == hash(t) and s.to_json() == t.to_json()
+    assert s == t and hash(s) == hash(t)
 
 
 def test_erdos_turan_reads_integers_only():
@@ -129,8 +120,6 @@ def test_is_sidon_reads_integers_only():
                               (20.5, (1, 3))):
         with pytest.raises(RangeError):
             ModSet(modulus, elements)
-    with pytest.raises(RangeError):
-        ModSet.from_json('{"modulus": 20.7, "elements": [1, 3]}')
     s = ModSet(np.int64(20), np.array([7, 1, 3]))
     assert s == ModSet(20, (1, 3, 7))
     assert type(s.modulus) is int

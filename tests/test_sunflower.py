@@ -8,6 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from sidonlab import cli
 from sidonlab.numbertheory import RangeError
 from sidonlab.sunflower import (
     SunflowerCert,
@@ -348,14 +349,17 @@ class TestVectorial:
 
 
 class TestCert:
-    def test_json(self):
-        cert = SunflowerCert(petal_indices=(0, 2), type_set=(1,),
+    # a certificate is written as the certificate of the CLI's sunflower find
+    def test_json(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text("[[7, 1], [7, 2]]")
+        assert cli.run(["sunflower", "find", "--in", str(path), "-k", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)["payload"]["certificate"]
+        assert doc == {"petalIndices": [0, 1], "typeSet": [1],
+                       "coreValues": [7]}
+        assert find_vectorial_sunflower([(7, 1), (7, 2)], 2) \
+            == SunflowerCert(petal_indices=(0, 1), type_set=(1,),
                              core_values=(7,))
-        assert json.loads(cert.to_json()) == {
-            "petalIndices": [0, 2],
-            "typeSet": [1],
-            "coreValues": [7],
-        }
 
     def test_verify_rejects_wrong_core(self):
         cert = SunflowerCert(petal_indices=(0, 1), type_set=(1,),
