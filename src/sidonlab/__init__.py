@@ -31,7 +31,7 @@ from .randommodel import *
 from .sidoncore import *
 from .sunflower import *
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [name for module in (numbertheory, sidoncore, curveoracle,
                                decomposer, randommodel, deletionlab,

@@ -52,21 +52,20 @@ from .curveoracle import (CurveParams, QuadricParams, curve_point_count,
                           triple_rep_count, triple_rep_table)
 from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
                          decompose4_ruzsa)
-from .deletionlab import (_FAMILIES, FamilySpec, UnsupportedKind, b2_2_lift,
-                          destruction_audit, enumerate_family, sidon_lift)
+from .deletionlab import (_FAMILIES, FamilySpec, b2_2_lift, destruction_audit,
+                          enumerate_family, sidon_lift)
 from .numbertheory import (NotGenerator, NotPrime, PrimeNotFound, RangeError,
                            primitive_root)
 from .randommodel import SampleConfig, sample_sequence
-from .sidoncore import (ModSet, NotOddPrime, b2g_bound, basis_order_check,
-                        erdos_turan_set, is_sidon, ruzsa_set)
+from .sidoncore import (ModSet, b2g_bound, basis_order_check, erdos_turan_set,
+                        is_sidon, ruzsa_set)
 from .sunflower import SunflowerCert, find_vectorial_sunflower
 
 __all__ = ["run", "main"]
 
 # the library's own exception types only: anything else is a bug and propagates
 _DOMAIN_ERRORS = (RangeError, NotPrime, NotGenerator, PrimeNotFound,
-                  NotOddPrime, NoRepresentation, UnsupportedKind,
-                  NonConvergent)
+                  NoRepresentation, NonConvergent)
 
 _PLUMBING = frozenset({"out", "format", "threads", "src", "cert_src"})
 
@@ -312,16 +311,17 @@ def _cmd_curve_identity(args):
 
 
 def _cmd_curve_quadric(args):
-    sols = enumerate_quadric(QuadricParams(args.p, args.r1, args.r2))
+    params = QuadricParams(args.p, args.r1, args.r2)
+    sols = enumerate_quadric(params)
     payload = {"p": args.p, "r1": args.r1, "r2": args.r2,
-               "reducible": sols.reducible, "count": len(sols),
+               "reducible": params.splits_into_lines, "count": len(sols),
                "solutions": [list(pt) for pt in sols]}
-    return payload, _rows_csv(("u", "v"), list(sols))
+    return payload, _rows_csv(("u", "v"), sols)
 
 
 def _cmd_curve_coverage(args):
-    cloud = torus_points(QuadricParams(args.p, args.r1, args.r2))
-    empty, total = dyadic_box_coverage(cloud, args.k)
+    points = torus_points(QuadricParams(args.p, args.r1, args.r2))
+    empty, total = dyadic_box_coverage(points, args.k)
     covered = total - empty
     return {"p": args.p, "r1": args.r1, "r2": args.r2, "k": args.k,
             "covered": covered, "total": total, "fraction": covered / total}

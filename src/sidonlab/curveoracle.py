@@ -17,8 +17,9 @@ which keeps pairwise-distinct representations plentiful for every target
 once p is moderately large.
 
 The module also enumerates the quadric x1^2 + x2^2 + (x1 + x2 - r1)^2 = r2
-used by the integer decomposition pipeline, maps its solutions to the unit
-4-torus, and measures dyadic box coverage of the resulting cloud.
+used by the integer decomposition pipeline, maps its solutions to exact
+points of the unit 4-torus, and measures dyadic box coverage of those
+points.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from math import isqrt
 
 import numpy as np
 
-from .numbertheory import (NotPrime, RangeError, _as_ints, _flattened_graph,
-                           _int_fields, is_prime, power_table)
+from .numbertheory import (RangeError, _as_ints, _check_odd_prime,
+                           _flattened_graph, _int_fields, power_table)
 from .sidoncore import rep_profile
 
 __all__ = [
     "CurveParams",
     "QuadricParams",
-    "QuadricSolutions",
-    "TorusCloud",
     "curve_point_count",
     "curve_point_table",
     "triple_reps",
@@ -63,8 +62,7 @@ class CurveParams:
 
     def __post_init__(self):
         _int_fields(self, "p", "b", "lam")
-        if not is_prime(self.p) or self.p < 3:
-            raise NotPrime(f"{self.p} is not an odd prime")
+        _check_odd_prime(self.p)
         if not (0 <= self.b < self.p):
             raise RangeError(f"b must lie in [0, p), got {self.b}")
         if not (1 <= self.lam < self.p):
@@ -76,8 +74,8 @@ class QuadricParams:
     """Parameters (p, r1, r2) of x1^2 + x2^2 + (x1 + x2 - r1)^2 = r2 over F_p.
 
     The quadric splits into two lines exactly when 6 r2 = 2 r1^2 (mod p) and
-    p = 1 (mod 3) (a primitive cube root of unity is needed); the
-    `reducible` / `splits_into_lines` flags report this.
+    p = 1 (mod 3) (a primitive cube root of unity is needed);
+    `splits_into_lines` reports this.
     """
 
     p: int
@@ -86,8 +84,7 @@ class QuadricParams:
 
     def __post_init__(self):
         _int_fields(self, "p", "r1", "r2")
-        if not is_prime(self.p) or self.p < 3:
-            raise NotPrime(f"{self.p} is not an odd prime")
+        _check_odd_prime(self.p)
         if not (0 <= self.r1 < self.p and 0 <= self.r2 < self.p):
             raise RangeError("r1, r2 must lie in [0, p)")
 
@@ -98,15 +95,6 @@ class QuadricParams:
     @property
     def splits_into_lines(self) -> bool:
         return self.degenerate_rhs and self.p % 3 == 1
-
-
-class QuadricSolutions(list):
-    """List of (x1, x2) quadric points plus reducibility metadata."""
-
-    def __init__(self, points, params: QuadricParams):
-        super().__init__(points)
-        self.params = params
-        self.reducible = params.splits_into_lines
 
 
 def _sqrt_table(p: int) -> np.ndarray:
@@ -169,15 +157,16 @@ def triple_reps(p: int, g: int, a: int, b: int):
 
 def _triple_solver(p: int, g: int):
     """The power table of g, and a generator function yielding the triples
-    of `triple_reps` for an in-range target (a, b); the log and square-root
-    tables are built here, once for every target at (p, g)."""
+    of `triple_reps` for an in-range target (a, b), from x1 = start on; the
+    log and square-root tables are built here, once for every target at
+    (p, g)."""
     pw = power_table(p, g)
     log = dict(zip(pw, range(p - 1)))
     root = _sqrt_table(p).tolist()
     n, half = p - 1, (p + 1) // 2
 
-    def solve(a: int, b: int):
-        for x1 in range(n):
+    def solve(a: int, b: int, start: int = 0):
+        for x1 in range(start, n):
             d = (b - pw[x1]) % p
             s = root[(d * d - 4 * pw[(a - x1) % n]) % p]
             if s < 0:
@@ -205,9 +194,9 @@ def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
     """Counts for every target (a, b), read off the ordered 3-fold sum
     profile of the Ruzsa set (pairwise distinct for distinct="pairwise")
     at z = crt_flatten(a, b, p)."""
-    profile = rep_profile(_flattened_graph(p, g), 3, modulus=(p - 1) * p,
-                          distinct=distinct)
-    return {(z % (p - 1), z % p): n for z, n in profile.counts.items()}
+    profile = rep_profile(_flattened_graph(p, power_table(p, g)), 3,
+                          modulus=(p - 1) * p, distinct=distinct)
+    return {(z % (p - 1), z % p): n for z, n in profile.items()}
 
 
 def repeated_coordinate_count(p: int, g: int, a: int, b: int) -> int:
@@ -238,7 +227,7 @@ def hasse_slack(p: int) -> int:
     return 2 * r + 4
 
 
-def enumerate_quadric(params: QuadricParams) -> QuadricSolutions:
+def enumerate_quadric(params: QuadricParams) -> list[tuple[int, int]]:
     """All (x1, x2) in [0,p)^2 with x1^2 + x2^2 + (x1+x2-r1)^2 = r2 mod p.
 
     Solutions come out in lexicographic order; the set is symmetric under
@@ -256,39 +245,21 @@ def enumerate_quadric(params: QuadricParams) -> QuadricSolutions:
         if s >= 0:
             x2s = {(-e - s) * half % p, (-e + s) * half % p}
             points += [(x1, x2) for x2 in sorted(x2s)]
-    return QuadricSolutions(points, params)
+    return points
 
 
-@dataclass(frozen=True)
-class TorusCloud:
-    """Quadric solutions mapped to exact rational points of [0,1)^4.
-
-    Each solution (x1, x2) maps to
-    (x1/p, x2/p, (x1^2 mod p)/p, (x2^2 mod p)/p).
-    """
-
-    params: QuadricParams
-    points: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
-
-
-def torus_points(params: QuadricParams) -> TorusCloud:
-    """Map every quadric solution to the unit 4-torus with exact fractions."""
+def torus_points(params: QuadricParams) -> tuple[tuple[Fraction, ...], ...]:
+    """Every quadric solution (x1, x2), in enumerate_quadric's order, as the
+    exact point (x1/p, x2/p, (x1^2 mod p)/p, (x2^2 mod p)/p) of [0,1)^4."""
     p = params.p
-    pts = []
-    for x1, x2 in enumerate_quadric(params):
-        pts.append(
-            (
-                Fraction(x1, p),
-                Fraction(x2, p),
-                Fraction((x1 * x1) % p, p),
-                Fraction((x2 * x2) % p, p),
-            )
-        )
-    return TorusCloud(params=params, points=tuple(pts))
+    return tuple((Fraction(x1, p), Fraction(x2, p), Fraction(x1 * x1 % p, p),
+                  Fraction(x2 * x2 % p, p))
+                 for x1, x2 in enumerate_quadric(params))
 
 
-def dyadic_box_coverage(cloud: TorusCloud, k: int) -> tuple[int, int]:
-    """(empty, total) count of dyadic boxes of side 2^-k in [0,1)^4.
+def dyadic_box_coverage(points, k: int) -> tuple[int, int]:
+    """(empty, total) count of dyadic boxes of side 2^-k in [0,1)^4 for
+    exact points such as torus_points makes.
 
     A box is the product of four dyadic intervals; a point lands in the box
     whose index is floor(coord * 2^k) on each axis (exact rational floor).
@@ -298,7 +269,6 @@ def dyadic_box_coverage(cloud: TorusCloud, k: int) -> tuple[int, int]:
         raise RangeError(f"need k >= 0, got {k}")
     scale = 1 << k
     total = scale**4
-    occupied = set()
-    for pt in cloud.points:
-        occupied.add(tuple((c.numerator * scale) // c.denominator for c in pt))
+    occupied = {tuple(c.numerator * scale // c.denominator for c in pt)
+                for pt in points}
     return (total - len(occupied), total)

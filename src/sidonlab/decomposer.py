@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .numbertheory import (
-    NotPrime,
     RangeError,
     _as_ints,
+    _check_odd_prime,
+    _flatten,
     crt_flatten,
     find_decomposition_prime,
     is_prime,
@@ -122,16 +123,16 @@ class Decomposition:
 def _ruzsa_generator(p: int, g: Optional[int]) -> int:
     """g, or the smallest primitive root when it is None; p must be an odd
     prime."""
-    if not is_prime(p) or p == 2:
-        raise NotPrime(f"{p} is not an odd prime")
+    _check_odd_prime(p)
     return primitive_root(p) if g is None else g
 
 
 def _ruzsa(p: int, a: int, b: int, pairs, **certificate) -> Decomposition:
     """The decomposition of (a, b) into the Ruzsa elements (x, g^x) of the
-    pairs."""
+    pairs: p was checked by _ruzsa_generator, and each log and power lies in
+    range, so they flatten without crt_flatten's checks."""
     return Decomposition(target=[a, b], modulus=[p - 1, p],
-                         parts=[crt_flatten(x, v, p) for x, v in pairs],
+                         parts=[_flatten(x, v, p) for x, v in pairs],
                          construction="ruzsa", p=p, certificate=certificate)
 
 
@@ -168,10 +169,10 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
                       g=g, logs=list(logs), fixed_part=[0, 1],
                       shifted_target=[a, bb])
     # the first x1 < x2 < x3 with x4 forced and distinct: for each x1, the
-    # triples (x2, x3, x4) of the target less (x1, g^x1), in (x2, x3) order
+    # triples (x2 > x1, x3, x4) of the target less (x1, g^x1), (x2, x3) order
     for x1 in range(p - 1):
-        for x2, x3, x4 in solve((a - x1) % (p - 1), (b - pw[x1]) % p):
-            if x1 < x2 < x3 and x4 not in (x1, x2, x3):
+        for x2, x3, x4 in solve((a - x1) % (p - 1), (b - pw[x1]) % p, x1 + 1):
+            if x2 < x3 and x4 not in (x1, x2, x3):
                 logs = [x1, x2, x3, x4]
                 return _ruzsa(p, a, b, [(x, pw[x]) for x in logs], g=g,
                               logs=logs)

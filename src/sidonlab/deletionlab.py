@@ -46,7 +46,6 @@ from .numbertheory import (RangeError, _as_family, _as_fraction, _as_ints,
                            _int_fields)
 
 __all__ = [
-    "UnsupportedKind",
     "FamilySpec",
     "VectorFamily",
     "enumerate_family",
@@ -60,10 +59,6 @@ __all__ = [
 
 _BITMAP_LIMIT = 1 << 24     # entries of `_q_count`'s pair-sum bitmap
 _BLOCK_PAIRS = 1 << 16      # pair sums per block of `_q_count`
-
-
-class UnsupportedKind(ValueError):
-    """The family kind or audit mode is unknown."""
 
 
 def _coerce(A) -> tuple[int, ...]:
@@ -124,10 +119,6 @@ class VectorFamily:
     @property
     def arity(self) -> int:
         return _FAMILIES[self.spec.kind].arity
-
-    @property
-    def convention(self) -> str:
-        return _FAMILIES[self.spec.kind].convention
 
     def __len__(self):
         return len(self.members)
@@ -300,15 +291,13 @@ class _Family(NamedTuple):
     count: Optional[Callable] = None  # counts without building, if given
     modulus: bool = False  # reads the modulus; other kinds take only 1
     epsilon: bool = False  # requires epsilon; other kinds take none
-    convention: str = "ordered-tuples"
 
 
 # the one table of family kinds, in the order the CLI offers them; Q/R
 # members are canonical sorted sets, the rest are genuinely ordered
 _FAMILIES = {
-    "Q": _Family(3, _q_members, _q_count, modulus=True,
-                 convention="unordered-sets"),
-    "R": _Family(4, _r_members, epsilon=True, convention="unordered-sets"),
+    "Q": _Family(3, _q_members, _q_count, modulus=True),
+    "R": _Family(4, _r_members, epsilon=True),
     "T": _Family(8, _t_members, modulus=True),
     "B": _Family(7, _b_members, modulus=True, epsilon=True),
     "U2": _Family(2, _u2_members),
@@ -323,7 +312,7 @@ def _family(kind) -> tuple[str, _Family]:
     """The kind upper-cased and its row of _FAMILIES."""
     key = str(kind).upper()
     if key not in _FAMILIES:
-        raise UnsupportedKind(f"unknown family kind {kind!r}")
+        raise RangeError(f"unknown family kind {kind!r}")
     return key, _FAMILIES[key]
 
 
@@ -434,7 +423,7 @@ def destruction_audit(A, n: int, N: int = 1, mode: str = "b22",
         obs = FamilySpec("B", n, modulus=N, epsilon=epsilon)
         limit = 2
     else:
-        raise UnsupportedKind(f"unknown audit mode {mode!r}")
+        raise RangeError(f"unknown audit mode {mode!r}")
     q_before = _family_size(A, fam)
     q_after = _family_size(_lift(A, limit), fam)
     t_count = _family_size(A, obs)

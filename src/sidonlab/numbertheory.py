@@ -113,6 +113,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(p: int) -> None:
+    """Raise NotPrime unless p is an odd prime: the one such check."""
+    if not is_prime(p) or p == 2:
+        raise NotPrime(f"{p} is not an odd prime")
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending (trial division)."""
     (n,) = _as_ints((n,), "n")
@@ -167,11 +173,19 @@ def power_table(p: int, g: int) -> list[int]:
     p, g = _as_ints((p, g), "p and g")
     if p == 2:
         raise NotPrime("2 is not an odd prime")
-    if not is_primitive_root(g, p):
-        raise NotGenerator(f"{g} does not generate Z_{p}^*")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return _power_table(p, g)
+
+
+def _power_table(p: int, g: int) -> list[int]:
+    """power_table for an odd prime p, which is not tested again: g
+    generates exactly when no g^x with 0 < x < p - 1 is 1, and g^1 != 0."""
     table = [1] * (p - 1)
     for x in range(1, p - 1):
         table[x] = table[x - 1] * g % p
+    if table.count(1) > 1 or 0 in table:
+        raise NotGenerator(f"{g} does not generate Z_{p}^*")
     return table
 
 
@@ -198,11 +212,12 @@ def _flatten(u: int, v: int, p: int) -> int:
     return u + (p - 1) * ((u - v) % p)
 
 
-def _flattened_graph(p: int, g: int) -> list[int]:
+def _flattened_graph(p: int, powers: list[int]) -> list[int]:
     """[crt_flatten(x, g^x mod p, p) for x in range(p - 1)], the Ruzsa
-    elements in order of x. power_table checks p and g once, and its
-    entries lie in range, so no element repeats crt_flatten's checks."""
-    return [_flatten(x, v, p) for x, v in enumerate(power_table(p, g))]
+    elements in order of x, from the power table of g. Its maker checked p
+    and g once, and its entries lie in range, so no element repeats
+    crt_flatten's checks."""
+    return [_flatten(x, v, p) for x, v in enumerate(powers)]
 
 
 def find_decomposition_prime(N: int) -> int:

@@ -15,13 +15,13 @@ a moment sum holds O(_BLOCK + output) memory at any horizon.
 
 The accept rule u < x^(-gamma), with u = k 2^-53, is decided exactly. The
 float comparison against t = fl(x^(-fl(gamma))) is trusted only when u
-clears t by the proved margin `_margin`, which assumes that `pow` (libm
-for a scalar, `np.power` for an array) is within 4 ulps of the exact power
-of its float arguments. Inside the margin the decision is made in integers,
-k^q x^p < 2^(53 q) for gamma = p/q, or for large q from the sign of
-q ln k + p ln x - 53 q ln 2 in correctly rounded `decimal` logarithms, on
-the word k = u 2^53 the float comparison read (exact, as k < 2^53). So
-a seeded sample does not depend on the platform's `pow`.
+clears t by the proved margin `_margin`, which assumes that `np.power` is
+within 4 ulps of the exact power of its float arguments. Inside the margin
+the decision is made in integers, k^q x^p < 2^(53 q) for gamma = p/q, or
+for large q from the sign of q ln k + p ln x - 53 q ln 2 in correctly
+rounded `decimal` logarithms, on the word k = u 2^53 the float comparison
+read (exact, as k < 2^53). So a seeded sample does not depend on the
+platform's `pow`.
 
 The rule has one implementation, `_accept` on a block of candidates for
 any number of seeds; `sample_sequence` and `contains` pass one seed, and
@@ -31,6 +31,8 @@ integers and the exact rule with no float comparison.
 
 Each input has one reader: `SampleConfig` reads gamma and the integer
 fields, `_blocks` a horizon and `_accept` each candidate's 53-bit word.
+The probability x^(-gamma) has one expression, `_power`: a sample's
+thresholds, `inclusion_probability` and every moment agree bit for bit.
 """
 
 from __future__ import annotations
@@ -102,11 +104,16 @@ class SampleConfig:
                    residues=tuple(modset.elements), seed=seed)
 
 
+def _power(xs, gamma: Fraction) -> np.ndarray:
+    """fl(x^-fl(gamma)) for each x of xs, by `np.power` on float64."""
+    return np.power(np.asarray(xs, dtype=np.float64), -float(gamma))
+
+
 def inclusion_probability(config: SampleConfig, x: int) -> float:
     (x,) = _as_ints((x,), "x")
     if x <= config.m or x % config.modulus not in config.residues:
         return 0.0
-    return float(x) ** (-float(config.gamma))
+    return float(_power([x], config.gamma)[0])
 
 
 def _margin(t, x, gamma: float):
@@ -161,8 +168,8 @@ def contains(config: SampleConfig, x: int) -> bool:
     if x <= config.m or x % config.modulus not in config.residues:
         return False
     xs = np.array([x], dtype=np.uint64)
-    t = np.power(xs.astype(np.float64), -float(config.gamma))
-    return bool(_accept(config.gamma, (config.seed,), xs, t)[0][0])
+    return bool(_accept(config.gamma, (config.seed,), xs,
+                        _power(xs, config.gamma))[0][0])
 
 
 def _uniform_array(seed: int, xg: np.ndarray) -> np.ndarray:
@@ -189,7 +196,7 @@ def _blocks(config: SampleConfig, horizon: int):
         raise RangeError("horizon must be nonnegative")
     if horizon >> 64:
         raise RangeError("horizon must be below 2^64")
-    n, m, g = config.modulus, config.m, -float(config.gamma)
+    n, m = config.modulus, config.m
     res = np.asarray(config.residues, dtype=np.uint64)
     first, last = (m + 1) // n, horizon // n
     rows = max(1, _BLOCK // len(res))
@@ -200,7 +207,7 @@ def _blocks(config: SampleConfig, horizon: int):
         if k0 == first or k1 == last + 1:
             xs = xs[(xs > np.uint64(m)) & (xs <= np.uint64(horizon))]
         if len(xs):
-            yield xs, np.power(xs.astype(np.float64), g)
+            yield xs, _power(xs, config.gamma)
 
 
 def _accept(gamma: Fraction, seeds, xs: np.ndarray,

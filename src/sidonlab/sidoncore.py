@@ -21,21 +21,20 @@ longest run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, perm
+from math import factorial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .numbertheory import (RangeError, _as_ints, _flattened_graph,
-                           _int_fields, is_prime, primitive_root)
+from .numbertheory import (RangeError, _as_ints, _check_odd_prime,
+                           _flattened_graph, _int_fields, _power_table,
+                           primitive_root)
 
 __all__ = [
-    "NotOddPrime",
     "ModSet",
     "SidonWitness",
-    "RepProfile",
     "erdos_turan_set",
     "ruzsa_set",
     "is_sidon",
@@ -44,10 +43,6 @@ __all__ = [
     "convolution_profile_array",
     "basis_order_check",
 ]
-
-
-class NotOddPrime(ValueError):
-    """Argument must be an odd prime."""
 
 
 @dataclass(frozen=True)
@@ -97,35 +92,12 @@ class SidonWitness:
         return self.is_sidon
 
 
-@dataclass
-class RepProfile:
-    """Exact counts of h-fold sums of a set, labeled with their convention."""
-
-    arity: int
-    mode: str  # "cyclic" or "integer"
-    modulus: Optional[int]
-    convention: str  # "ordered" or "unordered"
-    distinct: str  # "none" or "pairwise"
-    counts: dict = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def expected_total(self, set_size: int) -> int:
-        """Combinatorial identity for the sum of all counts."""
-        h, n = self.arity, set_size
-        if self.distinct == "none":
-            return n**h if self.convention == "ordered" else comb(n + h - 1, h)
-        return perm(n, h) if self.convention == "ordered" else comb(n, h)
-
-
 def erdos_turan_set(p: int) -> ModSet:
     """Erdos-Turan Sidon set {x + (x^2 mod p) * 2p : 0 <= x < p} in Z_{2p^2}.
 
     p elements, all below 2p^2; Sidon both as integers and mod 2p^2.
     """
-    if not is_prime(p) or p == 2:
-        raise NotOddPrime(f"{p} is not an odd prime")
+    _check_odd_prime(p)
     elems = tuple(x + (x * x % p) * 2 * p for x in range(p))
     return ModSet(modulus=2 * p * p, elements=elems)
 
@@ -135,11 +107,12 @@ def ruzsa_set(p: int, g: Optional[int] = None) -> ModSet:
 
     g defaults to the smallest primitive root mod p. p - 1 elements.
     """
-    if not is_prime(p) or p == 2:
-        raise NotOddPrime(f"{p} is not an odd prime")
+    _check_odd_prime(p)
     if g is None:
         g = primitive_root(p)
-    return ModSet(modulus=(p - 1) * p, elements=tuple(_flattened_graph(p, g)))
+    p, g = _as_ints((p, g), "p and g")
+    elements = _flattened_graph(p, _power_table(p, g))
+    return ModSet(modulus=(p - 1) * p, elements=tuple(elements))
 
 
 def _coerce_elements(setlike, mode: str, modulus: Optional[int]):
@@ -283,8 +256,9 @@ def _counts_array(elems: Sequence[int], h: int, N: int, convention: str,
 
 def rep_profile(setlike, h: int, mode: str = "cyclic",
                 modulus: Optional[int] = None, convention: str = "ordered",
-                distinct: str = "none") -> RepProfile:
-    """Exact h-fold sum counts under an explicit convention, keys ascending.
+                distinct: str = "none") -> dict[int, int]:
+    """Exact h-fold sum counts {sum: count} under an explicit convention,
+    keys ascending and zero counts left out.
 
     Every convention takes 8 bytes per residue of a window: Z_modulus in
     cyclic mode, and in integer mode the h (max A - min A) + 1 sums of
@@ -299,10 +273,7 @@ def rep_profile(setlike, h: int, mode: str = "cyclic",
     elems = [e - base for e in elems]
     window = modulus if mode == "cyclic" else h * max(elems, default=0) + 1
     arr = _counts_array(elems, h, window, convention, distinct)
-    counts = {h * base + k: c for k, c in enumerate(arr.tolist()) if c}
-    return RepProfile(arity=h, mode=mode,
-                      modulus=modulus if mode == "cyclic" else None,
-                      convention=convention, distinct=distinct, counts=counts)
+    return {h * base + k: c for k, c in enumerate(arr.tolist()) if c}
 
 
 def basis_order_check(modset: ModSet, h: int,

@@ -40,7 +40,7 @@ from sidonlab.analysis import (
     sigma,
     tau,
 )
-from sidonlab.deletionlab import FamilySpec, UnsupportedKind, enumerate_family
+from sidonlab.deletionlab import FamilySpec, enumerate_family
 from sidonlab.numbertheory import RangeError
 from sidonlab.randommodel import (SampleConfig, _accept,
                                   inclusion_probability, sample_sequence)
@@ -1073,7 +1073,7 @@ class TestMonteCarlo:
             monte_carlo_family_mean("U2", [10], CFG5, horizon=20, trials=1)
 
     @pytest.mark.parametrize("kind,error", [("R", RangeError),
-                                            ("CUSTOM", UnsupportedKind)])
+                                            ("CUSTOM", RangeError)])
     def test_bad_spec_fails_before_sampling(self, monkeypatch, kind, error):
         # the trials share one pass of blocks, and each trial's sample is
         # drawn by the accept rule on every block with every trial seed: it

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sidonlab
-from sidonlab import sidoncore
+from sidonlab import cli, sidoncore
 from sidonlab.numbertheory import RangeError
 
 
@@ -73,3 +73,20 @@ def test_library_classes_define_no_serializers():
              and value.__module__ == f"sidonlab.{module}"
              for attr in sorted(SERIALIZERS & vars(value).keys())]
     assert not found
+
+
+DOMAIN_ERRORS = {"NotPrime", "NotGenerator", "PrimeNotFound", "RangeError",
+                 "NoRepresentation", "NonConvergent"}
+
+
+def test_one_exception_class_per_fault():
+    # each fault has one class, and the CLI reports exactly those as domain
+    # errors; any other exception is a bug and propagates
+    defined = {name for module in LIBRARY
+               for name, value in vars(
+                   importlib.import_module(f"sidonlab.{module}")).items()
+               if isinstance(value, type) and issubclass(value, Exception)
+               and value.__module__ == f"sidonlab.{module}"}
+    assert defined == DOMAIN_ERRORS
+    names = [error.__name__ for error in cli._DOMAIN_ERRORS]
+    assert len(names) == len(set(names)) and set(names) == DOMAIN_ERRORS

@@ -216,18 +216,19 @@ class TestCurve:
     def test_quadric_replays_library(self, capsys):
         env = _ok(capsys, ["curve", "quadric", "-p", "13", "--r1", "1",
                            "--r2", "2"])
-        sols = enumerate_quadric(QuadricParams(13, 1, 2))
+        params = QuadricParams(13, 1, 2)
+        sols = enumerate_quadric(params)
         assert env["payload"]["solutions"] == [list(pt) for pt in sols]
         assert env["payload"]["count"] == len(sols)
-        assert env["payload"]["reducible"] == sols.reducible
+        assert env["payload"]["reducible"] == params.splits_into_lines
 
     def test_coverage_replays_library(self, capsys):
         env = _ok(capsys, ["curve", "coverage", "-p", "101", "--r1", "1",
                            "--r2", "2", "-k", "2"])
-        cloud = torus_points(QuadricParams(101, 1, 2))
-        empty, total = dyadic_box_coverage(cloud, 2)
+        points = torus_points(QuadricParams(101, 1, 2))
+        empty, total = dyadic_box_coverage(points, 2)
         covered = total - empty
-        assert env["payload"]["covered"] == covered <= len(cloud.points)
+        assert env["payload"]["covered"] == covered <= len(points)
         assert env["payload"]["total"] == total
         assert env["payload"]["fraction"] == covered / total
 

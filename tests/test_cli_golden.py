@@ -44,15 +44,15 @@ CASES = [
     ("construct erdos-turan -p 7 --format csv",
      "373edf7feba0eb54e5507e788833ca89d0bcbc61b643e9f1d6954c79f57a173e", 0),
     ("construct erdos-turan -p 9",
-     "b731f4699e96c2ea095f9fc6b4c50d1c5e09f702b21e68c9bb81958b1951a244", 1),
+     "46d24b0def09bc450a41c36c674bb71a8d432c3b361e2c4d57ddce5f5b1f23db", 1),
     ("construct ruzsa -p 13",
      "66b20e795599656870db7439880456beec4cb2757f138dd33fbc523a53f9d8ac", 0),
     ("construct ruzsa -p 13 -g 6 --format csv",
      "739028b3451c7b8827a4f51a745f759f33304a904eec393718257392c2e8e512", 0),
     ("construct ruzsa -p 15",
-     "60c64659062993a4abdcbb1344668efe476b5781a5fa6e3d8451a9163db98221", 1),
+     "3606574802f5c7becae5b06516729cfac779370e4880e3eb7c7d567876e4bd18", 1),
     ("construct ruzsa -p 15 --format csv",
-     "60c64659062993a4abdcbb1344668efe476b5781a5fa6e3d8451a9163db98221", 1),
+     "3606574802f5c7becae5b06516729cfac779370e4880e3eb7c7d567876e4bd18", 1),
     ("verify sidon --in @ints",
      "8b96008f203b6b6f0f31f4f6f0ad0276ffdfbe576ce2c85769a41b350cb7f26d", 0),
     ("verify sidon --in @ints --format csv",
@@ -126,7 +126,7 @@ CASES = [
     ("sample --gamma 0 --horizon 10",
      "dfc2ffbf7333ce865a659092533661c8656e2d0512e924583f4a6529bfc2efb4", 1),
     ("sample --gamma 7/11 --ruzsa-p 15 --horizon 10",
-     "3559efc950635fd24025029c21136197b65bf5a18779a75c10bb02e886a6746f", 1),
+     "af510729dc7895a2ca57460b1463453994e05e90bcc0dbdec76013975c077234", 1),
     ("sample --gamma 7/11 --horizon -5",
      "cc6ac99085250340c479baa854b6d6e4506eb7d06c1bfd55d38601442c301b79", 1),
     ("lift sidon --in @sparse",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import brute_scans as brute
-from sidonlab import cli
+from sidonlab import cli, decomposer, numbertheory
 from sidonlab.decomposer import (
     Decomposition,
     LiftTarget,
@@ -156,6 +156,25 @@ class TestRuzsaDecompose:
             fallbacks += "fixed_part" not in got.certificate
             assert got.replay()
         assert fallbacks > 0  # some small-p targets need the 4-tuple search
+
+    @pytest.mark.parametrize("argv", [
+        "decompose ruzsa3 -p 211 -a 5 -b 7",
+        "decompose ruzsa3 -p 211 -a 5 -b 7 -g 2",
+        "decompose ruzsa4 -p 211 -a 5 -b 7",
+    ])
+    def test_prime_checked_once_per_call(self, monkeypatch, capsys, argv):
+        # the parts are flattened without crt_flatten's primality test, so
+        # p is tested by the odd-prime check, primitive_root (without -g)
+        # and power_table
+        real, calls = numbertheory.is_prime, []
+        for module in (numbertheory, decomposer):
+            monkeypatch.setattr(module, "is_prime",
+                                lambda n: calls.append(n) or real(n))
+        assert cli.run(argv.split()) == 0
+        assert calls == [211] * (2 if "-g" in argv else 3)
+        monkeypatch.undo()
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert Decomposition(**payload).replay()
 
     def test_replay_rejects_tampering(self):
         d = decompose3_ruzsa(13, 5, 7)

@@ -15,7 +15,6 @@ from sidonlab import deletionlab
 from sidonlab.deletionlab import (
     AuditResult,
     FamilySpec,
-    UnsupportedKind,
     VectorFamily,
     _family_size,
     _q_members,
@@ -109,7 +108,7 @@ def oracle_small(A, kind, r):
 
 class TestFamilySpec:
     def test_validation(self):
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(RangeError):
             FamilySpec("X9", 5)
         with pytest.raises(RangeError):
             FamilySpec("R", 5)  # epsilon required
@@ -142,7 +141,7 @@ class TestFamilySpec:
 
     def test_custom_tag(self):
         # every accepted kind can be enumerated and has a fixed arity
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(RangeError):
             FamilySpec("custom", 0)
         assert VectorFamily(spec=FamilySpec("U2", 0), members=()).arity == 2
         with pytest.raises(RangeError):
@@ -442,7 +441,7 @@ class TestAudit:
             assert res.holds
 
     def test_unknown_mode(self):
-        with pytest.raises(UnsupportedKind):
+        with pytest.raises(RangeError):
             destruction_audit((1, 2), 5, mode="fast")
 
     def test_b22_mode_rejects_epsilon(self):
@@ -475,16 +474,17 @@ class TestAudit:
 
 class TestFamilyType:
     def test_container_and_convention(self):
+        # Q and R members are sorted sets, the other kinds ordered tuples
         fam = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))
-        assert len(fam) == 2 and (2, 4) in fam
-        assert fam.convention == "ordered-tuples"
+        assert len(fam) == 2 and (2, 4) in fam and (4, 2) in fam
         q = enumerate_family({1, 2, 3}, FamilySpec("Q", 6))
-        assert q.convention == "unordered-sets"
+        assert q.members == ((1, 2, 3),)
         assert q.arity == 3 and fam.arity == 2
-        for kind, convention in (("R", "unordered-sets"),
-                                 ("B", "ordered-tuples")):
+        for kind, ordered in (("R", False), ("B", True)):
             spec = FamilySpec(kind, 20, epsilon="1/2")
-            assert enumerate_family(range(1, 10), spec).convention == convention
+            members = enumerate_family(range(1, 10), spec).members
+            assert members
+            assert any(list(t) != sorted(t) for t in members) == ordered
 
     def test_membership_is_cached(self):
         fam = enumerate_family({1, 2, 4}, FamilySpec("U2", 6))

@@ -162,3 +162,11 @@ def test_power_table():
         power_table(15, 2)
     with pytest.raises(NotGenerator):
         power_table(13, 3)  # 3^3 = 27 = 1 mod 13
+    # the table rejects exactly the non-generators, 0 and 1 mod p included
+    for p in (3, 5, 7, 13, 31):
+        for g in range(-p, 2 * p + 1):
+            if is_primitive_root(g, p):
+                assert power_table(p, g)[1] == g % p
+            else:
+                with pytest.raises(NotGenerator):
+                    power_table(p, g)

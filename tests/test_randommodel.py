@@ -69,9 +69,20 @@ class TestModel:
         assert inclusion_probability(cfg, 101) == 0.0  # 101 mod 156 not in S
         x = 166  # 166 = 10 mod 156, and 10 is a flattened Ruzsa element
         assert 10 in cfg.residues
-        assert inclusion_probability(cfg, x) == float(x) ** (-7 / 11)
+        xs, q = next(_blocks(cfg, x))  # the sampler's probabilities to x
+        assert xs[-1] == x and inclusion_probability(cfg, x) == q[-1]
         free = SampleConfig(gamma=1, m=0, modulus=1, residues=(0,))
         assert inclusion_probability(free, 1) == 1.0
+
+    def test_inclusion_probability_is_the_samplers(self):
+        # the same float the sampler and the moments use, to the last bit;
+        # libm's float(x) ** -gamma can differ from np.power in that bit
+        plain = [SampleConfig(gamma="7/11", m=m, modulus=1, residues=(0,))
+                 for m in (0, 100)]
+        for cfg in plain + [_ruzsa_config()]:
+            q = _prob_array(cfg, 20_000)
+            got = [inclusion_probability(cfg, x) for x in range(20_001)]
+            assert np.array_equal(got, q)
 
     def test_always_include_probability_one(self):
         free = SampleConfig(gamma="1/1000000", m=0, modulus=1, residues=(0,),

@@ -1,17 +1,16 @@
 import itertools
 import random
-from math import comb
+from math import comb, perm
 
 import numpy as np
 import pytest
 
 import brute_scans as brute
 from sidonlab import numbertheory
-from sidonlab.numbertheory import (NotGenerator, RangeError, crt_flatten,
-                                   primitive_root)
+from sidonlab.numbertheory import (NotGenerator, NotPrime, RangeError,
+                                   crt_flatten, primitive_root)
 from sidonlab.sidoncore import (
     ModSet,
-    NotOddPrime,
     b2g_bound,
     basis_order_check,
     convolution_profile_array,
@@ -41,7 +40,7 @@ def test_modset_membership_is_cached():
 
 
 def test_erdos_turan_reads_integers_only():
-    # 13.0 used to end in a TypeError from range(), 2.0 in NotOddPrime
+    # 13.0 used to end in a TypeError from range(), 2.0 in NotPrime
     for p in (13.0, 2.0):
         with pytest.raises(RangeError):
             erdos_turan_set(p)
@@ -52,9 +51,9 @@ def test_erdos_turan_examples():
     assert erdos_turan_set(3).elements == (0, 7, 8)
     assert erdos_turan_set(3).modulus == 18
     assert erdos_turan_set(5).elements == (0, 11, 14, 42, 43)
-    with pytest.raises(NotOddPrime):
+    with pytest.raises(NotPrime):
         erdos_turan_set(2)
-    with pytest.raises(NotOddPrime):
+    with pytest.raises(NotPrime):
         erdos_turan_set(9)
 
 
@@ -71,7 +70,7 @@ def test_ruzsa_examples():
     assert ruzsa_set(3, 2).elements == (4, 5)
     with pytest.raises(NotGenerator):
         ruzsa_set(13, 3)
-    with pytest.raises(NotOddPrime):
+    with pytest.raises(NotPrime):
         ruzsa_set(8)
 
 
@@ -216,6 +215,15 @@ def test_b2g_bound_matches_brute_profile():
     assert checked > 20
 
 
+def expected_total(n, h, convention, distinct):
+    """The number of h-fold sums of n elements under a convention: n^h
+    ordered tuples, C(n + h - 1, h) multisets, n!/(n - h)! ordered tuples of
+    distinct elements and C(n, h) sets."""
+    if distinct == "none":
+        return n ** h if convention == "ordered" else comb(n + h - 1, h)
+    return perm(n, h) if convention == "ordered" else comb(n, h)
+
+
 def test_rep_profile_totals():
     ms = ModSet(20, (0, 3, 5, 11))
     for h in (1, 2, 3):
@@ -223,16 +231,17 @@ def test_rep_profile_totals():
             for distinct in ("none", "pairwise"):
                 prof = rep_profile(ms, h, convention=convention,
                                    distinct=distinct)
-                assert prof.total() == prof.expected_total(len(ms))
+                assert sum(prof.values()) == expected_total(
+                    len(ms), h, convention, distinct)
     prof = rep_profile(ms, 2, convention="unordered")
-    assert prof.total() == comb(4 + 1, 2)
+    assert sum(prof.values()) == comb(4 + 1, 2)
 
 
 def test_rep_profile_integer_mode():
     prof = rep_profile([1, 2, 4], 2, mode="integer", convention="unordered",
                        distinct="none")
-    assert prof.counts == {2: 1, 3: 1, 5: 1, 4: 1, 6: 1, 8: 1}
-    assert prof.modulus is None
+    assert prof == {2: 1, 3: 1, 5: 1, 4: 1, 6: 1, 8: 1}
+    assert type(prof) is dict
 
 
 def test_rep_profile_matches_tuple_oracle_sweep():
@@ -259,21 +268,22 @@ def test_rep_profile_matches_tuple_oracle_sweep():
                                        distinct=distinct)
                     want = brute.profile_counts(sorted(elems), h, mode,
                                                 modulus, convention, distinct)
-                    assert prof.counts == want, (elems, mode, modulus, h,
-                                                 convention, distinct)
-                    assert list(prof.counts) == sorted(prof.counts)
-                    assert prof.total() == prof.expected_total(len(elems))
+                    assert prof == want, (elems, mode, modulus, h,
+                                          convention, distinct)
+                    assert list(prof) == sorted(prof)
+                    assert sum(prof.values()) == expected_total(
+                        len(elems), h, convention, distinct)
 
 
 def test_profile_overflow_guards():
     # h n^h < 2^62 bounds every partial sum of the symmetric-function
     # counts: at n = 2, h = 56 passes (56 2^56 < 2^62) and h = 57 does not
     prof = rep_profile([0, 1], 56, modulus=5, convention="unordered")
-    assert prof.total() == 57
+    assert sum(prof.values()) == 57
     for convention in ("ordered", "unordered"):
         # h! alone is past int64 here, but e_h = 0 for h > n
         assert rep_profile([0, 1], 56, modulus=5, convention=convention,
-                           distinct="pairwise").counts == {}
+                           distinct="pairwise") == {}
     for convention in ("ordered", "unordered"):
         with pytest.raises(RangeError, match="overflow"):
             rep_profile([0, 1], 57, modulus=5, convention=convention,
@@ -307,7 +317,7 @@ def test_engines_agree_random_sweep():
         want = brute.profile_counts(ms.elements, h, "cyclic", N,
                                     "ordered", "none")
         conv = rep_profile(ms, h, convention="ordered", distinct="none")
-        assert conv.counts == want, (trial, N, h, size)
+        assert conv == want, (trial, N, h, size)
 
 
 def test_convolution_array_matches_counts():
