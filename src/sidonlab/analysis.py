@@ -118,8 +118,9 @@ def sigma(spec: SumSpec) -> float:
     The terms are made in blocks of _BLOCK, so memory stays bounded, and
     all of them go into one correctly rounded fsum. When alpha = beta the
     term at x equals the term at n - x bit for bit, so only x <= n/2 are
-    made: each counts twice (an exact doubling) and the middle one once,
-    which leaves the correctly rounded sum unchanged."""
+    made: the exact parts of the terms below n/2 are doubled (exact), and
+    the middle term joins the fsum once, as it is, which leaves the
+    correctly rounded sum unchanged."""
     a, b, n, m = float(spec.alpha), float(spec.beta), spec.n, spec.m
     lo, hi = m + 1, n - m - 1
     if a == b:
@@ -129,9 +130,11 @@ def sigma(spec: SumSpec) -> float:
         xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
         terms = np.power(xs, -a)
         terms *= np.power(n - xs, -b)
-        if a == b:
-            terms *= np.where(2 * xs < n, 2.0, 1.0)
-        return _exact_parts(terms)
+        if a != b:
+            return _exact_parts(terms)
+        if 2 * hi == n and start + _BLOCK > hi:  # the middle term, once
+            return [float(terms[-1])] + [2 * p for p in _exact_parts(terms[:-1])]
+        return [2 * p for p in _exact_parts(terms)]
 
     return math.fsum(chain.from_iterable(map(block, range(lo, hi + 1, _BLOCK))))
 
@@ -242,29 +245,50 @@ def _power_sums(products, lo: int, hi: int) -> list[float]:
     """For each list of factors (c, e) in products, the float sum over
     lo <= x <= hi of prod (x + c)^e, in blocks of _BLOCK terms so that
     memory stays bounded; the block sums go through fsum. A term starts
-    from its first factor and multiplies in the others, which are taken
-    once per block however many products share them; (x + c)^1 is x + c
-    itself. Both only remove roundings that `_term_rel_error` counts."""
+    from its first factor and multiplies in the others in their order.
+
+    Each factor is made once per block, however many products share it.
+    Offsets whose windows [start + c, start + c + size) overlap form a run
+    with one base window x + c over their union; (x + c)^1 is a view into
+    the base, and the factors of one exponent in a run are views into one
+    `np.power` over the part of the base that their windows span. `np.power`
+    gives an element the same bits wherever it sits in the array, so
+    sharing a window moves no term; sharing only removes roundings that
+    `_term_rel_error` counts."""
     if hi + max(c for factors in products for c, _ in factors) >= 2 ** 53:
         raise RangeError("summation range exceeds exact float integers")
     products = [[(c, float(e)) for c, e in factors] for factors in products]
+    size = min(_BLOCK, hi + 1 - lo)  # a shorter last block keeps the runs
+    plan = []  # runs of overlapping windows: first, last, offsets per e
+    for c, e in sorted({f for factors in products for f in factors}):
+        if plan and c - plan[-1][1] < size:
+            plan[-1][1] = c
+            plan[-1][2].setdefault(e, []).append(c)
+        else:
+            plan.append([c, c, {e: [c]}])
+    steps = np.arange(max(cn - c0 for c0, cn, _ in plan) + size,
+                      dtype=np.float64)
     sums = [[] for _ in products]
     for start in range(lo, hi + 1, _BLOCK):
-        xs = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.float64)
-        powers = {}
-        for ((c0, e0), *rest), out in zip(products, sums):
-            terms = _power(xs, c0, e0)
-            for c, e in rest:
-                if (c, e) not in powers:
-                    powers[c, e] = _power(xs, c, e)
-                terms *= powers[c, e]
+        size = min(_BLOCK, hi + 1 - start)
+        made = {}
+        for c0, cn, offsets in plan:
+            base = steps[:cn - c0 + size] + float(start + c0)
+            for e, cs in offsets.items():
+                # a run of one offset takes its windows whole, unsliced
+                window = base[cs[0] - c0:cs[-1] - c0 + size] if cn > c0 else base
+                if e != 1:
+                    window = np.power(window, e)
+                for c in cs:
+                    made[c, e] = (window[c - cs[0]:c - cs[0] + size]
+                                  if cn > c0 else window)
+        for (head, *rest), out in zip(products, sums):
+            # a product of two or more makes a new array: factors are shared
+            terms = made[head] * made[rest[0]] if rest else made[head]
+            for f in rest[1:]:
+                terms *= made[f]
             out.append(float(terms.sum()))
     return [math.fsum(s) for s in sums]
-
-
-def _power(xs: np.ndarray, c: int, e: float) -> np.ndarray:
-    """(xs + c)^e as a new array."""
-    return xs + c if e == 1 else np.power(xs + c, e)
 
 
 def _tau_tails(n: int, p: float, b: float, x0: float, rise: float):

@@ -55,7 +55,7 @@ from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
 from .deletionlab import (_FAMILIES, FamilySpec, b2_2_lift, destruction_audit,
                           enumerate_family, sidon_lift)
 from .numbertheory import (NotGenerator, NotPrime, PrimeNotFound, RangeError,
-                           primitive_root)
+                           _check_odd_prime, primitive_root)
 from .randommodel import SampleConfig, sample_sequence
 from .sidoncore import (ModSet, b2g_bound, basis_order_check, erdos_turan_set,
                         is_sidon, ruzsa_set)
@@ -293,6 +293,7 @@ def _cmd_curve_count(args):
 def _cmd_curve_identity(args):
     if (args.a is None) != (args.b is None):
         raise _UsageError("give both -a and -b, or neither for a full sweep")
+    _check_odd_prime(args.p)
     if args.g is None:
         args.g = primitive_root(args.p)
     p, gen = args.p, args.g

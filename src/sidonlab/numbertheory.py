@@ -171,10 +171,7 @@ def power_table(p: int, g: int) -> list[int]:
     generate the multiplicative group mod p.
     """
     p, g = _as_ints((p, g), "p and g")
-    if p == 2:
-        raise NotPrime("2 is not an odd prime")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _check_odd_prime(p)
     return _power_table(p, g)
 
 

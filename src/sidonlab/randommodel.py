@@ -13,15 +13,16 @@ admissible x in ascending order as k N + r, a run of k at a time against
 the sorted residues, in blocks of about _BLOCK candidates, so a sample or
 a moment sum holds O(_BLOCK + output) memory at any horizon.
 
-The accept rule u < x^(-gamma), with u = k 2^-53, is decided exactly. The
-float comparison against t = fl(x^(-fl(gamma))) is trusted only when u
-clears t by the proved margin `_margin`, which assumes that `np.power` is
-within 4 ulps of the exact power of its float arguments. Inside the margin
-the decision is made in integers, k^q x^p < 2^(53 q) for gamma = p/q, or
-for large q from the sign of q ln k + p ln x - 53 q ln 2 in correctly
-rounded `decimal` logarithms, on the word k = u 2^53 the float comparison
-read (exact, as k < 2^53). So a seeded sample does not depend on the
-platform's `pow`.
+The accept rule u < x^(-gamma), with u = k 2^-53, is decided exactly.
+The float threshold t = fl(x^(-fl(gamma))) is trusted only outside the
+proved margin `_margin` around it, which assumes that `np.power` is within
+4 ulps of the exact power of its float arguments. Each block turns the
+margin into two integer thresholds per candidate, once, so the per-draw
+decision takes no float: a word k below the lower one is kept, one above
+the upper one dropped, and one between them decided in integers, k^q x^p <
+2^(53 q) for gamma = p/q, or for large q from the sign of q ln k + p ln x -
+53 q ln 2 in correctly rounded `decimal` logarithms. So a seeded sample
+does not depend on the platform's `pow`.
 
 The rule has one implementation, `_accept` on a block of candidates for
 any number of seeds; `sample_sequence` and `contains` pass one seed, and
@@ -127,9 +128,11 @@ def _margin(t, x, gamma: float):
     exp(s)(1 + 8 u0) - 1 <= 2 s + 9 u0 while s <= 1/2 (gamma below about
     10^14). Then x^-gamma lies in [t (1 - rho), t (1 + 2 rho)], so the
     comparison is safe once |u - t| > 2 rho t; the factor below is twice
-    that, which absorbs the rounding of the band's own arithmetic. The
-    absolute term covers subnormal t, where `pow` is only 4 ulps of
-    2^-1074 off."""
+    that, which absorbs the rounding of the band's own arithmetic: `_accept`
+    takes t - margin and t + margin in floats and scales them by 2^53
+    (exact); flooring them to integers only widens the band, as k < floor(v)
+    implies k < v and k <= floor(v) is k <= v. The absolute term covers
+    subnormal t, where `pow` is only 4 ulps of 2^-1074 off."""
     return t * (2.0 ** -47 + 2.0 ** -50 * gamma * (2.0 + math.log(x))) \
         + 2.0 ** -1000
 
@@ -172,18 +175,18 @@ def contains(config: SampleConfig, x: int) -> bool:
                         _power(xs, config.gamma))[0][0])
 
 
-def _uniform_array(seed: int, xg: np.ndarray) -> np.ndarray:
-    """The uniform in [0, 1) of each (seed, x) of a block, from xg = x *
-    golden mod 2^64: the top 53 bits of the splitmix64 finalizer of
-    seed + x * golden."""
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + xg
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+def _words(seed: int, xg: np.ndarray, z, tmp) -> np.ndarray:
+    """The 53-bit word k of each (seed, x) of a block, whose uniform is
+    k 2^-53, from xg = x * golden mod 2^64: the top 53 bits of the
+    splitmix64 finalizer of seed + x * golden, made in place in z, with
+    tmp as scratch of the same size."""
+    np.add(xg, seed, out=z)
+    z ^= np.right_shift(z, 30, out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, 27, out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, 31, out=tmp)
+    return np.right_shift(z, 11, out=z)
 
 
 def _blocks(config: SampleConfig, horizon: int):
@@ -213,16 +216,32 @@ def _blocks(config: SampleConfig, horizon: int):
 def _accept(gamma: Fraction, seeds, xs: np.ndarray,
             t: np.ndarray) -> list[np.ndarray]:
     """The accept masks of a block with thresholds t = fl(x^-gamma), one
-    per seed: the float comparison, with candidates inside the margin
-    (made once for the block) decided exactly on the compared word."""
+    per seed. The band of words k whose float comparison k 2^-53 < t the
+    margin leaves open becomes, once for the block, the integer range
+    [lo, hi]: a word below lo is kept, one above hi dropped, and one in the
+    range decided exactly. Every word lies in [0, 2^53), so both ends are
+    clamped to [0, 2^53] before the cast floors them to integers. The
+    buffers of the words serve as the band's float scratch first, so a
+    block touches little fresh memory."""
+    z, tmp = np.empty((2, len(xs)), dtype=np.uint64)
+    band, f = np.empty((2, len(xs)), dtype=np.int64), tmp.view(np.float64)
     margin = _margin(t, int(xs[-1]), float(gamma))
+    np.maximum(np.subtract(t, margin, out=f), 0.0, out=f)
+    np.multiply(f, 2.0 ** 53, out=band[0], casting="unsafe")
+    np.minimum(np.add(t, margin, out=f), 1.0, out=f)
+    np.multiply(f, 2.0 ** 53, out=band[1], casting="unsafe")
+    del margin
+    lo, hi = band.view(np.uint64)
     xg = xs * np.uint64(_GOLDEN)  # the seed-independent half, made once
+    below = np.empty(len(xs), dtype=bool)
     masks = []
     for seed in seeds:
-        u = _uniform_array(seed, xg)
-        keep = u < t
-        for i in np.flatnonzero(np.abs(u - t) <= margin):
-            keep[i] = _exact_accept(int(u[i] * 2.0 ** 53), int(xs[i]), gamma)
+        k = _words(seed, xg, z, tmp)
+        keep = k < lo
+        np.less_equal(k, hi, out=below)
+        if np.count_nonzero(below) > np.count_nonzero(keep):
+            for i in np.flatnonzero(below ^ keep):
+                keep[i] = _exact_accept(int(k[i]), int(xs[i]), gamma)
         masks.append(keep)
     return masks
 

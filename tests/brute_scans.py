@@ -9,10 +9,12 @@ float comparison, behind a full-range sampler that builds every x in
 [1, horizon], a literal reading of the deletion lifts' removal rule, and the
 per-x1 scan behind the triple family's moments before the loop engines
 moved onto direct convolutions, the split sum over every x that
-sigma made before it halved the symmetric case, and the tuple enumeration
-behind every representation profile convention before they all moved onto
-the shift-add kernel. They live here, outside `src/`, as exact oracles
-only.
+sigma made before it halved the symmetric case, and the where-masked halves
+it made before it doubled them once, the per-factor power sums behind tau
+and the abab series before factors shared windows, and the tuple
+enumeration behind every representation profile convention before they all
+moved onto the shift-add kernel. They live here, outside `src/`, as exact
+oracles only.
 """
 
 import itertools
@@ -316,3 +318,49 @@ def sigma(alpha, beta, n, m):
             yield from (powers[0] * powers[1]).tolist()
 
     return math.fsum(terms())
+
+
+def power_sums(products, lo, hi, block=1 << 12):
+    """For each list of factors (c, e), the sum over lo <= x <= hi of
+    prod (x + c)^e, as the analysis kernel made it before its factors
+    shared windows: per block of `block` terms, the first factor as a new
+    array and each other one by its own np.power over x + c, taken once per
+    block; the block sums through fsum."""
+    products = [[(c, float(e)) for c, e in factors] for factors in products]
+
+    def power(xs, c, e):
+        return xs + c if e == 1 else np.power(xs + c, e)
+
+    sums = [[] for _ in products]
+    for start in range(lo, hi + 1, block):
+        xs = np.arange(start, min(start + block, hi + 1), dtype=np.float64)
+        powers = {}
+        for ((c0, e0), *rest), out in zip(products, sums):
+            terms = power(xs, c0, e0)
+            for c, e in rest:
+                if (c, e) not in powers:
+                    powers[c, e] = power(xs, c, e)
+                terms *= powers[c, e]
+            out.append(float(terms.sum()))
+    return [math.fsum(s) for s in sums]
+
+
+def sigma_masked(alpha, beta, n, m, block=1 << 12):
+    """sigma as the analysis kernel made it before it doubled the halves
+    once: x <= n/2 only when alpha = beta, each block's terms scaled by a
+    mask of 2 below n/2 and 1 at it, every block's exact parts in one
+    fsum."""
+    from sidonlab.analysis import _exact_parts
+    a, b = float(alpha), float(beta)
+    lo, hi = m + 1, n - m - 1
+    if a == b:
+        hi = n // 2
+    parts = []
+    for start in range(lo, hi + 1, block):
+        xs = np.arange(start, min(start + block, hi + 1), dtype=np.float64)
+        terms = np.power(xs, -a)
+        terms *= np.power(n - xs, -b)
+        if a == b:
+            terms *= np.where(2 * xs < n, 2.0, 1.0)
+        parts += _exact_parts(terms)
+    return math.fsum(parts)

@@ -135,6 +135,18 @@ class TestSigma:
             == brute.sigma(alpha, beta, n, m)
 
 
+    @pytest.mark.parametrize("alpha,beta", [
+        (G, G), (Fraction(1, 2), Fraction(1, 2)), (G, Fraction(19, 27))])
+    def test_equals_masked_oracle(self, alpha, beta):
+        # the doubled halves against the where-mask that they replaced, bit
+        # for bit: odd and even n, m near n/2, empty ranges, several blocks
+        for n in (1, 2, 3, 4, 9, 10, 57, 58, 8193, 8194, 12289, 100001):
+            for m in sorted({0, 3, max(n // 2 - 2, 0), max(n // 2 - 1, 0),
+                             n // 2, n}):
+                assert sigma(SumSpec(alpha, beta, n, m)) \
+                    == brute.sigma_masked(alpha, beta, n, m)
+
+
 class TestExactParts:
     def test_fsum_of_parts_is_fsum_of_terms(self):
         """Bit for bit, on blocks like sigma's and on arrays that span the
@@ -331,6 +343,27 @@ class TestPowerSum:
     def test_range_beyond_exact_integers(self):
         with pytest.raises(RangeError):
             _power_sums((self.FACTORS,), 2 ** 53 - 3, 2 ** 53 - 2)
+
+    @pytest.mark.parametrize("shift", [0, 1, 4095, 4096, 4097])
+    def test_shared_windows_equal_per_factor_oracle(self, shift):
+        # one np.power per run of overlapping windows gives the per-factor
+        # kernel's sums bit for bit: windows apart by the shift, repeated
+        # offsets, factors to the first power shared between products, and
+        # ranges that start and end inside a block
+        g, h = -G, Fraction(1, 3) - G
+        cases = [
+            [((shift, 1), (0, g), (7, g), (shift, g), (shift, g)),
+             ((7, 1), (0, g), (shift, g), (7, g), (7, g))],
+            [((shift, g), (0, g)), ((0, g),), ((shift, g), (shift, 1))],
+            [((0, 1), (shift, 1), (3, h), (shift + 3, h), (0, g))],
+            # one exponent's windows bridged by another's into one run
+            [((0, g), (shift + 3000, 1), (2 * shift + 6000, g))],
+        ]
+        for products in cases:
+            for lo, hi in ((1, 1), (1, 4096), (5, 4100), (4095, 12290),
+                           (3, 20000)):
+                assert _power_sums(products, lo, hi) \
+                    == brute.power_sums(products, lo, hi)
 
 
 class TestLemmaAb:

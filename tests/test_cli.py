@@ -213,6 +213,15 @@ class TestCurve:
         env = _err(capsys, ["curve", "identity"] + argv)
         assert env["payload"]["error"] == error
 
+    def test_composite_p_has_one_wording(self, capsys):
+        # every curve command words a composite p as the odd-prime check does
+        for argv in (["identity", "-p", "15"], ["identity", "-p", "15", "-g", "2"],
+                     ["count", "-p", "15", "-b", "1", "--lam", "1"],
+                     ["quadric", "-p", "15", "--r1", "1", "--r2", "2"]):
+            env = _err(capsys, ["curve"] + argv)
+            assert env["payload"] == {"error": "NotPrime",
+                                      "message": "15 is not an odd prime"}
+
     def test_quadric_replays_library(self, capsys):
         env = _ok(capsys, ["curve", "quadric", "-p", "13", "--r1", "1",
                            "--r2", "2"])

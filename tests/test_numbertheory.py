@@ -156,9 +156,9 @@ def test_power_table():
     for p in (3, 5, 13, 211):
         g = primitive_root(p)
         assert power_table(p, g) == [pow(g, x, p) for x in range(p - 1)]
-    with pytest.raises(NotPrime):
+    with pytest.raises(NotPrime, match="^2 is not an odd prime$"):
         power_table(2, 1)
-    with pytest.raises(NotPrime):
+    with pytest.raises(NotPrime, match="^15 is not an odd prime$"):
         power_table(15, 2)
     with pytest.raises(NotGenerator):
         power_table(13, 3)  # 3^3 = 27 = 1 mod 13

@@ -23,7 +23,7 @@ from sidonlab.randommodel import (
     sample_sequence,
 )
 from sidonlab.randommodel import (_GOLDEN, _blocks, _exact_accept, _margin,
-                                  _uniform_array)
+                                  _words)
 from sidonlab.sidoncore import ruzsa_set
 
 
@@ -31,6 +31,25 @@ def _ruzsa_config(seed=0, gamma="7/11", m=100):
     S = ruzsa_set(13)
     return SampleConfig(gamma=gamma, m=m, modulus=S.modulus,
                         residues=tuple(S.elements), seed=seed)
+
+
+def _uniforms(seed, xs):
+    """The uniform k 2^-53 of each (seed, x), from the sampler's words."""
+    xg = xs * np.uint64(_GOLDEN)
+    return _words(seed, xg, np.empty_like(xg), np.empty_like(xg)) * 2.0 ** -53
+
+
+def _unmix64(z):
+    """The inverse of the splitmix64 finalizer."""
+    def unshift(y, s):  # inverts x ^ (x >> s), s bits more per round
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2 ** 64) % 2 ** 64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) % 2 ** 64
+    return unshift(z, 30)
 
 
 class TestCounter:
@@ -44,20 +63,19 @@ class TestCounter:
     def test_uniform_unit_range(self):
         for seed in (0, 7, 2**63):
             xs = np.array([1, 2, 10**9, 10**15], dtype=np.uint64)
-            u = _uniform_array(seed, xs * np.uint64(_GOLDEN))
+            u = _uniforms(seed, xs)
             assert ((0.0 <= u) & (u < 1.0)).all()
-            assert np.array_equal(_uniform_array(seed, xs * np.uint64(_GOLDEN)),
-                                  u)
+            assert np.array_equal(_uniforms(seed, xs), u)
 
     def test_uniform_unit_distribution(self):
         xs = np.arange(1, 100001, dtype=np.uint64)
-        us = _uniform_array(42, xs * np.uint64(_GOLDEN))
+        us = _uniforms(42, xs)
         assert abs(us.mean() - 0.5) < 0.005
         assert abs(us.var() - 1 / 12) < 0.003
 
     def test_vector_path_bitwise_equal(self):
         xs = np.arange(1, 2001, dtype=np.uint64)
-        vec = _uniform_array(12345, xs * np.uint64(_GOLDEN))
+        vec = _uniforms(12345, xs)
         scl = np.array([brute.uniform_unit(12345, int(x)) for x in xs])
         assert np.array_equal(vec, scl)
 
@@ -267,6 +285,66 @@ class TestExactRule:
                                     residues=(0,), seed=seed)
                 assert keep.tolist() == [brute.contains(conf, x)
                                          for x in xs.tolist()]
+
+    def test_integer_band(self, monkeypatch):
+        # with a band of t 2^-6, words fall below, inside and above it: the
+        # masks equal the scalar oracle, and the exact rule sees every word
+        # inside the band and none more than one word outside it
+        seeds, sides = (0, 9, 2 ** 64 - 1), [0, 0, 0]
+        seen = []
+
+        def spy(k, x, gamma):
+            seen.append((k, x))
+            return _exact_accept(k, x, gamma)
+
+        monkeypatch.setattr(randommodel, "_margin",
+                            lambda t, x, gamma: t * 2.0 ** -6)
+        monkeypatch.setattr(randommodel, "_exact_accept", spy)
+        for gamma in ("7/11", "19/27", "1/1000000", "499999/1000000"):
+            for m in (0, 2 ** 62):
+                cfg = SampleConfig(gamma=gamma, m=m, modulus=1, residues=(0,))
+                (xs, t), = _blocks(cfg, m + 1000)
+                for seed in seeds:
+                    seen.clear()
+                    keep, = randommodel._accept(cfg.gamma, (seed,), xs, t)
+                    conf = SampleConfig(gamma=gamma, m=m, modulus=1,
+                                        residues=(0,), seed=seed)
+                    assert keep.tolist() == [brute.contains(conf, x)
+                                             for x in xs.tolist()]
+                    calls = dict((x, k) for k, x in seen)
+                    assert len(calls) == len(seen)
+                    for x, tx in zip(xs.tolist(), t.tolist()):
+                        k = brute.mix64(seed + x * _GOLDEN) >> 11
+                        lo, hi = (Fraction(tx) * (1 + d) * 2 ** 53
+                                  for d in (-Fraction(1, 64), Fraction(1, 64)))
+                        side = (k >= lo) + (k > hi)
+                        sides[side] += 1
+                        if side == 1:
+                            assert calls.get(x) == k
+                        elif x in calls:
+                            assert calls[x] == k and lo - 1 <= k <= hi + 1
+        assert all(sides), sides
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_underflowed_threshold_keeps_word_zero(self, forced, monkeypatch):
+        # x^-40 underflows to 0 near 2^62; the band's absolute term still
+        # sends the word 0 to the exact rule, which keeps it. A band forced
+        # to 1.0 puts its lower end at -2^53, which must clamp to 0
+        if forced:
+            monkeypatch.setattr(randommodel, "_margin", lambda t, x, gamma: 1.0)
+        cfg = SampleConfig(gamma=40, m=2 ** 62, modulus=1, residues=(0,))
+        (xs, t), = _blocks(cfg, cfg.m + 64)
+        assert not t.any()
+        x = int(xs[5])
+        zero = (_unmix64(0) - x * _GOLDEN) % 2 ** 64  # the seed whose word is 0
+        assert brute.mix64(zero + x * _GOLDEN) >> 11 == 0
+        for seed in (zero, 9):
+            keep, = randommodel._accept(cfg.gamma, (seed,), xs, t)
+            conf = SampleConfig(gamma=40, m=2 ** 62, modulus=1, residues=(0,),
+                                seed=seed)
+            assert keep.tolist() == [brute.contains(conf, v)
+                                     for v in xs.tolist()]
+            assert np.flatnonzero(keep).tolist() == ([5] if seed == zero else [])
 
     def test_all_candidates_through_exact_fallback(self, monkeypatch):
         cases = [(_ruzsa_config(seed=s), 20000) for s in (0, 12345)]
