@@ -175,12 +175,12 @@ def contains(config: SampleConfig, x: int) -> bool:
                         _power(xs, config.gamma))[0][0])
 
 
-def _words(seed: int, xg: np.ndarray, z, tmp) -> np.ndarray:
-    """The 53-bit word k of each (seed, x) of a block, whose uniform is
-    k 2^-53, from xg = x * golden mod 2^64: the top 53 bits of the
-    splitmix64 finalizer of seed + x * golden, made in place in z, with
-    tmp as scratch of the same size."""
-    np.add(xg, seed, out=z)
+def _words(seeds, xg: np.ndarray, z, tmp) -> np.ndarray:
+    """The 53-bit word k of each (seed, x), whose uniform is k 2^-53, from
+    xg = x * golden mod 2^64: the top 53 bits of the splitmix64 finalizer
+    of seed + x * golden, made in place in z, with tmp as scratch of the
+    same shape; seeds is one seed or a column of them, a row of z each."""
+    np.add(xg, seeds, out=z)
     z ^= np.right_shift(z, 30, out=tmp)
     z *= _MIX1
     z ^= np.right_shift(z, 27, out=tmp)
@@ -221,10 +221,12 @@ def _accept(gamma: Fraction, seeds, xs: np.ndarray,
     [lo, hi]: a word below lo is kept, one above hi dropped, and one in the
     range decided exactly. Every word lies in [0, 2^53), so both ends are
     clamped to [0, 2^53] before the cast floors them to integers. The
-    buffers of the words serve as the band's float scratch first, so a
-    block touches little fresh memory."""
-    z, tmp = np.empty((2, len(xs)), dtype=np.uint64)
-    band, f = np.empty((2, len(xs)), dtype=np.int64), tmp.view(np.float64)
+    seeds go through in rows of about _BLOCK words, whose buffers serve
+    as the band's float scratch first, so a block touches little fresh
+    memory and a short block pays few NumPy calls per seed."""
+    rows = max(1, min(len(seeds), _BLOCK // len(xs)))
+    z, tmp = np.empty((2, rows, len(xs)), dtype=np.uint64)
+    band, f = np.empty((2, len(xs)), dtype=np.int64), tmp[0].view(np.float64)
     margin = _margin(t, int(xs[-1]), float(gamma))
     np.maximum(np.subtract(t, margin, out=f), 0.0, out=f)
     np.multiply(f, 2.0 ** 53, out=band[0], casting="unsafe")
@@ -233,16 +235,15 @@ def _accept(gamma: Fraction, seeds, xs: np.ndarray,
     del margin
     lo, hi = band.view(np.uint64)
     xg = xs * np.uint64(_GOLDEN)  # the seed-independent half, made once
-    below = np.empty(len(xs), dtype=bool)
     masks = []
-    for seed in seeds:
-        k = _words(seed, xg, z, tmp)
-        keep = k < lo
-        np.less_equal(k, hi, out=below)
+    for j in range(0, len(seeds), rows):
+        column = np.array(seeds[j:j + rows], dtype=np.uint64)[:, None]
+        k = _words(column, xg, z[:len(column)], tmp[:len(column)])
+        keep, below = k < lo, k <= hi
         if np.count_nonzero(below) > np.count_nonzero(keep):
-            for i in np.flatnonzero(below ^ keep):
-                keep[i] = _exact_accept(int(k[i]), int(xs[i]), gamma)
-        masks.append(keep)
+            for r, i in zip(*np.nonzero(below ^ keep)):
+                keep[r, i] = _exact_accept(int(k[r, i]), int(xs[i]), gamma)
+        masks += list(keep)
     return masks
 
 

@@ -288,8 +288,9 @@ class TestExactRule:
 
     def test_integer_band(self, monkeypatch):
         # with a band of t 2^-6, words fall below, inside and above it: the
-        # masks equal the scalar oracle, and the exact rule sees every word
-        # inside the band and none more than one word outside it
+        # masks equal the scalar oracle, the same whether the seeds share a
+        # pass or not, and the exact rule sees every word inside the band
+        # and none more than one word outside it
         seeds, sides = (0, 9, 2 ** 64 - 1), [0, 0, 0]
         seen = []
 
@@ -304,9 +305,11 @@ class TestExactRule:
             for m in (0, 2 ** 62):
                 cfg = SampleConfig(gamma=gamma, m=m, modulus=1, residues=(0,))
                 (xs, t), = _blocks(cfg, m + 1000)
-                for seed in seeds:
+                rows = randommodel._accept(cfg.gamma, seeds, xs, t)
+                for seed, row in zip(seeds, rows):
                     seen.clear()
                     keep, = randommodel._accept(cfg.gamma, (seed,), xs, t)
+                    assert np.array_equal(row, keep)  # one pass, or a row each
                     conf = SampleConfig(gamma=gamma, m=m, modulus=1,
                                         residues=(0,), seed=seed)
                     assert keep.tolist() == [brute.contains(conf, x)
