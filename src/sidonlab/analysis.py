@@ -521,19 +521,16 @@ def check_lemma_ab(alpha, beta, grid, *,
     """Normalize sigma and tau by (n+m)^(alpha+beta-1) over the grid.
 
     Both sums are claimed O((n+m)^(1-alpha-beta)); the report's sup is the
-    largest normalized value seen, to be pinned and monitored.
+    largest normalized value seen, to be pinned and monitored. The exponents
+    follow tau's rules, which its first call checks, before any sigma.
     """
     a, b = _as_fraction(alpha), _as_fraction(beta)
-    if a >= 1 or b >= 1:
-        raise RangeError("exponents must be below 1")
-    if a + b <= 1:
-        raise NonConvergent("hypotheses need alpha+beta > 1")
     excess = float(a + b - 1)
     rows = []
     for n, m in grid:
         norm = float(n + m) ** excess
-        s = sigma(SumSpec(a, b, n, m))
         t = tau(SumSpec(a, b, n, m, tail_tolerance))
+        s = sigma(SumSpec(a, b, n, m))
         rows.append((f"sigma n={n} m={m}", s, s * norm))
         rows.append((f"tau n={n} m={m}", t.value, t.value * norm))
     if not rows:
@@ -586,8 +583,10 @@ def _abab_series(g, a: int, b: int, tol: float):
     which leaves them far inside _SAFETY's share of tail_abs.
     """
     g = _as_fraction(g)
-    if not Fraction(1, 2) < g < 1:
-        raise RangeError("gamma must lie in (1/2, 1)")
+    if g >= 1:
+        raise RangeError("gamma must be below 1")
+    if g <= Fraction(1, 2):
+        raise NonConvergent("series needs gamma > 1/2")
     if not tol > 0:
         raise RangeError("tail tolerance must be positive")
     top = max(a, b)
@@ -723,17 +722,11 @@ def check_lemma_abab(gamma, pairs, *,
     """Ratio of the three-factor series against (ab)^(1-2 gamma).
 
     The series is not symmetric in (a, b), so the report records both
-    orientations of every pair.
+    orientations of every pair. gamma and the tolerance follow the rules
+    of _abab_series, which its first call checks.
     """
     g = _as_fraction(gamma)
-    if g >= 1:
-        raise RangeError("gamma must be below 1")
-    if 4 * g - 1 <= 1:
-        raise NonConvergent("series needs gamma > 1/2")
-    gf = float(g)
-    tol = float(_as_fraction(tail_tolerance))
-    if tol <= 0:
-        raise RangeError("tail tolerance must be positive")
+    gf, tol = float(g), float(_as_fraction(tail_tolerance))
     rows, seen = [], set()
     for pair in pairs:
         a, b = _as_ints(pair, "pair entries")

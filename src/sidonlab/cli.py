@@ -55,7 +55,7 @@ from .decomposer import (NoRepresentation, decompose3_ruzsa, decompose3_zn,
 from .deletionlab import (_FAMILIES, FamilySpec, b2_2_lift, destruction_audit,
                           enumerate_family, sidon_lift)
 from .numbertheory import (NotGenerator, NotPrime, PrimeNotFound, RangeError,
-                           _check_odd_prime, primitive_root)
+                           _ruzsa_group)
 from .randommodel import SampleConfig, sample_sequence
 from .sidoncore import (ModSet, b2g_bound, basis_order_check, erdos_turan_set,
                         is_sidon, ruzsa_set)
@@ -293,9 +293,8 @@ def _cmd_curve_count(args):
 def _cmd_curve_identity(args):
     if (args.a is None) != (args.b is None):
         raise _UsageError("give both -a and -b, or neither for a full sweep")
-    _check_odd_prime(args.p)
     if args.g is None:
-        args.g = primitive_root(args.p)
+        _, args.g, _ = _ruzsa_group(args.p)
     p, gen = args.p, args.g
     if args.a is not None:
         reps = triple_rep_count(p, gen, args.a, args.b)

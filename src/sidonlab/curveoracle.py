@@ -31,7 +31,7 @@ from math import isqrt
 import numpy as np
 
 from .numbertheory import (RangeError, _as_ints, _check_odd_prime,
-                           _flattened_graph, _int_fields, power_table)
+                           _flattened_graph, _int_fields, _ruzsa_group)
 from .sidoncore import rep_profile
 
 __all__ = [
@@ -132,10 +132,10 @@ def curve_point_table(p: int, g: int) -> dict:
     curve_point_table(p, g) == triple_rep_table(p, g). One _point_counts
     call per lam counts every b at once, with p (p - 1) int64 entries per
     temporary; p is checked once for every target."""
-    CurveParams(p, 0, 1)
+    p, _, powers = _ruzsa_group(p, g)
     root = _sqrt_table(p)
     counts = np.array([_point_counts(p, range(p), lam, root)
-                       for lam in power_table(p, g)])
+                       for lam in powers])
     a, b = np.nonzero(counts)
     return dict(zip(zip(a.tolist(), b.tolist()), counts[a, b].tolist()))
 
@@ -146,21 +146,26 @@ def triple_reps(p: int, g: int, a: int, b: int):
 
     Fixing x1 leaves X = g^x2, Y = g^x3 with X + Y = d = b - g^x1 and
     XY = c = g^(a-x1): X is a root of X^2 - dX + c, found with a square-root
-    table, and x2 = log X, smaller log first. O(p); checks run at the call.
+    table, and x2 = log X, smaller log first. O(p); checks run at the call,
+    on p and g first.
     """
+    p, _, pw = _ruzsa_group(p, g)
+    return _triple_solver(p, pw)(*_ruzsa_target(p, a, b))
+
+
+def _ruzsa_target(p: int, a, b) -> tuple[int, int]:
+    """The target (a, b) read, and checked to lie in Z_(p-1) x Z_p."""
     a, b = _as_ints((a, b), "target (a, b)")
     if not (0 <= a < p - 1 and 0 <= b < p):
         raise RangeError("target (a, b) out of range")
-    _, solve = _triple_solver(p, g)
-    return solve(a, b)
+    return a, b
 
 
-def _triple_solver(p: int, g: int):
-    """The power table of g, and a generator function yielding the triples
-    of `triple_reps` for an in-range target (a, b), from x1 = start on; the
-    log and square-root tables are built here, once for every target at
-    (p, g)."""
-    pw = power_table(p, g)
+def _triple_solver(p: int, pw: list[int]):
+    """A generator function yielding the triples of `triple_reps` for an
+    in-range target (a, b), from x1 = start on, given the power table pw
+    of g; the log and square-root tables are built here, once for every
+    target at (p, g)."""
     log = dict(zip(pw, range(p - 1)))
     root = _sqrt_table(p).tolist()
     n, half = p - 1, (p + 1) // 2
@@ -176,7 +181,7 @@ def _triple_solver(p: int, g: int):
             if hi != lo:
                 yield x1, hi, (a - x1 - hi) % n
 
-    return pw, solve
+    return solve
 
 
 def triple_rep_count(p: int, g: int, a: int, b: int,
@@ -194,7 +199,8 @@ def triple_rep_table(p: int, g: int, distinct: str = "none") -> dict:
     """Counts for every target (a, b), read off the ordered 3-fold sum
     profile of the Ruzsa set (pairwise distinct for distinct="pairwise")
     at z = crt_flatten(a, b, p)."""
-    profile = rep_profile(_flattened_graph(p, power_table(p, g)), 3,
+    p, _, powers = _ruzsa_group(p, g)
+    profile = rep_profile(_flattened_graph(p, powers), 3,
                           modulus=(p - 1) * p, distinct=distinct)
     return {(z % (p - 1), z % p): n for z, n in profile.items()}
 

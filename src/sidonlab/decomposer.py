@@ -28,18 +28,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .numbertheory import (
+    NotGenerator,
+    NotPrime,
     RangeError,
     _as_ints,
     _check_odd_prime,
     _flatten,
-    crt_flatten,
+    _ruzsa_group,
     find_decomposition_prime,
     is_prime,
-    is_primitive_root,
-    primitive_root,
 )
-from .curveoracle import (QuadricParams, _triple_solver, enumerate_quadric,
-                          triple_reps)
+from .curveoracle import (QuadricParams, _ruzsa_target, _triple_solver,
+                          enumerate_quadric)
 
 __all__ = [
     "NoRepresentation",
@@ -92,20 +92,25 @@ class Decomposition:
     certificate: dict = field(default_factory=dict)
 
     def replay(self) -> bool:
-        """Re-verify every defining identity with exact integer arithmetic."""
+        """Re-verify every defining identity with exact integer arithmetic.
+        False, never an exception, when p is not an odd prime, g does not
+        generate or the Ruzsa target is out of range."""
         p = self.p
+        try:
+            if self.construction == "ruzsa":
+                p, _, pw = _ruzsa_group(p, self.certificate.get("g"))
+                a, b = _ruzsa_target(p, *self.target)
+            else:
+                _check_odd_prime(p)
+        except (NotPrime, NotGenerator, RangeError):
+            return False
         if self.construction == "ruzsa":
-            a, b = self.target
-            g = self.certificate.get("g")
-            if g is None:
-                g = primitive_root(p)
             m = (p - 1) * p
             # z is a Ruzsa element iff it flattens a pair (x, g^x)
-            if not is_primitive_root(g, p) or any(
-                    not 0 <= z < m or pow(g, z % (p - 1), p) != z % p
-                    for z in self.parts):
+            if any(not 0 <= z < m or pw[z % (p - 1)] != z % p
+                   for z in self.parts):
                 return False
-            return sum(self.parts) % m == crt_flatten(a, b, p)
+            return sum(self.parts) % m == _flatten(a, b, p)
         if self.construction == "erdos_turan":
             n, N = self.target, self.modulus
             r1, r2 = self.certificate["r1"], self.certificate["r2"]
@@ -120,16 +125,9 @@ class Decomposition:
         return False
 
 
-def _ruzsa_generator(p: int, g: Optional[int]) -> int:
-    """g, or the smallest primitive root when it is None; p must be an odd
-    prime."""
-    _check_odd_prime(p)
-    return primitive_root(p) if g is None else g
-
-
 def _ruzsa(p: int, a: int, b: int, pairs, **certificate) -> Decomposition:
     """The decomposition of (a, b) into the Ruzsa elements (x, g^x) of the
-    pairs: p was checked by _ruzsa_generator, and each log and power lies in
+    pairs: p was checked by _ruzsa_group, and each log and power lies in
     range, so they flatten without crt_flatten's checks."""
     return Decomposition(target=[a, b], modulus=[p - 1, p],
                          parts=[_flatten(x, v, p) for x, v in pairs],
@@ -141,11 +139,12 @@ def decompose3_ruzsa(p: int, a: int, b: int, g: Optional[int] = None,
     """First (x1, x2) in lexicographic order with x3 = a - x1 - x2 mod p-1
     and g^x1 + g^x2 + g^x3 = b mod p; parts are the flattened set elements.
     O(p) per target."""
-    g = _ruzsa_generator(p, g)
-    for logs in triple_reps(p, g, a, b):
+    p, g, pw = _ruzsa_group(p, g)
+    a, b = _ruzsa_target(p, a, b)
+    for logs in _triple_solver(p, pw)(a, b):
         if require_distinct and len(set(logs)) < 3:
             continue
-        powers = [pow(g, x, p) for x in logs]
+        powers = [pw[x] for x in logs]
         return _ruzsa(p, a, b, zip(logs, powers), g=g, logs=list(logs),
                       powers=powers)
     raise NoRepresentation(f"no 3-term representation of ({a}, {b}) mod ({p - 1}, {p})")
@@ -156,12 +155,10 @@ def decompose4_ruzsa(p: int, a: int, b: int, g: Optional[int] = None) -> Decompo
     write the shifted target (a, b-1) as three distinct parts avoiding
     exponent 0. Else the first x1 < x2 < x3 (x4 forced, distinct from all
     three) by the same O(p) solver per x1: O(p^2) at worst."""
-    g = _ruzsa_generator(p, g)
-    a, b = _as_ints((a, b), "target (a, b)")
-    if not (0 <= a < p - 1 and 0 <= b < p):
-        raise RangeError("target (a, b) out of range")
+    p, g, pw = _ruzsa_group(p, g)
+    a, b = _ruzsa_target(p, a, b)
     bb = (b - 1) % p
-    pw, solve = _triple_solver(p, g)
+    solve = _triple_solver(p, pw)
     for logs in solve(a, bb):
         if 0 in logs or len(set(logs)) < 3:
             continue
@@ -217,9 +214,8 @@ def decompose3_zn(n: int, N: int, mode: str = "exhaustive") -> Decomposition:
     """
     if mode not in ("box", "exhaustive"):
         raise RangeError(f"unknown mode {mode!r}")
-    p = find_decomposition_prime(N)
-    lift = lift_to_interval(n, N, p)
-    r1, r2, K = lift.r1, lift.r2, lift.K
+    lift = lift_to_interval(n, N)
+    p, r1, r2, K = lift.p, lift.r1, lift.r2, lift.K
     q = QuadricParams(p, r1 % p, r2 % p)
     for x1, x2 in enumerate_quadric(q):
         x3 = (r1 - x1 - x2) % p

@@ -4,7 +4,8 @@ Everything here is plain integer arithmetic with no probabilistic behavior.
 All functions are pure, so they are safe under concurrent callers.
 It holds the package's readers of caller input: `_as_ints` for integers,
 with `_int_fields` for dataclass fields and `_as_family` for the rows of
-a vector family, and `_as_fraction` for exact rationals.
+a vector family, `_as_fraction` for exact rationals, and `_ruzsa_group`
+for the prime and generator of a Ruzsa group, whose p it tests once.
 """
 
 from __future__ import annotations
@@ -155,8 +156,11 @@ def primitive_root(p: int) -> int:
     (p,) = _as_ints((p,), "p")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        return 1
+    return 1 if p == 2 else _smallest_root(p)
+
+
+def _smallest_root(p: int) -> int:
+    """primitive_root for an odd prime p, which is not tested again."""
     qs = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
@@ -170,20 +174,23 @@ def power_table(p: int, g: int) -> list[int]:
     Raises NotPrime when p is 2 or composite, NotGenerator when g does not
     generate the multiplicative group mod p.
     """
-    p, g = _as_ints((p, g), "p and g")
+    return _ruzsa_group(p, g)[2]
+
+
+def _ruzsa_group(p, g=None) -> tuple[int, int, list[int]]:
+    """(p, g, power_table(p, g)) for the Ruzsa group Z_(p-1) x Z_p: p and
+    g read through _as_ints, p tested once as an odd prime, and g = None
+    read as the smallest primitive root. g generates exactly when no g^x
+    with 0 < x < p - 1 is 1, and g^1 != 0."""
+    p, *g = _as_ints((p,) if g is None else (p, g), "p and g")
     _check_odd_prime(p)
-    return _power_table(p, g)
-
-
-def _power_table(p: int, g: int) -> list[int]:
-    """power_table for an odd prime p, which is not tested again: g
-    generates exactly when no g^x with 0 < x < p - 1 is 1, and g^1 != 0."""
+    g = g[0] if g else _smallest_root(p)
     table = [1] * (p - 1)
     for x in range(1, p - 1):
         table[x] = table[x - 1] * g % p
     if table.count(1) > 1 or 0 in table:
         raise NotGenerator(f"{g} does not generate Z_{p}^*")
-    return table
+    return p, g, table
 
 
 def crt_flatten(u: int, v: int, p: int) -> int:
@@ -211,8 +218,8 @@ def _flatten(u: int, v: int, p: int) -> int:
 
 def _flattened_graph(p: int, powers: list[int]) -> list[int]:
     """[crt_flatten(x, g^x mod p, p) for x in range(p - 1)], the Ruzsa
-    elements in order of x, from the power table of g. Its maker checked p
-    and g once, and its entries lie in range, so no element repeats
+    elements in order of x, from the power table of g. _ruzsa_group checked
+    p and g once, and the entries lie in range, so no element repeats
     crt_flatten's checks."""
     return [_flatten(x, v, p) for x, v in enumerate(powers)]
 

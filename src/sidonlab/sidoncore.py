@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numbertheory import (RangeError, _as_ints, _check_odd_prime,
-                           _flattened_graph, _int_fields, _power_table,
-                           primitive_root)
+                           _flattened_graph, _int_fields, _ruzsa_group)
 
 __all__ = [
     "ModSet",
@@ -107,12 +106,9 @@ def ruzsa_set(p: int, g: Optional[int] = None) -> ModSet:
 
     g defaults to the smallest primitive root mod p. p - 1 elements.
     """
-    _check_odd_prime(p)
-    if g is None:
-        g = primitive_root(p)
-    p, g = _as_ints((p, g), "p and g")
-    elements = _flattened_graph(p, _power_table(p, g))
-    return ModSet(modulus=(p - 1) * p, elements=tuple(elements))
+    p, _, powers = _ruzsa_group(p, g)
+    return ModSet(modulus=(p - 1) * p,
+                  elements=tuple(_flattened_graph(p, powers)))
 
 
 def _coerce_elements(setlike, mode: str, modulus: Optional[int]):

@@ -517,10 +517,13 @@ class TestAbabSeries:
         assert peak < 10 ** 6
 
     def test_validation(self):
+        # gamma and the tolerance follow check_lemma_abab's rules
         with pytest.raises(RangeError):
             _abab_series(G, 1, 1, 0.0)
-        with pytest.raises(RangeError):
+        with pytest.raises(NonConvergent):
             _abab_series(Fraction(1, 2), 1, 1, 1e-6)
+        with pytest.raises(RangeError):
+            _abab_series(Fraction(1), 1, 1, 1e-6)
         with pytest.raises(RangeError):
             _abab_series(G, 1, 1, 1e-16)
 

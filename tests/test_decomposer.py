@@ -1,11 +1,13 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import brute_scans as brute
-from sidonlab import cli, decomposer, numbertheory
+from sidonlab import cli, numbertheory
+from sidonlab.curveoracle import curve_point_table
 from sidonlab.decomposer import (
     Decomposition,
     LiftTarget,
@@ -16,6 +18,7 @@ from sidonlab.decomposer import (
     lift_to_interval,
 )
 from sidonlab.numbertheory import PrimeNotFound, RangeError, crt_flatten
+from sidonlab.sidoncore import ruzsa_set
 
 
 def _maybe(f):
@@ -157,24 +160,50 @@ class TestRuzsaDecompose:
             assert got.replay()
         assert fallbacks > 0  # some small-p targets need the 4-tuple search
 
-    @pytest.mark.parametrize("argv", [
-        "decompose ruzsa3 -p 211 -a 5 -b 7",
-        "decompose ruzsa3 -p 211 -a 5 -b 7 -g 2",
-        "decompose ruzsa4 -p 211 -a 5 -b 7",
-    ])
-    def test_prime_checked_once_per_call(self, monkeypatch, capsys, argv):
-        # the parts are flattened without crt_flatten's primality test, so
-        # p is tested by the odd-prime check, primitive_root (without -g)
-        # and power_table
+    @pytest.mark.parametrize("call, p, tests", [
+        pytest.param(lambda: decompose3_ruzsa(211, 5, 7), 211, 1,
+                     id="decompose3_ruzsa"),
+        pytest.param(lambda: decompose3_ruzsa(211, 5, 7, g=2), 211, 1,
+                     id="decompose3_ruzsa_g"),
+        pytest.param(lambda: decompose4_ruzsa(211, 5, 7), 211, 1,
+                     id="decompose4_ruzsa"),
+        pytest.param(lambda: ruzsa_set(211), 211, 1, id="ruzsa_set"),
+        pytest.param(lambda: curve_point_table(31, 3), 31, 1,
+                     id="curve_point_table"),
+        pytest.param(decompose3_ruzsa(13, 5, 7).replay, 13, 1,
+                     id="replay_ruzsa"),
+        pytest.param(decompose3_zn(1, 700).replay, 13, 1,
+                     id="replay_erdos_turan"),
+        # the bracket search's own test of p, then QuadricParams's
+        pytest.param(lambda: decompose3_zn(100, 700), 13, 2,
+                     id="decompose3_zn"),
+    ] + [pytest.param(argv, p, tests, id=argv) for argv, p, tests in (
+        ("decompose ruzsa3 -p 211 -a 5 -b 7", 211, 1),
+        ("decompose ruzsa3 -p 211 -a 5 -b 7 -g 2", 211, 1),
+        ("decompose ruzsa4 -p 211 -a 5 -b 7", 211, 1),
+        ("construct ruzsa -p 211", 211, 1),
+        ("decompose zn -N 700 -n 100", 13, 2),
+        # the handler's one test finds the default g; then the triple count
+        # and CurveParams, or the two tables, test p once each
+        ("curve identity -p 211 -a 5 -b 7", 211, 3),
+        ("curve identity -p 211 -g 2 -a 5 -b 7", 211, 2),
+        ("curve identity -p 31", 31, 3),
+    )])
+    def test_prime_checked_once_per_call(self, monkeypatch, capsys, call, p,
+                                         tests):
+        # every sidonlab module that holds is_prime is spied on, so a test
+        # of p made anywhere in the call is counted
         real, calls = numbertheory.is_prime, []
-        for module in (numbertheory, decomposer):
-            monkeypatch.setattr(module, "is_prime",
-                                lambda n: calls.append(n) or real(n))
-        assert cli.run(argv.split()) == 0
-        assert calls == [211] * (2 if "-g" in argv else 3)
-        monkeypatch.undo()
-        payload = json.loads(capsys.readouterr().out)["payload"]
-        assert Decomposition(**payload).replay()
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("sidonlab")
+                    and getattr(module, "is_prime", None) is real):
+                monkeypatch.setattr(module, "is_prime",
+                                    lambda n: calls.append(n) or real(n))
+        if isinstance(call, str):
+            assert cli.run(call.split()) == 0, capsys.readouterr().out
+        else:
+            assert call() is not False  # the replays hold
+        assert calls == [p] * tests
 
     def test_replay_rejects_tampering(self):
         d = decompose3_ruzsa(13, 5, 7)
@@ -190,6 +219,29 @@ class TestRuzsaDecompose:
         shifted = [xs[0] + 13] + xs[1:]  # same parts mod 2p^2, x out of range
         assert not replace(z, certificate={**z.certificate, "xs": shifted},
                            parts=[x + (x * x % 13) * 26 for x in shifted]).replay()
+
+    @pytest.mark.parametrize("p", [15, 2, 1])
+    def test_replay_is_false_off_an_odd_prime(self, p):
+        # at 15 the Ruzsa side used to raise NotPrime, and an Erdos-Turan
+        # certificate whose identities all hold at p used to replay True
+        d = decompose3_ruzsa(13, 5, 7)
+        assert not replace(d, p=p).replay()
+        assert not replace(d, p=p, certificate={}).replay()
+        for q in (13, p):
+            xs = [x % q for x in (1, 2, 3)]
+            parts = [x + (x * x % q) * 2 * q for x in xs]
+            e = Decomposition(target=sum(parts) % 700, modulus=700,
+                              parts=parts, construction="erdos_turan", p=q,
+                              certificate={"r1": sum(xs), "xs": xs, "r2": sum(
+                                  x * x % q for x in xs)})
+            assert e.replay() is (q == 13)
+
+    def test_replay_is_false_off_the_group(self):
+        d = decompose3_ruzsa(13, 5, 7)
+        for target in ([17, 7], [5, 13], [-1, 7]):  # crt_flatten raised
+            assert not replace(d, target=target).replay()
+        assert not replace(d, certificate={**d.certificate, "g": 3}).replay()
+        assert not replace(d, certificate={**d.certificate, "g": 2.0}).replay()
 
     def test_bad_inputs(self):
         from sidonlab.numbertheory import NotGenerator, NotPrime
